@@ -25,15 +25,23 @@ in the SDP's eps_{i,s} variables never injects spurious grid points.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conic import ConicProblem, LinExpr, SolverError, Status, expr
-from .finite_ce import EpsilonReport, min_epsilon
-from .games import FiniteGame, PolynomialGame, SupportedDistribution, sample_game
+from .finite_ce import MASS_TOL, EpsilonReport, min_epsilon
+from .games import (
+    FiniteGame,
+    PolynomialGame,
+    SupportedDistribution,
+    conditional_coeffs,
+    deviation_gain_poly,
+    gains,
+    player_view,
+    sample_game,
+)
 from .polynomials import maximize_univariate, merge_points
 from .sos import interval_nonneg_constraint
 
@@ -113,7 +121,7 @@ class IterationTrace:
                     "added": [list(a) for a in r.new_strategies],
                     "support": [
                         {"point": list(pt), "prob": p}
-                        for pt, p in r.distribution.support(1e-12)
+                        for pt, p in r.distribution.support(MASS_TOL)
                     ],
                 }
                 for r in self.records
@@ -132,6 +140,19 @@ class IterationTrace:
 # the per-iteration optimization problem
 
 
+def _distribution_vars(problem: ConicProblem, shape):
+    """Cell probabilities on a product grid: nonnegative and summing to one.
+    Returns them by cell and as a tensor of variable indices."""
+    pi = {cell: problem.add_nonneg_var() for cell in np.ndindex(shape)}
+    problem.add_equality(LinExpr({("s", v.index): 1.0 for v in pi.values()}), 1.0)
+    return pi, np.array([v.index for v in pi.values()]).reshape(shape)
+
+
+def _gain_row(var_idx, coeffs) -> LinExpr:
+    """sum_o coeffs[o] * pi[var_idx[o]] over one recommendation's cells."""
+    return LinExpr({("s", int(k)): float(c) for k, c in zip(var_idx, coeffs) if c != 0.0})
+
+
 def build_iteration_sdp(
     game: PolynomialGame,
     grids,
@@ -141,80 +162,42 @@ def build_iteration_sdp(
     """Build the per-iteration problem over the given grids.
 
     Returns ``(problem, handles)`` with handles for the cell probabilities
-    (``pi``), the per-recommendation bounds (``eps_rec``), the objective
-    variable (``eps``), and the SOS Gram blocks (``grams``).
+    (``pi``) and the objective variable (``eps``).
     """
     grids = tuple(np.asarray(g, dtype=float) for g in grids)
     if any(g.size == 0 for g in grids):
         raise SolverError("empty strategy grid")
     fg = sample_game(game, grids)
     problem = ConicProblem()
-    cells = list(fg.cells())
-    pi = {cell: problem.add_nonneg_var() for cell in cells}
+    pi, var_idx = _distribution_vars(problem, fg.shape)
     eps = problem.add_scalar_var()
-    eps_rec: dict[tuple[int, int], object] = {}
-    grams = {}
-
-    total = LinExpr()
-    for v in pi.values():
-        total = total + expr(v)
-    problem.add_equality(total, 1.0)
 
     for i in range(game.num_players):
-        size = len(grids[i])
-        other_axes = [j for j in range(game.num_players) if j != i]
-        other_cells = list(itertools.product(*(range(len(grids[j])) for j in other_axes)))
-
-        def full_cell(s_idx, rest):
-            cell = list(rest)
-            cell.insert(i, s_idx)
-            return tuple(cell)
-
+        rows = player_view(var_idx, i)
+        u = player_view(fg.payoffs[i], i)
         # restricted-deviation inequalities over the grid itself
         if include_restricted:
-            for s_idx in range(size):
-                for t_idx in range(size):
-                    if t_idx == s_idx:
-                        continue
-                    e = LinExpr()
-                    for rest in other_cells:
-                        gain = float(
-                            fg.payoffs[i][full_cell(t_idx, rest)]
-                            - fg.payoffs[i][full_cell(s_idx, rest)]
-                        )
-                        e.add_term(("s", pi[full_cell(s_idx, rest)].index), gain)
-                    slack = problem.add_nonneg_var()
-                    problem.add_equality(e - alpha * expr(eps) + expr(slack), 0.0)
+            for s in range(len(u)):
+                for t in range(len(u)):
+                    if t != s:
+                        gain = _gain_row(rows[s], u[t] - u[s])
+                        problem.add_leq(gain - alpha * expr(eps), 0.0)
 
         # continuous deviations: eps_{i,s} - g_{i,s}(t) nonnegative on [-1,1]
-        deg = game.utilities[i].degree_in(i)
-        restricted_coeffs = {
-            rest: game.utilities[i].restrict(
-                i, {j: float(grids[j][k]) for j, k in zip(other_axes, rest)}
-            )
-            for rest in other_cells
-        }
+        coeffs = conditional_coeffs(game.utilities[i], i, fg.grids)
+        deg = coeffs.shape[i] - 1
+        dev = player_view(coeffs, i)
         player_sum = LinExpr()
-        for s_idx in range(size):
+        for s in range(len(u)):
             ev = problem.add_scalar_var()
-            eps_rec[(i, s_idx)] = ev
             player_sum = player_sum + expr(ev)
-            coeff_exprs = [LinExpr() for _ in range(deg + 1)]
-            coeff_exprs[0] = expr(ev)
-            for rest in other_cells:
-                c = restricted_coeffs[rest]
-                base = float(np.polynomial.polynomial.polyval(grids[i][s_idx], c))
-                key = ("s", pi[full_cell(s_idx, rest)].index)
-                for k, ck in enumerate(c):
-                    coeff_exprs[k].add_term(key, -float(ck))
-                coeff_exprs[0].add_term(key, base)
-            grams[(i, s_idx)] = interval_nonneg_constraint(problem, coeff_exprs, max(deg, 1))
-        slack = problem.add_nonneg_var()
-        problem.add_equality(player_sum - expr(eps) + expr(slack), 0.0)
+            coeff_exprs = [expr(ev) - _gain_row(rows[s], dev[0] - u[s])]
+            coeff_exprs += [-1.0 * _gain_row(rows[s], dev[k]) for k in range(1, deg + 1)]
+            interval_nonneg_constraint(problem, coeff_exprs, max(deg, 1))
+        problem.add_leq(player_sum - expr(eps), 0.0)
 
     problem.set_objective(expr(eps))
-    handles = {"pi": pi, "eps": eps, "eps_rec": eps_rec, "grams": grams, "grids": grids}
-    return problem, handles
+    return problem, {"pi": pi, "eps": eps}
 
 
 def _solve_iteration(game, grids, config: AdaptiveConfig):
@@ -279,8 +262,6 @@ def run_adaptive(game: PolynomialGame, initial_grids, config: AdaptiveConfig | N
             for (j, s_i), (gain, _) in report.per_recommendation.items():
                 if j != i or gain <= config.eps_stop:
                     continue
-                from .games import deviation_gain_poly
-
                 g_poly = deviation_gain_poly(game, i, dist, s_i)
                 _, _, maximizers = maximize_univariate(g_poly, _NEAR_OPT_TOL)
                 for t in maximizers:
@@ -306,40 +287,29 @@ def run_adaptive(game: PolynomialGame, initial_grids, config: AdaptiveConfig | N
 # finite-game variant: deviations enumerate the full strategy set
 
 
-def _finite_report(fg: FiniteGame, subset_idx, probs) -> EpsilonReport:
+def _subset_payoffs(fg: FiniteGame, subset_idx, i: int) -> np.ndarray:
+    """Player i's payoffs in :func:`player_view` layout: one row per strategy
+    of the full set, one column per opponent profile on the subsets."""
+    axes = [np.arange(fg.shape[i]) if j == i else idx for j, idx in enumerate(subset_idx)]
+    return player_view(fg.payoffs[i][np.ix_(*axes)], i)
+
+
+def _finite_report(fg: FiniteGame, subset_idx, dist: SupportedDistribution) -> EpsilonReport:
     per = {}
     totals = np.zeros(fg.num_players)
     for i in range(fg.num_players):
-        axes = tuple(j for j in range(fg.num_players) if j != i)
-        marg = probs.sum(axis=axes)
-        for pos, s_idx in enumerate(subset_idx[i]):
-            if marg[pos] <= 1e-12:
+        u = _subset_payoffs(fg, subset_idx, i)
+        rows = gains(player_view(dist.probs, i), u, u[subset_idx[i]])
+        for s_idx, mass, row in zip(subset_idx[i], dist.marginal(i), rows):
+            if mass <= MASS_TOL:
                 continue
             best, best_t = 0.0, int(s_idx)
-            for t_idx in range(fg.shape[i]):
-                gain = _finite_gain(fg, subset_idx, probs, i, pos, t_idx)
+            for t_idx, gain in enumerate(row):
                 if gain > best + 1e-12:
-                    best, best_t = gain, t_idx
+                    best, best_t = float(gain), t_idx
             per[(i, float(fg.grids[i][s_idx]))] = (best, float(fg.grids[i][best_t]))
             totals[i] += best
     return EpsilonReport(float(totals.max(initial=0.0)), per)
-
-
-def _finite_gain(fg, subset_idx, probs, player, pos, t_idx):
-    other_axes = [j for j in range(fg.num_players) if j != player]
-    total = 0.0
-    for rest in itertools.product(*(range(len(subset_idx[j])) for j in other_axes)):
-        p_cell = list(rest)
-        p_cell.insert(player, pos)
-        p = float(probs[tuple(p_cell)])
-        if p == 0.0:
-            continue
-        cell = [subset_idx[j][r] for j, r in zip(other_axes, rest)]
-        cell.insert(player, subset_idx[player][pos])
-        dev = list(cell)
-        dev[player] = t_idx
-        total += p * float(fg.payoffs[player][tuple(dev)] - fg.payoffs[player][tuple(cell)])
-    return total
 
 
 def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig | None = None) -> IterationTrace:
@@ -358,7 +328,7 @@ def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig 
         eps_k, probs = _solve_finite_iteration(fg, subset_idx, config)
         grids_k = tuple(fg.grids[i][subset_idx[i]] for i in range(fg.num_players))
         dist = SupportedDistribution.from_solver(grids_k, probs)
-        report = _finite_report(fg, subset_idx, dist.probs)
+        report = _finite_report(fg, subset_idx, dist)
         trace.records.append(
             IterationRecord(
                 k=k,
@@ -378,18 +348,15 @@ def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig 
         for i in range(fg.num_players):
             if report.player_total(i) < config.beta * eps_k - _BIND_TOL * (1 + eps_k):
                 continue
-            for pos, s_idx in enumerate(subset_idx[i]):
-                marg = dist.probs.sum(axis=tuple(j for j in range(fg.num_players) if j != i))
-                if marg[pos] <= 1e-12:
+            u = _subset_payoffs(fg, subset_idx, i)
+            rows = gains(player_view(dist.probs, i), u, u[subset_idx[i]])
+            for mass, row in zip(dist.marginal(i), rows):
+                if mass <= MASS_TOL:
                     continue
-                gains = [
-                    _finite_gain(fg, subset_idx, dist.probs, i, pos, t_idx)
-                    for t_idx in range(fg.shape[i])
-                ]
-                best = max(gains)
+                best = row.max()
                 if best <= config.eps_stop:
                     continue
-                for t_idx, gain in enumerate(gains):
+                for t_idx, gain in enumerate(row):
                     if gain >= best - _NEAR_OPT_TOL and t_idx not in subset_idx[i] \
                             and t_idx not in additions[i]:
                         additions[i].append(t_idx)
@@ -412,51 +379,24 @@ def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig 
 def _solve_finite_iteration(fg: FiniteGame, subset_idx, config: AdaptiveConfig):
     problem = ConicProblem()
     shape = tuple(len(s) for s in subset_idx)
-    cells = list(itertools.product(*(range(n) for n in shape)))
-    pi = {cell: problem.add_nonneg_var() for cell in cells}
+    pi, var_idx = _distribution_vars(problem, shape)
     eps = problem.add_scalar_var()
 
-    total = LinExpr()
-    for v in pi.values():
-        total = total + expr(v)
-    problem.add_equality(total, 1.0)
-
     for i in range(fg.num_players):
-        other_axes = [j for j in range(fg.num_players) if j != i]
-        other_cells = list(itertools.product(*(range(len(subset_idx[j])) for j in other_axes)))
-
-        def gain_expr(pos, t_idx):
-            e = LinExpr()
-            for rest in other_cells:
-                p_cell = list(rest)
-                p_cell.insert(i, pos)
-                cell = [subset_idx[j][r] for j, r in zip(other_axes, rest)]
-                cell.insert(i, subset_idx[i][pos])
-                dev = list(cell)
-                dev[i] = t_idx
-                e.add_term(
-                    ("s", pi[tuple(p_cell)].index),
-                    float(fg.payoffs[i][tuple(dev)] - fg.payoffs[i][tuple(cell)]),
-                )
-            return e
-
+        rows = player_view(var_idx, i)
+        u = _subset_payoffs(fg, subset_idx, i)
         player_sum = LinExpr()
-        for pos in range(len(subset_idx[i])):
+        for pos, s_idx in enumerate(subset_idx[i]):
             if not config.degenerate:
-                for t_pos, t_idx in enumerate(subset_idx[i]):
-                    if t_pos == pos:
-                        continue
-                    slack = problem.add_nonneg_var()
-                    problem.add_equality(
-                        gain_expr(pos, t_idx) - config.alpha * expr(eps) + expr(slack), 0.0
-                    )
+                for t_idx in subset_idx[i]:
+                    if t_idx != s_idx:
+                        gain = _gain_row(rows[pos], u[t_idx] - u[s_idx])
+                        problem.add_leq(gain - config.alpha * expr(eps), 0.0)
             ev = problem.add_scalar_var()
             player_sum = player_sum + expr(ev)
-            for t_idx in range(fg.shape[i]):
-                slack = problem.add_nonneg_var()
-                problem.add_equality(gain_expr(pos, t_idx) - expr(ev) + expr(slack), 0.0)
-        slack = problem.add_nonneg_var()
-        problem.add_equality(player_sum - expr(eps) + expr(slack), 0.0)
+            for t_idx in range(len(u)):
+                problem.add_leq(_gain_row(rows[pos], u[t_idx] - u[s_idx]) - expr(ev), 0.0)
+        problem.add_leq(player_sum - expr(eps), 0.0)
 
     problem.set_objective(expr(eps))
     sol = problem.solve(tol=config.solver_tol, centering="strong")

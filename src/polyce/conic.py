@@ -15,7 +15,6 @@ NumericalFailure}.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,38 +231,3 @@ class ConicSolution:
             return 0.0
         return float(self.eq_duals[eq.index])
 
-
-def dump_sdpa_like(problem: ConicProblem) -> str:
-    """Sparse SDPA-flavored text dump of a built problem, for cross-checking
-    against external solvers.
-
-    Layout (not bit-mandated): a header with variable counts, one ``C`` line
-    per objective entry and one ``A`` line per equality entry, written as
-    ``<row> <kind> <index...> <value>`` where kind ``s`` is a scalar variable
-    and kind ``p`` is (block, i, j).  Row 0 is the objective; equality row k
-    also records its right-hand side on the ``rhs`` line.
-    """
-    out = io.StringIO()
-    dims = " ".join(str(b.dim) for b in problem.blocks)
-    print(f"* polyce conic dump: {problem.num_scalars} scalars, "
-          f"{len(problem.blocks)} psd blocks, {len(problem.equalities)} equalities", file=out)
-    print(f"scalars {problem.num_scalars}", file=out)
-    print("nonneg " + "".join("1" if f else "0" for f in problem.scalar_nonneg), file=out)
-    print(f"blocks {dims}", file=out)
-
-    def emit(row: int, coeffs: dict):
-        for key in sorted(coeffs, key=repr):
-            v = coeffs[key]
-            if key[0] == "s":
-                print(f"{row} s {key[1]} {v!r}", file=out)
-            else:
-                _, b, i, j = key
-                print(f"{row} p {b} {i} {j} {v!r}", file=out)
-
-    emit(0, problem.objective.coeffs)
-    rhs = []
-    for k, (coeffs, b) in enumerate(problem.equalities, start=1):
-        emit(k, coeffs)
-        rhs.append(repr(b))
-    print("rhs " + " ".join(rhs), file=out)
-    return out.getvalue()

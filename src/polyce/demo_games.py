@@ -1,7 +1,7 @@
 """Small demonstration games with known equilibrium structure.
 
-Used by the test suite and the scripts in ``scripts/`` as reproducible
-fixtures; both are two-player games on [-1,1]^2.
+Used by the test suite and the benchmark as reproducible fixtures; all
+three are two-player games with strategies in [-1,1].
 """
 
 from __future__ import annotations

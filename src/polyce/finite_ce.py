@@ -12,7 +12,6 @@ correlated equilibrium.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -23,7 +22,9 @@ from .games import (
     FiniteGame,
     PolynomialGame,
     SupportedDistribution,
-    deviation_gain_poly,
+    gain_coeffs,
+    gains,
+    player_view,
     sample_game,
 )
 from .polynomials import maximize_univariate
@@ -64,11 +65,10 @@ def min_epsilon(game: PolynomialGame, dist: SupportedDistribution) -> EpsilonRep
     per: dict[tuple[int, float], tuple[float, float]] = {}
     totals = np.zeros(game.num_players)
     for i in range(game.num_players):
-        marginal = dist.marginal(i)
-        for idx, s_i in enumerate(dist.grids[i]):
-            if marginal[idx] <= MASS_TOL:
+        rows = zip(dist.grids[i], dist.marginal(i), gain_coeffs(game, i, dist))
+        for s_i, mass, g in rows:
+            if mass <= MASS_TOL:
                 continue
-            g = deviation_gain_poly(game, i, dist, float(s_i))
             t_star, value, _ = maximize_univariate(g)
             value = max(value, 0.0)
             per[(i, float(s_i))] = (value, t_star)
@@ -76,32 +76,12 @@ def min_epsilon(game: PolynomialGame, dist: SupportedDistribution) -> EpsilonRep
     return EpsilonReport(float(totals.max(initial=0.0)), per)
 
 
-def deviation_inequalities(fg: FiniteGame, player: int):
-    """Yield ``(s_idx, t_idx, gain_coeffs)`` where gain_coeffs maps each cell
-    in row s_idx to u_i(t, s_-i) - u_i(s); a CE needs all such sums <= 0."""
-    u = fg.payoffs[player]
-    size = fg.shape[player]
-    other_ranges = [range(s) for j, s in enumerate(fg.shape) if j != player]
-    for s_idx in range(size):
-        for t_idx in range(size):
-            if t_idx == s_idx:
-                continue
-            coeffs = {}
-            for rest in itertools.product(*other_ranges):
-                cell = list(rest)
-                cell.insert(player, s_idx)
-                dev = list(rest)
-                dev.insert(player, t_idx)
-                coeffs[tuple(cell)] = float(u[tuple(dev)] - u[tuple(cell)])
-            yield s_idx, t_idx, coeffs
-
-
 def max_ce_violation(fg: FiniteGame, dist: SupportedDistribution) -> float:
     """Largest deviation gain over every (player, s_i, t_i) triple."""
     worst = 0.0
     for i in range(fg.num_players):
-        for _, _, coeffs in deviation_inequalities(fg, i):
-            worst = max(worst, sum(c * float(dist.probs[cell]) for cell, c in coeffs.items()))
+        u = player_view(fg.payoffs[i], i)
+        worst = max(worst, float(gains(player_view(dist.probs, i), u, u).max()))
     return worst
 
 
@@ -109,19 +89,25 @@ def _ce_polytope(problem: ConicProblem, fg: FiniteGame, fixed: dict):
     """CE constraints with ``fixed`` cells substituted as constants."""
     cells = list(fg.cells())
     pi = {cell: problem.add_nonneg_var() for cell in cells if cell not in fixed}
-    total = LinExpr()
-    for cell, v in pi.items():
-        total = total + expr(v)
-    problem.add_equality(total, 1.0 - sum(fixed.values()))
+    problem.add_equality(
+        LinExpr({("s", v.index): 1.0 for v in pi.values()}), 1.0 - sum(fixed.values())
+    )
+    flat = np.arange(len(cells)).reshape(fg.shape)  # cells are in C order
     for i in range(fg.num_players):
-        for _, _, coeffs in deviation_inequalities(fg, i):
-            e = LinExpr()
-            for cell, c in coeffs.items():
-                if cell in fixed:
-                    e = e + c * fixed[cell]
-                else:
-                    e.add_term(("s", pi[cell].index), c)
-            problem.add_leq(e, 0.0)
+        u = player_view(fg.payoffs[i], i)
+        row_cells = player_view(flat, i)
+        for s in range(len(u)):
+            for t in range(len(u)):
+                if t == s:
+                    continue
+                e = LinExpr()
+                for k, c in zip(row_cells[s], u[t] - u[s]):
+                    cell = cells[k]
+                    if cell in fixed:
+                        e.const += float(c * fixed[cell])
+                    else:
+                        e.add_term(("s", pi[cell].index), float(c))
+                problem.add_leq(e, 0.0)
     return cells, pi
 
 

@@ -7,6 +7,21 @@ concurrent solves.  The JSON game format used by every CLI command is::
      "utilities": [{"terms": [{"exp": [2, 0], "coef": 0.596}, ...]}, ...]}
 
 Exponent tuple order follows the ``players`` array.
+
+All payoff and deviation-gain arithmetic in the package goes through one
+kernel in this module:
+
+* :func:`player_view` lays any tensor over a product grid out as player i
+  sees it: a matrix with one row per own strategy (or power of the own
+  variable) and one column per opponent profile, opponents in player order
+  and the last one varying fastest;
+* :func:`conditional_coeffs` turns a utility's dense coefficient tensor into
+  the coefficients of u_i(t, s_-i) in t for every opponent profile, by
+  elementwise Horner evaluation along each opponent axis; evaluating the
+  result at player i's own grid samples the utility, so a sampled payoff is
+  bit-identical however many grid points are sampled at once;
+* :func:`gains` forms the expected deviation gains
+  sum_{s_-i} pi(s_i, s_-i) [u_i(t, s_-i) - u_i(s)] from those matrices.
 """
 
 from __future__ import annotations
@@ -51,12 +66,6 @@ class PolynomialGame:
     @property
     def num_players(self) -> int:
         return len(self.utilities)
-
-    def scale_player(self, player: int, lam: float) -> "PolynomialGame":
-        """Scale one player's utility by ``lam`` (coefficient-level)."""
-        utils = list(self.utilities)
-        utils[player] = utils[player] * lam
-        return PolynomialGame(tuple(utils), self.player_names)
 
 
 @dataclass(frozen=True)
@@ -143,18 +152,57 @@ class SupportedDistribution:
 
     def moment(self, exponent: tuple[int, ...]) -> float:
         """Joint moment: sum over support of prob * prod_j s_j^k_j."""
-        total = 0.0
-        for point, p in self.support():
-            v = p
-            for x, k in zip(point, exponent):
-                if k:
-                    v *= x**k
-            total += v
-        return total
+        monomial = MultiPoly(len(self.grids), {tuple(exponent): 1.0})
+        return float(np.sum(self.probs * _sample(monomial, 0, self.grids)))
 
 
 # ---------------------------------------------------------------------------
-# operations
+# the payoff kernel
+
+
+def player_view(tensor: np.ndarray, i: int) -> np.ndarray:
+    """Tensor over a product grid as a (player i axis) x (opponent profile)
+    matrix; columns run over the other axes in C order."""
+    return np.moveaxis(tensor, i, 0).reshape(tensor.shape[i], -1)
+
+
+def _horner(coeffs: np.ndarray, axis: int, points) -> np.ndarray:
+    """Evaluate the polynomial along ``axis`` of a coefficient tensor at
+    every point, replacing that axis by one entry per point."""
+    c = np.moveaxis(coeffs, axis, 0)
+    x = np.asarray(points, dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
+    acc = np.repeat(c[-1:], len(x), axis=0)
+    for ck in c[-2::-1]:
+        acc = acc * x + ck
+    return np.moveaxis(acc, 0, axis)
+
+
+def conditional_coeffs(u: MultiPoly, i: int, grids) -> np.ndarray:
+    """Ascending coefficients of u(t, s_-i) in t for every opponent profile:
+    axis i indexes the powers of t, axis j != i the points of ``grids[j]``."""
+    coeffs = np.zeros([u.degree_in(j) + 1 for j in range(u.num_vars)])
+    for exp, coef in u.terms.items():
+        coeffs[exp] = coef
+    for j, grid in enumerate(grids):
+        if j != i:
+            coeffs = _horner(coeffs, j, grid)
+    return coeffs
+
+
+def _sample(u: MultiPoly, i: int, grids) -> np.ndarray:
+    """Utility ``u`` of player i on the product of ``grids``."""
+    return _horner(conditional_coeffs(u, i, grids), i, grids[i])
+
+
+def gains(probs: np.ndarray, dev_payoffs: np.ndarray, rec_payoffs: np.ndarray) -> np.ndarray:
+    """Expected deviation gains, one row per recommendation s:
+
+        out[s, k] = sum_o probs[s, o] * (dev_payoffs[k, o] - rec_payoffs[s, o])
+
+    with ``probs`` and ``rec_payoffs`` in :func:`player_view` layout and one
+    row of ``dev_payoffs`` per deviation k.  A zero-gain deviation (k = s on
+    a finite game) gives exactly 0."""
+    return np.einsum("so,sko->sk", probs, dev_payoffs[None, :, :] - rec_payoffs[:, None, :])
 
 
 def _check_point(game: PolynomialGame, point) -> np.ndarray:
@@ -170,7 +218,8 @@ def _check_point(game: PolynomialGame, point) -> np.ndarray:
 
 def eval_utility(game: PolynomialGame, player: int, point) -> float:
     """Exact polynomial evaluation of one player's utility at a profile."""
-    return game.utilities[player](_check_point(game, point))
+    grids = [[x] for x in _check_point(game, point)]
+    return float(_sample(game.utilities[player], player, grids).item())
 
 
 def _grid_index(grid: np.ndarray, value: float, tol: float = GRID_MERGE_TOL) -> int:
@@ -180,33 +229,31 @@ def _grid_index(grid: np.ndarray, value: float, tol: float = GRID_MERGE_TOL) -> 
     return idx
 
 
+def gain_coeffs(game: PolynomialGame, player: int, dist: SupportedDistribution) -> np.ndarray:
+    """Deviation-gain polynomials of every recommendation of ``player``: row
+    s holds the ascending coefficients of
+
+        g(t) = sum over s_{-i} of pi(s_i, s_{-i}) * [u_i(t, s_{-i}) - u_i(s)]
+
+    for s_i = ``dist.grids[player][s]``."""
+    coeffs = conditional_coeffs(game.utilities[player], player, dist.grids)
+    dev = player_view(coeffs, player)
+    rec = player_view(_horner(coeffs, player, dist.grids[player]), player)
+    probs = player_view(dist.probs, player)
+    out = gains(probs, dev, np.zeros_like(rec))
+    out[:, :1] = gains(probs, dev[:1], rec)  # u_i(s) is constant in t
+    return out
+
+
 def deviation_gain_poly(
     game: PolynomialGame, player: int, dist: SupportedDistribution, s_i: float
 ) -> MultiPoly:
     """Expected-gain polynomial g(t) for player ``player`` deviating to t when
-    recommended ``s_i``, under ``dist``:
-
-        g(t) = sum over s_{-i} of pi(s_i, s_{-i}) * [u_i(t, s_{-i}) - u_i(s)]
-
-    Coefficients are accumulated exactly over the finite support, so
+    recommended ``s_i``, under ``dist`` (one row of :func:`gain_coeffs`).
     g(s_i) = 0 up to float cancellation.
     """
     s_idx = _grid_index(dist.grids[player], s_i)
-    u = game.utilities[player]
-    coeffs = np.zeros(u.degree_in(player) + 1)
-    other_axes = [j for j in range(dist.num_players) if j != player]
-    for other_cell in itertools.product(*(range(len(dist.grids[j])) for j in other_axes)):
-        cell = list(other_cell)
-        cell.insert(player, s_idx)
-        p = float(dist.probs[tuple(cell)])
-        if p == 0.0:
-            continue
-        others = {j: float(dist.grids[j][k]) for j, k in zip(other_axes, other_cell)}
-        c = u.restrict(player, others)
-        base = float(np.polynomial.polynomial.polyval(dist.grids[player][s_idx], c))
-        coeffs[: c.size] += p * c
-        coeffs[0] -= p * base
-    return MultiPoly.univariate(coeffs)
+    return MultiPoly.univariate(gain_coeffs(game, player, dist)[s_idx])
 
 
 def sample_game(game: PolynomialGame, grids) -> FiniteGame:
@@ -217,24 +264,16 @@ def sample_game(game: PolynomialGame, grids) -> FiniteGame:
     for g in grids:
         if g.size == 0:
             raise GameFormatError("empty strategy grid")
-    shape = tuple(len(g) for g in grids)
-    payoffs = []
-    for i in range(game.num_players):
-        tensor = np.empty(shape)
-        for cell in itertools.product(*(range(s) for s in shape)):
-            point = [grids[j][cell[j]] for j in range(len(grids))]
-            tensor[cell] = eval_utility(game, i, point)
-        payoffs.append(tensor)
-    return FiniteGame(grids, tuple(payoffs))
+    payoffs = tuple(_sample(u, i, grids) for i, u in enumerate(game.utilities))
+    return FiniteGame(grids, payoffs)
 
 
 def expected_utilities(game: PolynomialGame, dist: SupportedDistribution) -> np.ndarray:
     """Expected utility per player under a finitely supported distribution."""
-    out = np.zeros(game.num_players)
-    for point, p in dist.support():
-        for i in range(game.num_players):
-            out[i] += p * eval_utility(game, i, point)
-    return out
+    return np.array([
+        float(np.sum(dist.probs * _sample(u, i, dist.grids)))
+        for i, u in enumerate(game.utilities)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,9 +47,6 @@ class Compiled:
     row_scale: np.ndarray
     obj_scale: float
     obj_const: float
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +238,7 @@ class _Cone:
             out[cp.q + off : cp.q + off + dim * (dim + 1) // 2] = svec(M)
         return out
 
-    def max_step(self, sc: _Scaling, orth_dir: np.ndarray, mat_dirs: list, lam_orth, lam_blk) -> float:
+    def max_step(self, orth_dir: np.ndarray, mat_dirs: list, lam_orth, lam_blk) -> float:
         """Largest alpha with lam + alpha*dir staying in the cone (scaled space)."""
         alpha = np.inf
         neg = orth_dir < 0
@@ -263,7 +261,7 @@ def _finite(parts) -> bool:
     return all(np.all(np.isfinite(v)) for v in parts)
 
 
-def _schur(cp: Compiled, cone: _Cone, sc: _Scaling, A_orth: sp.csr_matrix,
+def _schur(cp: Compiled, sc: _Scaling, A_orth: sp.csr_matrix,
            blk_mats: list[np.ndarray]) -> np.ndarray:
     m = cp.m
     S = (A_orth.multiply(sc.w2[None, :])).dot(A_orth.T).toarray() if cp.q \
@@ -359,7 +357,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
             sc = _Scaling(cp, xc, z)
         except np.linalg.LinAlgError:
             break
-        S = _schur(cp, cone, sc, A_orth, blk_mats)
+        S = _schur(cp, sc, A_orth, blk_mats)
         K2 = np.zeros((m + f, m + f))
         K2[:m, :m] = S + _REG * np.eye(m)
         if f:
@@ -404,8 +402,8 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
         def step_len(dxc, dz, dtau, dkap, centrality: bool = False):
             sd_z = cone.scale_down(sc, dz, dual=True)
             sd_x = cone.scale_down(sc, dxc, dual=False)
-            alpha = cone.max_step(sc, sd_x[0], sd_x[1], lam_o, lam_b)
-            alpha = min(alpha, cone.max_step(sc, sd_z[0], sd_z[1], lam_o, lam_b))
+            alpha = cone.max_step(sd_x[0], sd_x[1], lam_o, lam_b)
+            alpha = min(alpha, cone.max_step(sd_z[0], sd_z[1], lam_o, lam_b))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkap < 0:
@@ -475,10 +473,10 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
         # endgame breakdown after effective convergence: take the best iterate
         status = Status.OPTIMAL
         _, xf, xc, y, tau = best
-    return _extract(problem, cp, cone, status, xf, xc, y, tau, it, tol)
+    return _extract(problem, cp, status, xf, xc, y, tau, it, tol)
 
 
-def _extract(problem, cp: Compiled, cone, status, xf, xc, y, tau, iters, tol) -> ConicSolution:
+def _extract(problem, cp: Compiled, status, xf, xc, y, tau, iters, tol) -> ConicSolution:
     if status is not Status.OPTIMAL:
         return ConicSolution(status=status, iterations=iters)
     xf_h, xc_h = xf / tau, xc / tau

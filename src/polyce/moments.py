@@ -238,7 +238,7 @@ def payoff_region_sketch(
 # membership tests for concrete moment vectors
 
 
-def _numeric_matrix(entries_fn, basis, mv):
+def _numeric_matrix(entries_fn, basis):
     dim = len(basis)
     M = np.empty((dim, dim))
     for i in range(dim):
@@ -253,7 +253,7 @@ def moment_validity_margin(mv: MomentVector, r: int) -> float:
     n = mv.num_vars
     basis = grlex_monomials(n, r)
     worst = np.inf
-    M = _numeric_matrix(lambda a, b: mv[tuple(x + y for x, y in zip(a, b))], basis, mv)
+    M = _numeric_matrix(lambda a, b: mv[tuple(x + y for x, y in zip(a, b))], basis)
     worst = min(worst, float(np.linalg.eigvalsh(M)[0]))
     loc_basis = grlex_monomials(n, r - 1)
     for v in range(n):
@@ -261,7 +261,7 @@ def moment_validity_margin(mv: MomentVector, r: int) -> float:
             s = tuple(x + y for x, y in zip(a, b))
             s2 = tuple(x + (2 if k == v else 0) for k, x in enumerate(s))
             return mv[s] - mv[s2]
-        L = _numeric_matrix(loc, loc_basis, mv)
+        L = _numeric_matrix(loc, loc_basis)
         worst = min(worst, float(np.linalg.eigvalsh(L)[0]))
     return worst
 

@@ -128,19 +128,6 @@ class MultiPoly:
             total += v
         return total
 
-    def restrict(self, var: int, others: dict[int, float]) -> np.ndarray:
-        """Fix every variable except ``var`` and return ascending univariate
-        coefficients in the remaining variable."""
-        coeffs = np.zeros(self.degree_in(var) + 1)
-        for exp, coef in self.terms.items():
-            v = coef
-            for j, e in enumerate(exp):
-                if j == var or e == 0:
-                    continue
-                v *= others[j] ** e
-            coeffs[exp[var]] += v
-        return coeffs
-
     def univariate_coeffs(self) -> np.ndarray:
         """Ascending coefficient array; only valid when ``num_vars == 1``."""
         if self.num_vars != 1:

@@ -7,7 +7,8 @@ Encodes, over a :class:`~polyce.conic.ConicProblem`:
   both SOS; for a concrete p, :func:`prove_interval_nonneg` solves the
   lower-bound program max delta s.t. p - delta = s + (1-x^2) t on p scaled
   to unit largest coefficient, and accepts p when delta* >= -DECISION_SLACK
-  (5e-8, below the 1e-7 PSD tolerance of :func:`verify_certificate`),
+  (5e-8, below the PSD tolerance of :func:`verify_certificate`, 1e-7 times
+  the largest coefficient of p when that exceeds 1),
 * PSD-ness of a symmetric polynomial matrix M(t) on [-1,1] via the biform
   identity x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S, T SOS,
 * truncated-moment feasibility on [-1,1]^n: moment matrix plus one
@@ -123,27 +124,6 @@ def antidiagonal_sums(gram: np.ndarray) -> np.ndarray:
 
 def _as_exprs(coeffs) -> list[LinExpr]:
     return [LinExpr.of(c) for c in coeffs]
-
-
-def gram_constraint(problem: ConicProblem, poly_coeffs, half_degree: int) -> PsdBlock:
-    """Constrain an affine-coefficient polynomial of degree <= 2*half_degree
-    to be a sum of squares.  Adds one (d+1)x(d+1) PSD Gram block whose
-    antidiagonal sums equal the coefficients."""
-    coeffs = _as_exprs(poly_coeffs)
-    d = int(half_degree)
-    if len(coeffs) - 1 > 2 * d:
-        raise SolverError(f"degree {len(coeffs) - 1} exceeds 2*{d}")
-    Q = problem.add_psd_block(d + 1)
-    for k in range(2 * d + 1):
-        lhs = LinExpr()
-        for i in range(max(0, k - d), min(d, k) + 1):
-            j = k - i
-            if i > j:
-                continue
-            lhs = lhs + (1.0 if i == j else 2.0) * Q.entry(i, j)
-        target = coeffs[k] if k < len(coeffs) else LinExpr()
-        problem.add_equality(lhs - target, 0.0)
-    return Q
 
 
 def _antidiag_expr(Q: PsdBlock, k: int) -> LinExpr:
@@ -307,21 +287,25 @@ def verify_certificate(
 ) -> tuple[bool, float]:
     """Soundness check: PSD Grams, coefficient reconstruction within
     ``coeff_tol``, and the target itself nonnegative (>= -grid_tol) on a
-    101-point uniform grid.  Returns (ok, max coefficient residual)."""
+    101-point uniform grid.  Every tolerance is multiplied by
+    max(1, largest target coefficient magnitude), because a certificate's
+    rounding errors grow with its coefficients.  Returns (ok, max
+    coefficient residual)."""
+    target = np.atleast_1d(np.asarray(target_coeffs, dtype=float))
+    scale = max(1.0, float(np.abs(target).max(initial=0.0)))
     for gram in (cert.gram_s, cert.gram_t):
         if gram is None or gram.size == 0:
             continue
-        if float(np.linalg.eigvalsh((gram + gram.T) / 2)[0]) < -psd_tol:
+        if float(np.linalg.eigvalsh((gram + gram.T) / 2)[0]) < -psd_tol * scale:
             return False, float("inf")
-    target = np.atleast_1d(np.asarray(target_coeffs, dtype=float))
     recon = reconstruct_target(cert)
     n = max(target.size, recon.size)
     diff = np.zeros(n)
     diff[: recon.size] += recon
     diff[: target.size] -= target
     residual = float(np.abs(diff).max(initial=0.0))
-    grid = np.linspace(-1.0, 1.0, 101)
-    ok = residual <= coeff_tol and float(poly_eval(target, grid).min()) >= -grid_tol
+    grid_min = float(poly_eval(target, np.linspace(-1.0, 1.0, 101)).min())
+    ok = residual <= coeff_tol * scale and grid_min >= -grid_tol * scale
     return ok, residual
 
 
@@ -365,8 +349,8 @@ def prove_interval_nonneg(coeffs, tol: float = 1e-9):
     c*delta* and the rest of the coefficient residual absorbed into the
     s-Gram, so reconstruction is exact to rounding.  Absorbing a delta* in
     [-DECISION_SLACK, 0) moves an eigenvalue of the s-Gram by at most
-    c*|delta*|, which is within the absolute ``psd_tol`` of
-    :func:`verify_certificate` (1e-7) while c <= 2.  Raises SolverError
+    c*|delta*|, which is within the ``psd_tol`` of :func:`verify_certificate`
+    (1e-7 times max(1, c)) for every c.  Raises SolverError
     when the solver does not reach an optimum.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")

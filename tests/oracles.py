@@ -1,6 +1,7 @@
 """Brute-force oracles kept independent of the library code paths."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -40,3 +41,37 @@ def max_departure_gain(fg, dist):
         for zeta in all_departures(size):
             worst = max(worst, departure_gain(fg, dist, i, zeta))
     return worst
+
+
+def max_single_deviation_gain(fg, dist):
+    """Largest gain over every (player, s, t): the departure that moves only
+    recommendation s to t."""
+    worst = 0.0
+    for i in range(fg.num_players):
+        size = fg.shape[i]
+        for s in range(size):
+            for t in range(size):
+                zeta = list(range(size))
+                zeta[s] = t
+                worst = max(worst, departure_gain(fg, dist, i, zeta))
+    return worst
+
+
+def poly_value(u, point):
+    """A MultiPoly evaluated term by term."""
+    return sum(c * math.prod(x**e for x, e in zip(point, exp)) for exp, c in u.terms.items())
+
+
+def deviation_gain_at(game, dist, player, s_idx, t):
+    """Gain of deviating from recommendation ``s_idx`` to t, summed cell by
+    cell with term-by-term utility values."""
+    u = game.utilities[player]
+    total = 0.0
+    for cell in itertools.product(*(range(len(g)) for g in dist.grids)):
+        if cell[player] != s_idx:
+            continue
+        point = [float(g[k]) for g, k in zip(dist.grids, cell)]
+        dev = list(point)
+        dev[player] = t
+        total += float(dist.probs[cell]) * (poly_value(u, dev) - poly_value(u, point))
+    return total

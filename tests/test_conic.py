@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyce.conic import ConicProblem, LinExpr, SolverError, Status, dump_sdpa_like, expr
+from polyce.conic import ConicProblem, LinExpr, SolverError, Status, expr
 
 
 def brute_force_trace1_min_offdiag(samples=2001):
@@ -194,18 +194,3 @@ def test_constant_equality_folding():
     assert p.trivially_infeasible
     assert p.solve().status is Status.INFEASIBLE
 
-
-def test_sdpa_style_dump_roundtrips_counts():
-    p = ConicProblem()
-    X = p.add_psd_block(2)
-    v = p.add_nonneg_var()
-    p.add_equality(X.entry(0, 0) + 2.0 * X.entry(0, 1) + expr(v), 1.0)
-    p.set_objective(X.entry(1, 1))
-    text = dump_sdpa_like(p)
-    assert "scalars 1" in text
-    assert "blocks 2" in text
-    assert "rhs 1.0" in text
-    # every coefficient line parses back to a float
-    for line in text.splitlines():
-        if line and line[0].isdigit():
-            float(line.rsplit(" ", 1)[1])

@@ -126,11 +126,16 @@ def test_min_epsilon_origin(quad_game):
 def test_min_epsilon_positively_homogeneous(quad_game):
     dist = SupportedDistribution.point_mass((0.0, 0.0))
     base = min_epsilon(quad_game, dist)
-    doubled = min_epsilon(quad_game.scale_player(0, 2.0), dist)
+
+    def scale_player(lam):
+        u_x, u_y = quad_game.utilities
+        return PolynomialGame((u_x * lam, u_y), quad_game.player_names)
+
+    doubled = min_epsilon(scale_player(2.0), dist)
     # scaling by a power of two is exact in floating point
     assert doubled.per_recommendation[(0, 0.0)][0] == 2.0 * base.per_recommendation[(0, 0.0)][0]
     assert doubled.per_recommendation[(1, 0.0)][0] == base.per_recommendation[(1, 0.0)][0]
-    scaled = min_epsilon(quad_game.scale_player(0, 1.7), dist)
+    scaled = min_epsilon(scale_player(1.7), dist)
     assert scaled.per_recommendation[(0, 0.0)][0] == pytest.approx(
         1.7 * base.per_recommendation[(0, 0.0)][0], rel=1e-12
     )

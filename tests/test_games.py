@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyce.finite_ce import max_ce_violation
 from polyce.games import (
     GameFormatError,
     SupportedDistribution,
@@ -20,6 +22,8 @@ from polyce.games import (
     serialize_game,
 )
 from polyce.polynomials import MultiPoly
+
+from oracles import deviation_gain_at, max_single_deviation_gain
 
 
 def test_eval_at_corner_sums_coefficients(quad_game):
@@ -117,6 +121,31 @@ def test_sample_game_matches_eval(quad_game):
         for b, y in enumerate((-1.0, 1.0)):
             for i in range(2):
                 assert fg.payoffs[i][a, b] == eval_utility(quad_game, i, (x, y))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_kernel_matches_scalar_oracles_for_every_player_of_three(seed, degree):
+    # distinct grid sizes per axis, so a misplaced axis in the
+    # (own strategy x opponent profile) layout changes the numbers
+    game = random_polynomial_game(3, degree, seed)
+    rng = np.random.default_rng(seed)
+    fg = sample_game(game, [rng.uniform(-1, 1, k) for k in rng.permutation([2, 3, 4])])
+    probs = rng.random(fg.shape)
+    dist = SupportedDistribution(fg.grids, probs / probs.sum())
+    for i in range(3):
+        for cell in itertools.product(*(range(k) for k in fg.shape)):
+            point = [g[k] for g, k in zip(fg.grids, cell)]
+            assert fg.payoffs[i][cell] == eval_utility(game, i, point)
+        for s_idx, s in enumerate(fg.grids[i]):
+            g = deviation_gain_poly(game, i, dist, float(s))
+            for t in (-1.0, -0.3, 0.4, 1.0):
+                assert g((t,)) == pytest.approx(
+                    deviation_gain_at(game, dist, i, s_idx, t), abs=1e-10
+                )
+    assert max_ce_violation(fg, dist) == pytest.approx(
+        max_single_deviation_gain(fg, dist), abs=1e-12
+    )
 
 
 def test_sample_game_rejects_empty_grid(quad_game):

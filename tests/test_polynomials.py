@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyce.games import conditional_coeffs
 from polyce.polynomials import (
     MultiPoly,
     PolynomialError,
@@ -42,7 +43,7 @@ def test_bad_terms_rejected(terms, err):
 
 def test_restrict_matches_direct_eval():
     p = MultiPoly(3, {(2, 1, 0): 1.5, (0, 0, 3): -2.0, (1, 1, 1): 0.25})
-    coeffs = p.restrict(0, {1: 0.5, 2: -0.75})
+    coeffs = conditional_coeffs(p, 0, [None, [0.5], [-0.75]]).ravel()
     for t in (-1.0, -0.3, 0.0, 0.8):
         assert poly_eval(coeffs, t) == pytest.approx(p((t, 0.5, -0.75)), abs=1e-12)
 

@@ -7,7 +7,6 @@ from polyce.sos import (
     MomentVector,
     SosCertificate,
     certificate_from_solution,
-    gram_constraint,
     grlex_monomials,
     interval_degrees,
     interval_nonneg_constraint,
@@ -29,29 +28,6 @@ def test_grlex_order_frozen():
     assert grlex_monomials(2, 2) == (
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
     )
-
-
-def test_gram_square_monomial():
-    sol, Q = _feasible(lambda p: gram_constraint(p, [0.0, 0.0, 1.0], 1))
-    assert sol.status is Status.OPTIMAL
-    assert np.allclose(sol.value(Q), [[0.0, 0.0], [0.0, 1.0]], atol=1e-7)
-
-
-def test_gram_perfect_square():
-    sol, Q = _feasible(lambda p: gram_constraint(p, [1.0, 2.0, 1.0], 1))
-    assert sol.status is Status.OPTIMAL
-    assert np.allclose(sol.value(Q), [[1.0, 1.0], [1.0, 1.0]], atol=1e-6)
-
-
-def test_gram_negative_constant_refuted():
-    sol, _ = _feasible(lambda p: gram_constraint(p, [-1.0], 1))
-    assert sol.status is Status.INFEASIBLE
-
-
-def test_gram_rejects_excess_degree():
-    p = ConicProblem()
-    with pytest.raises(Exception, match="degree"):
-        gram_constraint(p, [0.0] * 4, 1)
 
 
 def test_interval_degree_split():
@@ -99,8 +75,22 @@ def test_interval_boundary_roots_certified():
         # the decision does not depend on the scale of the coefficients
         ok, cert = prove_interval_nonneg(1e3 * target)
         assert ok, target
-        good, _ = verify_certificate(cert, 1e3 * target, psd_tol=1e-4, coeff_tol=1e-4)
+        good, _ = verify_certificate(cert, 1e3 * target)
         assert good, target
+
+
+def test_verify_tolerances_grow_with_the_target():
+    # 1 + x with an s-Gram 5e-8 off the exact witness is inside the default
+    # tolerances; scaling certificate and target together keeps it inside,
+    # and keeps a certificate that is off by 10% outside
+    gram_s = np.array([[0.5, 0.5], [0.5, 0.5]]) - 5e-8 * np.eye(2)
+    gram_t = np.array([[0.5]])
+    target = np.array([1.0, 1.0])
+    for c in (1.0, 1e3, 1e6):
+        good, resid = verify_certificate(SosCertificate(c * gram_s, c * gram_t, 1), c * target)
+        assert good and resid == pytest.approx(5e-8 * c, rel=1e-6), c
+        bad = SosCertificate(c * (gram_s + [[0.1, 0.0], [0.0, 0.0]]), c * gram_t, 1)
+        assert not verify_certificate(bad, c * target)[0], c
 
 
 def test_interval_negative_poly_refuted():
