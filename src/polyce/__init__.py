@@ -1,9 +1,9 @@
 """Correlated equilibria of polynomial games on [-1,1]^n.
 
-Three solvers built on one univariate sum-of-squares layer and an in-house
-conic interior-point method:
+Three solvers; the two SDP ones run on a univariate sum-of-squares layer
+and an in-house conic interior-point method:
 
-* static discretization (sampled-game LP),
+* static discretization (sampled-game LP, one sparse matrix solved by HiGHS),
 * adaptive discretization (support-growing SDP loop),
 * moment relaxation (outer SDP approximations of the equilibrium set).
 """

@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adaptive import AdaptiveConfig, run_adaptive
 from .conic import SolverError
 from .finite_ce import min_epsilon, static_discretization
@@ -34,7 +32,6 @@ from .games import (
     serialize_game,
 )
 from .moments import RelaxationOrder, payoff_bounds, payoff_region_sketch
-from .sos import MomentVector
 
 EXIT_OK = 0
 EXIT_INPUT = 1

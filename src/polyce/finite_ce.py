@@ -1,8 +1,9 @@
 """Correlated equilibria of finite (sampled) games, and exact epsilon audits.
 
-``ce_lp`` computes a correlated equilibrium of a finite game as an LP over
-the conic backend (nonnegative cells, simplex, one linear deviation
-inequality per (player, recommendation, deviation) triple).  ``min_epsilon``
+``ce_lp`` computes a correlated equilibrium of a finite game as an LP:
+nonnegative cells, the simplex row, and one sparse matrix holding one
+deviation inequality per (player, recommendation, deviation) triple, solved
+by HiGHS through ``scipy.optimize.linprog``.  ``min_epsilon``
 evaluates any finitely supported distribution against the *continuous* game:
 for every recommendation with positive marginal it maximizes the
 deviation-gain polynomial over [-1,1] by derivative root finding, giving the
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .conic import ConicProblem, LinExpr, SolverError, Status, expr
+from .conic import SolverError, Status
 from .games import (
     FiniteGame,
     PolynomialGame,
@@ -85,58 +88,65 @@ def max_ce_violation(fg: FiniteGame, dist: SupportedDistribution) -> float:
     return worst
 
 
-def _ce_polytope(problem: ConicProblem, fg: FiniteGame, fixed: dict):
-    """CE constraints with ``fixed`` cells substituted as constants."""
-    cells = list(fg.cells())
-    pi = {cell: problem.add_nonneg_var() for cell in cells if cell not in fixed}
-    problem.add_equality(
-        LinExpr({("s", v.index): 1.0 for v in pi.values()}), 1.0 - sum(fixed.values())
-    )
-    flat = np.arange(len(cells)).reshape(fg.shape)  # cells are in C order
+class _LP(NamedTuple):
+    """Status, cell probabilities and min-max level of one CE LP (None where
+    absent), and HiGHS's own status message."""
+
+    status: Status
+    probs: np.ndarray | None
+    level: float | None
+    message: str
+
+
+def _deviation_rows(fg: FiniteGame) -> sp.csr_matrix:
+    """Every CE inequality sum_{s_-i} p(s, s_-i) (u_i(t, s_-i) - u_i(s, s_-i))
+    <= 0 as one sparse matrix over the cells in C order, one row per
+    (player i, recommendation s, deviation t != s) in that order."""
+    flat = np.arange(int(np.prod(fg.shape)), dtype=np.int32).reshape(fg.shape)
+    blocks = []
     for i in range(fg.num_players):
         u = player_view(fg.payoffs[i], i)
-        row_cells = player_view(flat, i)
-        for s in range(len(u)):
-            for t in range(len(u)):
-                if t == s:
-                    continue
-                e = LinExpr()
-                for k, c in zip(row_cells[s], u[t] - u[s]):
-                    cell = cells[k]
-                    if cell in fixed:
-                        e.const += float(c * fixed[cell])
-                    else:
-                        e.add_term(("s", pi[cell].index), float(c))
-                problem.add_leq(e, 0.0)
-    return cells, pi
+        s, t = np.nonzero(~np.eye(len(u), dtype=bool))
+        indptr = np.arange(len(s) + 1) * u.shape[1]
+        rows = (u[t] - u[s]).ravel(), player_view(flat, i)[s].ravel(), indptr
+        blocks.append(sp.csr_matrix(rows, shape=(len(s), flat.size)))
+    out = sp.vstack(blocks, format="csr")
+    out.eliminate_zeros()
+    return out
 
 
-def _solve_ce(fg: FiniteGame, objective, fixed: dict, cap: float | None, tol: float):
-    """One CE LP; objective 'feasible' | 'minmax' | ('max', coeffs) |
-    ('min_cell', cell).  Returns (solution, cells, pi, t_var)."""
-    problem = ConicProblem()
-    cells, pi = _ce_polytope(problem, fg, fixed)
-    t_var = None
-    if objective == "minmax" or cap is not None:
-        t_var = problem.add_scalar_var()
-        for cell in pi:
-            problem.add_leq(expr(pi[cell]) - expr(t_var), 0.0)
-        if cap is not None:
-            problem.add_leq(expr(t_var), cap)
+def _solve_ce(fg: FiniteGame, objective, fixed: dict, cap: float | None, tol: float) -> _LP:
+    """One CE LP solved by HiGHS; objective 'feasible' | 'minmax' | a map
+    cell -> coefficient to maximize.  ``fixed`` cells are pinned by their
+    bounds and ``cap`` bounds every other cell; 'minmax' adds one level
+    column t >= every unpinned cell and minimizes it."""
+    # imported here: loading scipy.optimize adds about 0.2 s to every start-up
+    from scipy.optimize import linprog
+
+    n = int(np.prod(fg.shape))
+    A_ub = _deviation_rows(fg)
+    lo, hi = np.zeros(n), np.full(n, np.inf if cap is None else cap)
+    pinned = [np.ravel_multi_index(cell, fg.shape) for cell in fixed]
+    lo[pinned] = hi[pinned] = list(fixed.values())
+    c = np.zeros(n)
     if objective == "minmax":
-        problem.set_objective(expr(t_var))
-    elif objective == "feasible":
-        pass
-    elif objective[0] == "max":
-        e = LinExpr()
-        for cell, c in objective[1].items():
-            if cell in pi:
-                e.add_term(("s", pi[cell].index), -float(c))
-        problem.set_objective(e)
-    elif objective[0] == "min_cell":
-        problem.set_objective(expr(pi[objective[1]]))
-    sol = problem.solve(tol=tol)
-    return sol, cells, pi, t_var
+        free = np.setdiff1d(np.arange(n), pinned)
+        below = sp.eye(n, format="csr")[free]
+        A_ub = sp.bmat([[A_ub, None], [below, sp.csr_matrix(-np.ones((len(free), 1)))]], "csr")
+        c, lo, hi = np.append(c, 1.0), np.append(lo, 0.0), np.append(hi, np.inf)
+    elif objective != "feasible":
+        for cell, coef in objective.items():
+            c[np.ravel_multi_index(cell, fg.shape)] = -coef
+    res = linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=(np.arange(len(c)) < n)[None] * 1.0,
+        b_eq=[1.0], bounds=np.column_stack([lo, hi]), method="highs",
+        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
+    )
+    if res.status != 0:  # 2 infeasible, 3 unbounded, else a HiGHS failure
+        status = {2: Status.INFEASIBLE, 3: Status.UNBOUNDED}.get(res.status)
+        return _LP(status or Status.NUMERICAL_FAILURE, None, None, res.message)
+    level = float(res.x[n]) if objective == "minmax" else None
+    return _LP(Status.OPTIMAL, res.x[:n].reshape(fg.shape), level, res.message)
 
 
 def _lexicographic_minmax(fg: FiniteGame, tol: float) -> np.ndarray:
@@ -149,34 +159,35 @@ def _lexicographic_minmax(fg: FiniteGame, tol: float) -> np.ndarray:
     probs = np.zeros(fg.shape)
     slack = 100 * tol
     while len(fixed) < len(cells):
-        sol, _, pi, t_var = _solve_ce(fg, "minmax", fixed, None, tol)
-        if sol.status is not Status.OPTIMAL:
-            raise SolverError(f"tie-break stage failed: {sol.status.value}")
-        level = sol.value(t_var)
-        if level <= slack:
-            for cell, v in pi.items():
-                fixed[cell] = max(sol.value(v), 0.0)
+        lp = _solve_ce(fg, "minmax", fixed, None, tol)
+        if lp.status is not Status.OPTIMAL:
+            raise SolverError(f"tie-break stage failed: {lp.message}")
+        free = [cell for cell in cells if cell not in fixed]
+        if lp.level <= slack:
+            for cell in free:
+                fixed[cell] = max(lp.probs[cell], 0.0)
             break
         saturated = []
-        for cell, v in pi.items():
-            if sol.value(v) < level - slack:
+        for cell in free:
+            if lp.probs[cell] < lp.level - slack:
                 continue
-            probe, _, ppi, _ = _solve_ce(fg, ("min_cell", cell), fixed, level + slack, tol)
-            if probe.status is Status.OPTIMAL and probe.value(ppi[cell]) < level - slack:
+            probe = _solve_ce(fg, {cell: -1.0}, fixed, lp.level + slack, tol)
+            if probe.status is Status.OPTIMAL and probe.probs[cell] < lp.level - slack:
                 continue
             saturated.append(cell)
         if not saturated:
             # numerically ambiguous; pin the current argmax to keep progress
-            saturated = [max(pi, key=lambda c: sol.value(pi[c]))]
+            saturated = [max(free, key=lambda c: lp.probs[c])]
         for cell in saturated:
-            fixed[cell] = level
+            fixed[cell] = lp.level
     for cell, v in fixed.items():
         probs[cell] = v
     return probs
 
 
 def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistribution:
-    """Correlated equilibrium of a finite game.
+    """Correlated equilibrium of a finite game, from one sparse LP per stage
+    solved by HiGHS with feasibility tolerances ``tol``.
 
     With ``objective`` a map cell -> coefficient, maximizes that linear
     functional of the cell probabilities.  With ``objective=None`` solves for
@@ -185,23 +196,14 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistrib
     min-max up to MINMAX_CELL_CAP cells, pure feasibility beyond).
     """
     n_cells = int(np.prod(fg.shape))
-    if objective is not None:
-        sol, cells, pi, _ = _solve_ce(fg, ("max", dict(objective)), {}, None, tol)
-        if sol.status is not Status.OPTIMAL:
-            raise SolverError(f"CE solve failed: {sol.status.value}")
-        probs = np.zeros(fg.shape)
-        for cell in cells:
-            probs[cell] = sol.value(pi[cell])
-    elif n_cells <= LEX_CELL_CAP:
+    if objective is None and n_cells <= LEX_CELL_CAP:
         probs = _lexicographic_minmax(fg, tol)
     else:
         mode = "minmax" if n_cells <= MINMAX_CELL_CAP else "feasible"
-        sol, cells, pi, _ = _solve_ce(fg, mode, {}, None, tol)
-        if sol.status is not Status.OPTIMAL:
-            raise SolverError(f"CE solve failed: {sol.status.value}")
-        probs = np.zeros(fg.shape)
-        for cell in cells:
-            probs[cell] = sol.value(pi[cell])
+        lp = _solve_ce(fg, mode if objective is None else dict(objective), {}, None, tol)
+        if lp.status is not Status.OPTIMAL:
+            raise SolverError(f"CE solve failed: {lp.message}")
+        probs = lp.probs
     dist = SupportedDistribution.from_solver(fg.grids, probs)
     worst = max_ce_violation(fg, dist)
     if worst > 1e-7:

@@ -75,3 +75,31 @@ def deviation_gain_at(game, dist, player, s_idx, t):
         dev[player] = t
         total += float(dist.probs[cell]) * (poly_value(u, dev) - poly_value(u, point))
     return total
+
+
+def dense_ce_lp_value(fg, objective):
+    """Largest value of ``objective`` (cell -> coefficient) over the CE
+    polytope, from a dense LP whose rows are written out cell by cell."""
+    from scipy.optimize import linprog
+
+    cells = list(itertools.product(*(range(s) for s in fg.shape)))
+    rows = []
+    for i in range(fg.num_players):
+        for s in range(fg.shape[i]):
+            for t in range(fg.shape[i]):
+                if t == s:
+                    continue
+                row = np.zeros(len(cells))
+                for k, cell in enumerate(cells):
+                    if cell[i] == s:
+                        dev = list(cell)
+                        dev[i] = t
+                        row[k] = fg.payoffs[i][tuple(dev)] - fg.payoffs[i][cell]
+                rows.append(row)
+    c = np.array([-float(objective[cell]) for cell in cells])
+    res = linprog(
+        c, A_ub=np.array(rows).reshape(-1, len(cells)), b_ub=np.zeros(len(rows)),
+        A_eq=np.ones((1, len(cells))), b_eq=[1.0], bounds=(0, None), method="highs-ipm",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from polyce.adaptive import AdaptiveConfig, run_adaptive, run_adaptive_finite
-from polyce.finite_ce import min_epsilon, static_discretization
+from polyce.finite_ce import static_discretization
 from polyce.games import (
     FiniteGame,
-    SupportedDistribution,
     deviation_gain_poly,
     expected_utilities,
     random_polynomial_game,
@@ -107,6 +106,16 @@ def test_criterion_4_static_rate(quad_game):
     for d, value in products.items():
         assert ref / 3.0 <= value <= 3.0 * ref, (d, value, ref)
     _ok(f"4 static rate: eps*d in {sorted(round(v, 3) for v in products.values())}")
+
+
+def test_static_rate_holds_at_d80_and_d160(quad_game):
+    # criterion 4's band, two doublings past its largest d
+    ref = static_discretization(quad_game, 5)[1].epsilon * 5
+    eps = {d: static_discretization(quad_game, d)[1].epsilon for d in (80, 160)}
+    for d, value in eps.items():
+        assert ref / 3.0 <= value * d <= 3.0 * ref, (d, value * d, ref)
+    assert eps[160] < eps[80]
+    _ok(f"4 static rate extended: eps*d at 80, 160 = {[round(v * d, 3) for d, v in eps.items()]}")
 
 
 def test_criterion_5_moment_singleton_and_nesting(quad_game):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from polyce.conic import ConicProblem, LinExpr, SolverError, Status, expr
+from polyce.ipm import compile_problem
 
 
 def brute_force_trace1_min_offdiag(samples=2001):
@@ -170,6 +172,43 @@ def test_cross_check_against_external_ipm():
         ref_obj = ref["primal objective"] * cp.obj_scale + cp.obj_const
         assert mine.status is Status.OPTIMAL
         assert mine.objective_value == pytest.approx(ref_obj, abs=1e-5, rel=1e-6)
+
+
+def _random_bounded_lp(seed, infeasible=False):
+    """Nonnegative scalars on the simplex, free scalars pinned to affine
+    functions of them, and one more random equality: a bounded LP."""
+    rng = np.random.default_rng(seed)
+    p = ConicProblem()
+    w = [p.add_nonneg_var() for _ in range(int(rng.integers(2, 7)))]
+    f = [p.add_scalar_var() for _ in range(int(rng.integers(1, 4)))]
+    p.add_equality(sum((expr(v) for v in w), LinExpr()), 1.0)
+    for v in f:
+        p.add_equality(expr(v) - sum(float(rng.normal()) * expr(x) for x in w), float(rng.normal()))
+    a = rng.normal(size=len(w))
+    # a . w never exceeds max(a) on the simplex
+    rhs = np.abs(a).sum() + 1.0 if infeasible else a @ rng.dirichlet(np.ones(len(w)))
+    p.add_equality(sum(float(c) * expr(v) for c, v in zip(a, w)), float(rhs))
+    obj = sum(float(rng.uniform(1.0, 2.0)) * expr(v) for v in w)
+    p.set_objective(obj + sum(float(rng.uniform(-0.1, 0.1)) * expr(v) for v in f))
+    return p
+
+
+def _highs(p):
+    cp = compile_problem(p)
+    bounds = [(None, None)] * cp.f + [(0, None)] * cp.q
+    return cp, linprog(cp.c, A_eq=cp.A, b_eq=cp.b, bounds=bounds, method="highs")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_cross_check_against_highs(seed):
+    p = _random_bounded_lp(seed)
+    mine = p.solve()
+    cp, ref = _highs(p)
+    assert ref.status == 0 and mine.status is Status.OPTIMAL
+    assert mine.objective_value == pytest.approx(ref.fun * cp.obj_scale + cp.obj_const, rel=1e-6)
+    infeasible = _random_bounded_lp(seed, infeasible=True)
+    assert infeasible.solve().status is Status.INFEASIBLE
+    assert _highs(infeasible)[1].status == 2
 
 
 def test_builder_misuse():

@@ -1,24 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polyce
 from polyce.finite_ce import (
-    EpsilonReport,
+    MINMAX_CELL_CAP,
     ce_lp,
     max_ce_violation,
     midpoint_grid,
     min_epsilon,
     static_discretization,
 )
-from polyce.games import (
-    FiniteGame,
-    PolynomialGame,
-    SupportedDistribution,
-    random_polynomial_game,
-    sample_game,
-)
+from polyce.games import FiniteGame, PolynomialGame, SupportedDistribution
 from polyce.polynomials import MultiPoly
 
-from oracles import dense_max_on_interval, max_departure_gain
+from oracles import (
+    dense_ce_lp_value,
+    dense_max_on_interval,
+    max_departure_gain,
+    max_single_deviation_gain,
+)
 
 
 def _point_mass_on(fg, cell):
@@ -64,7 +71,7 @@ def test_ce_lp_tie_break_minimizes_max_probability(table3):
     peak = float(dist.probs.max())
     # cross-check: capping the maximum atom strictly below the returned peak
     # leaves no correlated equilibrium
-    sol, _, _, _ = _solve_ce(table3, "feasible", {}, peak - 1e-3, 1e-8)
+    sol = _solve_ce(table3, "feasible", {}, peak - 1e-3, 1e-8)
     assert sol.status is Status.INFEASIBLE
 
 
@@ -98,6 +105,43 @@ def test_ce_lp_passes_departure_enumeration_on_random_games(seed):
     fg = FiniteGame(grids, payoffs)
     dist = ce_lp(fg)
     assert max_departure_gain(fg, dist) <= 1e-7
+
+
+def _integer_game(rng, shape):
+    grids = tuple(np.linspace(-1, 1, s) for s in shape)
+    return FiniteGame(grids, tuple(rng.integers(0, 8, size=shape).astype(float) for _ in shape))
+
+
+@given(st.integers(0, 10_000), st.permutations([2, 3, 4]))
+@settings(max_examples=20, deadline=None)
+def test_ce_lp_rows_on_three_players(seed, shape):
+    # distinct grid sizes per axis, so a misplaced axis in the deviation rows
+    # changes the polytope
+    fg = _integer_game(np.random.default_rng(seed), tuple(shape))
+    assert max_single_deviation_gain(fg, ce_lp(fg)) <= 1e-7
+    welfare = {cell: sum(float(u[cell]) for u in fg.payoffs) for cell in fg.cells()}
+    dist = ce_lp(fg, welfare)
+    assert max_single_deviation_gain(fg, dist) <= 1e-7
+    value = sum(c * float(dist.probs[cell]) for cell, c in welfare.items())
+    assert value == pytest.approx(dense_ce_lp_value(fg, welfare), abs=1e-6)
+
+
+def test_ce_lp_feasibility_branch_on_21x21():
+    fg = _integer_game(np.random.default_rng(21), (21, 21))
+    assert np.prod(fg.shape) > MINMAX_CELL_CAP
+    assert max_single_deviation_gain(fg, ce_lp(fg)) <= 1e-7
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # ce_lp imports linprog when it runs: loading scipy.optimize on import
+    # would add about 0.2 s to the start-up of every process
+    code = "import sys, polyce, polyce.ipm, polyce.cli; assert 'scipy.optimize' not in sys.modules"
+    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 # ---------------------------------------------------------------------------

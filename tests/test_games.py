@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -21,8 +20,6 @@ from polyce.games import (
     serialize_distribution,
     serialize_game,
 )
-from polyce.polynomials import MultiPoly
-
 from oracles import deviation_gain_at, max_single_deviation_gain
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyce.adaptive import AdaptiveConfig, run_adaptive
+from polyce.adaptive import run_adaptive
 from polyce.games import (
     PolynomialGame,
     SupportedDistribution,
