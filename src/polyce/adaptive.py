@@ -78,8 +78,8 @@ class AdaptiveConfig:
                 raise ValueError("degenerate mode means alpha = beta = 1")
         elif not (0.0 <= self.alpha < self.beta <= 1.0):
             raise ValueError("need 0 <= alpha < beta <= 1 (or the degenerate flag)")
-        if self.eps_stop <= 0 or self.max_iter < 1:
-            raise ValueError("eps_stop must be positive and max_iter >= 1")
+        if not 0 < self.eps_stop < np.inf or self.max_iter < 1:
+            raise ValueError("eps_stop must be positive and finite, and max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,7 @@ def _solve_iteration(game, grids, config: AdaptiveConfig):
     problem, handles = build_iteration_sdp(
         game, grids, config.alpha, include_restricted=not config.degenerate
     )
-    # strong centering: the terminal iterate is the loop's selected
-    # equilibrium, and loosely centered endpoints wander across fat optimal
-    # faces from run to run of the formulation
-    sol = problem.solve(tol=config.solver_tol, centering="strong")
+    sol = problem.solve(tol=config.solver_tol)
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"iteration SDP ended with status {sol.status.value}")
     probs = np.zeros(tuple(len(g) for g in grids))
@@ -399,7 +396,7 @@ def _solve_finite_iteration(fg: FiniteGame, subset_idx, config: AdaptiveConfig):
         problem.add_leq(player_sum - expr(eps), 0.0)
 
     problem.set_objective(expr(eps))
-    sol = problem.solve(tol=config.solver_tol, centering="strong")
+    sol = problem.solve(tol=config.solver_tol)
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"finite iteration LP ended with status {sol.status.value}")
     probs = np.zeros(shape)

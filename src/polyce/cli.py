@@ -67,7 +67,7 @@ def _parse_grid_sizes(spec: str) -> list[int]:
 
 def _parse_grid_points(spec: str) -> list[float]:
     pts = [float(p) for p in spec.split(",") if p.strip()]
-    if not pts or any(abs(p) > 1 for p in pts):
+    if not pts or not all(abs(p) <= 1 for p in pts):  # rejects nan too
         raise GameFormatError(f"initial grid points must lie in [-1,1]: {spec!r}")
     return pts
 

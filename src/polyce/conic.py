@@ -2,9 +2,9 @@
 
 A :class:`ConicProblem` has free scalar variables, nonnegative scalar
 variables, PSD matrix blocks, linear equality constraints, and a linear
-objective (always minimized).  Inequalities are expressed by the caller via
-explicit slack variables; 1x1 PSD blocks are routed to the nonnegative
-orthant internally.
+objective (always minimized).  ``add_leq`` writes an inequality as an
+equality with a fresh nonnegative slack; 1x1 PSD blocks are routed to the
+nonnegative orthant internally.
 
 ``solve`` hands the built problem to the interior-point method in
 :mod:`polyce.ipm` and returns a :class:`ConicSolution` with primal values,
@@ -180,15 +180,14 @@ class ConicProblem:
         self._check_expr(e)
         self.objective = e
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              centering: str = "mehrotra") -> "ConicSolution":
+    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> "ConicSolution":
         if not (0 < tol <= 1e-2):
             raise SolverError("tol must lie in (0, 1e-2]")
         if self.num_scalars == 0 and not self.blocks:
             raise SolverError("problem has no variables")
         from . import ipm
 
-        return ipm.solve(self, tol=tol, max_iter=max_iter, centering=centering)
+        return ipm.solve(self, tol=tol, max_iter=max_iter)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Correlated equilibria of finite (sampled) games, and exact epsilon audits.
 
-``ce_lp`` computes a correlated equilibrium of a finite game as an LP:
+``ce_lp`` computes a correlated equilibrium of a finite game as one LP:
 nonnegative cells, the simplex row, and one sparse matrix holding one
 deviation inequality per (player, recommendation, deviation) triple, solved
-by HiGHS through ``scipy.optimize.linprog``.  ``min_epsilon``
+by HiGHS through ``scipy.optimize.linprog``.  Without an objective the LP
+minimizes the largest cell probability.  ``min_epsilon``
 evaluates any finitely supported distribution against the *continuous* game:
 for every recommendation with positive marginal it maximizes the
 deviation-gain polynomial over [-1,1] by derivative root finding, giving the
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import SolverError, Status
+from .conic import SolverError
 from .games import (
     FiniteGame,
     PolynomialGame,
@@ -33,10 +33,6 @@ from .games import (
 from .polynomials import maximize_univariate
 
 MASS_TOL = 1e-12
-# tie-break stages get expensive on big grids; above these cell counts the
-# LP falls back to plain min-max, then to pure feasibility
-LEX_CELL_CAP = 64
-MINMAX_CELL_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -88,16 +84,6 @@ def max_ce_violation(fg: FiniteGame, dist: SupportedDistribution) -> float:
     return worst
 
 
-class _LP(NamedTuple):
-    """Status, cell probabilities and min-max level of one CE LP (None where
-    absent), and HiGHS's own status message."""
-
-    status: Status
-    probs: np.ndarray | None
-    level: float | None
-    message: str
-
-
 def _deviation_rows(fg: FiniteGame) -> sp.csr_matrix:
     """Every CE inequality sum_{s_-i} p(s, s_-i) (u_i(t, s_-i) - u_i(s, s_-i))
     <= 0 as one sparse matrix over the cells in C order, one row per
@@ -115,96 +101,38 @@ def _deviation_rows(fg: FiniteGame) -> sp.csr_matrix:
     return out
 
 
-def _solve_ce(fg: FiniteGame, objective, fixed: dict, cap: float | None, tol: float) -> _LP:
-    """One CE LP solved by HiGHS; objective 'feasible' | 'minmax' | a map
-    cell -> coefficient to maximize.  ``fixed`` cells are pinned by their
-    bounds and ``cap`` bounds every other cell; 'minmax' adds one level
-    column t >= every unpinned cell and minimizes it."""
+def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistribution:
+    """Correlated equilibrium of a finite game from one sparse LP, solved by
+    HiGHS with primal and dual feasibility tolerances ``tol``.
+
+    With ``objective`` a map cell -> coefficient, maximizes that linear
+    functional of the cell probabilities.  With ``objective=None`` minimizes
+    the largest cell probability through one level column t >= every cell.
+    """
+    if not 0 < tol <= 1e-2:
+        raise SolverError("tol must lie in (0, 1e-2]")
     # imported here: loading scipy.optimize adds about 0.2 s to every start-up
     from scipy.optimize import linprog
 
     n = int(np.prod(fg.shape))
     A_ub = _deviation_rows(fg)
-    lo, hi = np.zeros(n), np.full(n, np.inf if cap is None else cap)
-    pinned = [np.ravel_multi_index(cell, fg.shape) for cell in fixed]
-    lo[pinned] = hi[pinned] = list(fixed.values())
     c = np.zeros(n)
-    if objective == "minmax":
-        free = np.setdiff1d(np.arange(n), pinned)
-        below = sp.eye(n, format="csr")[free]
-        A_ub = sp.bmat([[A_ub, None], [below, sp.csr_matrix(-np.ones((len(free), 1)))]], "csr")
-        c, lo, hi = np.append(c, 1.0), np.append(lo, 0.0), np.append(hi, np.inf)
-    elif objective != "feasible":
+    if objective is None:
+        A_ub = sp.bmat([[A_ub, None], [sp.eye(n), sp.csr_matrix(-np.ones((n, 1)))]], "csr")
+        c = np.append(c, 1.0)
+    else:
         for cell, coef in objective.items():
             c[np.ravel_multi_index(cell, fg.shape)] = -coef
     res = linprog(
         c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=(np.arange(len(c)) < n)[None] * 1.0,
-        b_eq=[1.0], bounds=np.column_stack([lo, hi]), method="highs",
+        b_eq=[1.0], bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
     )
-    if res.status != 0:  # 2 infeasible, 3 unbounded, else a HiGHS failure
-        status = {2: Status.INFEASIBLE, 3: Status.UNBOUNDED}.get(res.status)
-        return _LP(status or Status.NUMERICAL_FAILURE, None, None, res.message)
-    level = float(res.x[n]) if objective == "minmax" else None
-    return _LP(Status.OPTIMAL, res.x[:n].reshape(fg.shape), level, res.message)
-
-
-def _lexicographic_minmax(fg: FiniteGame, tol: float) -> np.ndarray:
-    """Lexicographically minimize the sorted probability vector (largest
-    first) over the CE polytope.  Classic freeze-and-probe scheme: minimize
-    the max, detect saturated cells (those that cannot go below the level),
-    pin them, repeat on the rest."""
-    fixed: dict = {}
-    cells = list(fg.cells())
-    probs = np.zeros(fg.shape)
-    slack = 100 * tol
-    while len(fixed) < len(cells):
-        lp = _solve_ce(fg, "minmax", fixed, None, tol)
-        if lp.status is not Status.OPTIMAL:
-            raise SolverError(f"tie-break stage failed: {lp.message}")
-        free = [cell for cell in cells if cell not in fixed]
-        if lp.level <= slack:
-            for cell in free:
-                fixed[cell] = max(lp.probs[cell], 0.0)
-            break
-        saturated = []
-        for cell in free:
-            if lp.probs[cell] < lp.level - slack:
-                continue
-            probe = _solve_ce(fg, {cell: -1.0}, fixed, lp.level + slack, tol)
-            if probe.status is Status.OPTIMAL and probe.probs[cell] < lp.level - slack:
-                continue
-            saturated.append(cell)
-        if not saturated:
-            # numerically ambiguous; pin the current argmax to keep progress
-            saturated = [max(free, key=lambda c: lp.probs[c])]
-        for cell in saturated:
-            fixed[cell] = lp.level
-    for cell, v in fixed.items():
-        probs[cell] = v
-    return probs
-
-
-def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistribution:
-    """Correlated equilibrium of a finite game, from one sparse LP per stage
-    solved by HiGHS with feasibility tolerances ``tol``.
-
-    With ``objective`` a map cell -> coefficient, maximizes that linear
-    functional of the cell probabilities.  With ``objective=None`` solves for
-    a deterministic representative: the maximum probability is minimized,
-    refined lexicographically on grids of at most LEX_CELL_CAP cells (plain
-    min-max up to MINMAX_CELL_CAP cells, pure feasibility beyond).
-    """
-    n_cells = int(np.prod(fg.shape))
-    if objective is None and n_cells <= LEX_CELL_CAP:
-        probs = _lexicographic_minmax(fg, tol)
-    else:
-        mode = "minmax" if n_cells <= MINMAX_CELL_CAP else "feasible"
-        lp = _solve_ce(fg, mode if objective is None else dict(objective), {}, None, tol)
-        if lp.status is not Status.OPTIMAL:
-            raise SolverError(f"CE solve failed: {lp.message}")
-        probs = lp.probs
-    dist = SupportedDistribution.from_solver(fg.grids, probs)
+    # a CE always exists and the simplex is bounded: any other outcome is a
+    # solver failure
+    if res.status != 0:
+        raise SolverError(f"CE solve failed: {res.message}")
+    dist = SupportedDistribution.from_solver(fg.grids, res.x[:n].reshape(fg.shape))
     worst = max_ce_violation(fg, dist)
     if worst > 1e-7:
         raise SolverError(f"CE constraints violated by {worst:.2e} after solve")

@@ -4,9 +4,10 @@ Solves  min c.x  s.t.  A x = b,  x in K,  where K is a product of a free
 subspace, a nonnegative orthant, and PSD matrix cones (svec-packed).  The
 algorithm is the homogeneous self-dual embedding with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector, which yields clean infeasibility and
-unboundedness certificates alongside optimal solutions.  Dense linear
-algebra throughout; intended for desk-scale problems (PSD blocks up to
-~60x60, a few thousand equalities).
+unboundedness certificates alongside optimal solutions.  The centering
+parameter is sigma = mu_aff / mu clipped to [0, 1] on every solve.  Dense
+linear algebra throughout; intended for desk-scale problems (PSD blocks up
+to ~60x60, a few thousand equalities).
 """
 
 from __future__ import annotations
@@ -274,15 +275,12 @@ def _schur(cp: Compiled, sc: _Scaling, A_orth: sp.csr_matrix,
     return S
 
 
-def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
-          centering: str = "mehrotra") -> ConicSolution:
-    """Solve a built problem.  ``centering="strong"`` trades a few extra
-    iterations for solutions that hug the central path; on problems with fat
-    optimal faces this makes the returned interior point reproducible rather
-    than an artifact of the predictor endgame."""
+def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
+    """Solve a built problem by predictor-corrector steps whose centering
+    parameter is sigma = min(1, max(0, mu_aff / mu)), with mu_aff the
+    complementarity the affine predictor step would reach."""
     if problem.trivially_infeasible:
         return ConicSolution(status=Status.INFEASIBLE)
-    sigma_power = 1 if centering == "strong" else 3
     cp = compile_problem(problem)
     if cp.cone_dim == 0:
         return _solve_linear(problem, cp, tol)
@@ -442,7 +440,10 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
                 float((xc + a_aff * aff[1]) @ (z + a_aff * aff[3]))
                 + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
             ) / nu1
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** sigma_power))
+            # linear in mu_aff/mu, not Mehrotra's cube: the iterates hug the
+            # central path, so on fat optimal faces the terminal point is
+            # reproducible rather than an artifact of the predictor endgame
+            sigma = min(1.0, max(0.0, mu_aff / mu))
 
             sdx = cone.scale_down(sc, aff[1], dual=False)
             sdz = cone.scale_down(sc, aff[3], dual=True)

@@ -77,11 +77,9 @@ def deviation_gain_at(game, dist, player, s_idx, t):
     return total
 
 
-def dense_ce_lp_value(fg, objective):
-    """Largest value of ``objective`` (cell -> coefficient) over the CE
-    polytope, from a dense LP whose rows are written out cell by cell."""
-    from scipy.optimize import linprog
-
+def dense_ce_rows(fg):
+    """The cells in C order and every CE deviation row over them, written out
+    cell by cell."""
     cells = list(itertools.product(*(range(s) for s in fg.shape)))
     rows = []
     for i in range(fg.num_players):
@@ -96,10 +94,39 @@ def dense_ce_lp_value(fg, objective):
                         dev[i] = t
                         row[k] = fg.payoffs[i][tuple(dev)] - fg.payoffs[i][cell]
                 rows.append(row)
+    return cells, np.array(rows).reshape(-1, len(cells))
+
+
+def dense_ce_lp_value(fg, objective):
+    """Largest value of ``objective`` (cell -> coefficient) over the CE
+    polytope, from a dense LP whose rows are written out cell by cell."""
+    from scipy.optimize import linprog
+
+    cells, rows = dense_ce_rows(fg)
     c = np.array([-float(objective[cell]) for cell in cells])
     res = linprog(
-        c, A_ub=np.array(rows).reshape(-1, len(cells)), b_ub=np.zeros(len(rows)),
+        c, A_ub=rows, b_ub=np.zeros(len(rows)),
         A_eq=np.ones((1, len(cells))), b_eq=[1.0], bounds=(0, None), method="highs-ipm",
     )
     assert res.status == 0, res.message
     return -float(res.fun)
+
+
+def dense_ce_minmax_level(fg):
+    """Smallest possible largest cell probability of a CE: the dense CE rows
+    plus p <= t for every cell, minimizing t."""
+    from scipy.optimize import linprog
+
+    cells, rows = dense_ce_rows(fg)
+    n = len(cells)
+    A_ub = np.block([[rows, np.zeros((len(rows), 1))], [np.eye(n), -np.ones((n, 1))]])
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    A_eq = np.ones((1, n + 1))
+    A_eq[0, n] = 0.0
+    res = linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=[1.0],
+        bounds=(0, None), method="highs-ipm",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)

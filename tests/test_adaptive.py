@@ -25,6 +25,8 @@ def test_config_validation():
     AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True)
     with pytest.raises(ValueError, match="eps_stop"):
         AdaptiveConfig(eps_stop=0.0)
+    with pytest.raises(ValueError, match="eps_stop"):
+        AdaptiveConfig(eps_stop=float("nan"))
 
 
 def test_maximizer_examples_match_trace_values():
@@ -55,7 +57,7 @@ def test_iteration_sdp_at_pure_nash(quad_game):
 def test_iteration_sdp_full_grid_reaches_zero(emb_game):
     grids = [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
     problem, handles = build_iteration_sdp(emb_game, grids, 0.0)
-    sol = problem.solve(centering="strong")
+    sol = problem.solve()
     assert sol.status is Status.OPTIMAL
     assert sol.objective_value == pytest.approx(0.0, abs=1e-6)
     probs = np.zeros((3, 3))

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyce
 from polyce.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from polyce.demo_games import common_interest_demo_game, quadratic_demo_game
 from polyce.games import parse_game, serialize_game
@@ -156,9 +161,23 @@ def test_solver_failure_exits_2(quad_path, monkeypatch, capsys):
     assert "injected" in capsys.readouterr().err
 
 
+def test_static_nan_tol_exits_2(quad_path):
+    # its own process: a nan tolerance that reached HiGHS would kill the
+    # interpreter instead of raising
+    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-m", "polyce.cli", "static", "--game", quad_path, "--grid", "2",
+         "--tol", "nan"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == EXIT_SOLVER, out.stderr
+    assert "tol must lie in (0, 1e-2]" in out.stderr
+
+
 def test_bad_flags_exit_1(quad_path):
     assert main(["static", "--game", quad_path, "--grid", "0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "2.0"]) == EXIT_INPUT
+    assert main(["adaptive", "--game", quad_path, "--grid", "nan"]) == EXIT_INPUT
     assert main(["nonsense"]) == EXIT_INPUT
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyce
+from polyce.conic import SolverError
 from polyce.finite_ce import (
-    MINMAX_CELL_CAP,
     ce_lp,
     max_ce_violation,
     midpoint_grid,
@@ -22,6 +22,7 @@ from polyce.polynomials import MultiPoly
 
 from oracles import (
     dense_ce_lp_value,
+    dense_ce_minmax_level,
     dense_max_on_interval,
     max_departure_gain,
     max_single_deviation_gain,
@@ -64,15 +65,9 @@ def test_ce_lp_output_is_an_equilibrium(table3):
 
 
 def test_ce_lp_tie_break_minimizes_max_probability(table3):
-    from polyce.conic import Status
-    from polyce.finite_ce import _solve_ce
-
-    dist = ce_lp(table3)
-    peak = float(dist.probs.max())
-    # cross-check: capping the maximum atom strictly below the returned peak
-    # leaves no correlated equilibrium
-    sol = _solve_ce(table3, "feasible", {}, peak - 1e-3, 1e-8)
-    assert sol.status is Status.INFEASIBLE
+    # no correlated equilibrium has a smaller largest atom than the returned one
+    peak = float(ce_lp(table3).probs.max())
+    assert peak == pytest.approx(dense_ce_minmax_level(table3), abs=1e-7)
 
 
 def test_ce_lp_with_welfare_objective(table3):
@@ -126,10 +121,11 @@ def test_ce_lp_rows_on_three_players(seed, shape):
     assert value == pytest.approx(dense_ce_lp_value(fg, welfare), abs=1e-6)
 
 
-def test_ce_lp_feasibility_branch_on_21x21():
+def test_ce_lp_minmax_on_21x21():
     fg = _integer_game(np.random.default_rng(21), (21, 21))
-    assert np.prod(fg.shape) > MINMAX_CELL_CAP
-    assert max_single_deviation_gain(fg, ce_lp(fg)) <= 1e-7
+    dist = ce_lp(fg)
+    assert max_single_deviation_gain(fg, dist) <= 1e-7
+    assert float(dist.probs.max()) == pytest.approx(dense_ce_minmax_level(fg), abs=1e-7)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -214,6 +210,12 @@ def test_midpoint_grid_rule():
     assert with_ends.tolist() == pytest.approx([-1.0, -0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         midpoint_grid(0)
+
+
+def test_static_rejects_bad_tolerance(quad_game):
+    for tol in (0.0, -1.0, 0.5):
+        with pytest.raises(SolverError, match="tol must lie"):
+            static_discretization(quad_game, 2, tol=tol)
 
 
 def test_static_forced_point_mass(quad_game):
