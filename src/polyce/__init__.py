@@ -4,8 +4,12 @@ Three solvers; the two SDP ones run on a univariate sum-of-squares layer
 and an in-house conic interior-point method:
 
 * static discretization (sampled-game LP, one sparse matrix solved by HiGHS),
-* adaptive discretization (support-growing SDP loop),
+* adaptive discretization (support-growing SDP loop; on finite games each
+  iteration is an LP solved by HiGHS),
 * moment relaxation (outer SDP approximations of the equilibrium set).
+
+Every linear program goes to HiGHS; the conic solver rejects problems
+without a nonnegative scalar or a PSD block.
 """
 
 from .conic import ConicProblem, ConicSolution, LinExpr, SolverError, Status

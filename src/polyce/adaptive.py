@@ -1,26 +1,34 @@
-"""Adaptive discretization: support-growing approximate-equilibrium SDPs.
+"""Adaptive discretization: one support-growing loop for polynomial and
+finite games.
 
 Each iteration solves, over distributions supported on the current grids,
 
     minimize eps
     s.t.     restricted deviation gains <= alpha * eps   (grid deviations)
-             eps_{i,s} - g_{i,s}(t) >= 0 on [-1,1]       (continuous deviations,
-                                                          interval SOS encoding)
+             g_{i,s}(t) <= eps_{i,s} for every t          (full deviations)
              sum_s eps_{i,s} <= eps                      (per player)
              pi a probability distribution
 
 then, for players whose total deviation gain is binding (>= beta * eps),
-adds the maximizers of their deviation-gain polynomials to the grids and
-repeats.  With 0 <= alpha < beta <= 1 the minimum epsilon converges to zero;
-the degenerate alpha = beta = 1 mode (restricted constraints dropped,
-explicit flag) exists to reproduce the known stalling behavior and is
-documented as non-convergent.
+adds the near-maximizers of their deviation gains to the grids and repeats.
+With 0 <= alpha < beta <= 1 the minimum epsilon converges to zero; the
+degenerate alpha = beta = 1 mode (restricted constraints dropped, explicit
+flag) exists to reproduce the known stalling behavior and is documented as
+non-convergent.
 
-Maximizers come from derivative root finding rather than SDP dual decoding;
-both extract the tight deviation points, and root finding is self-contained
-and independently testable.  Per-recommendation gains are always recomputed
-exactly from the solved distribution before strategies are added, so slack
-in the SDP's eps_{i,s} variables never injects spurious grid points.
+One loop serves both game types; each supplies three oracles:
+
+* polynomial games: t ranges over [-1,1], so the full deviations are interval
+  SOS constraints and the iteration is an SDP; the exact epsilon comes from
+  ``min_epsilon`` and the maximizers from derivative root finding, which
+  finds the same tight points as SDP dual decoding and is testable alone;
+* finite games: t ranges over the full strategy set, so the iteration is an
+  LP, built as one sparse matrix and solved by HiGHS; the exact epsilon and
+  the near-argmax deviations come from enumerating that set.
+
+Per-recommendation gains are always recomputed exactly from the solved
+distribution before strategies are added, so slack in the eps_{i,s}
+variables never injects spurious grid points.
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .conic import ConicProblem, LinExpr, SolverError, Status, expr
-from .finite_ce import MASS_TOL, EpsilonReport, min_epsilon
+from .finite_ce import MASS_TOL, EpsilonReport, gain_rows, min_epsilon, solve_lp
 from .games import (
     FiniteGame,
     PolynomialGame,
@@ -140,14 +149,6 @@ class IterationTrace:
 # the per-iteration optimization problem
 
 
-def _distribution_vars(problem: ConicProblem, shape):
-    """Cell probabilities on a product grid: nonnegative and summing to one.
-    Returns them by cell and as a tensor of variable indices."""
-    pi = {cell: problem.add_nonneg_var() for cell in np.ndindex(shape)}
-    problem.add_equality(LinExpr({("s", v.index): 1.0 for v in pi.values()}), 1.0)
-    return pi, np.array([v.index for v in pi.values()]).reshape(shape)
-
-
 def _gain_row(var_idx, coeffs) -> LinExpr:
     """sum_o coeffs[o] * pi[var_idx[o]] over one recommendation's cells."""
     return LinExpr({("s", int(k)): float(c) for k, c in zip(var_idx, coeffs) if c != 0.0})
@@ -169,7 +170,9 @@ def build_iteration_sdp(
         raise SolverError("empty strategy grid")
     fg = sample_game(game, grids)
     problem = ConicProblem()
-    pi, var_idx = _distribution_vars(problem, fg.shape)
+    pi = {cell: problem.add_nonneg_var() for cell in np.ndindex(fg.shape)}
+    problem.add_equality(LinExpr({("s", v.index): 1.0 for v in pi.values()}), 1.0)
+    var_idx = np.array([v.index for v in pi.values()]).reshape(fg.shape)
     eps = problem.add_scalar_var()
 
     for i in range(game.num_players):
@@ -214,11 +217,64 @@ def _solve_iteration(game, grids, config: AdaptiveConfig):
     return float(sol.value(handles["eps"])), dist
 
 
-def _grow(grids, additions, merge_tol):
-    out = []
-    for g, extra in zip(grids, additions):
-        out.append(merge_points(list(g) + list(extra), merge_tol) if extra else g)
-    return tuple(out)
+def _adaptive_loop(grids, solve, report, candidates, config: AdaptiveConfig) -> IterationTrace:
+    """The alpha/beta loop from the given grids.  ``solve(grids)`` returns the
+    iteration optimum and its distribution, ``report(dist)`` the exact
+    :class:`EpsilonReport`, and ``candidates(dist, i, s)`` the strategies that
+    come within ``_NEAR_OPT_TOL`` of player i's best deviation from
+    recommendation s."""
+    trace = IterationTrace()
+    pending = tuple(tuple(float(p) for p in g) for g in grids)
+    stalled = False
+
+    for k in range(config.max_iter):
+        eps_k, dist = solve(grids)
+        exact = report(dist)
+        trace.records.append(
+            IterationRecord(
+                k=k,
+                grids=grids,
+                new_strategies=pending,
+                epsilon=eps_k,
+                epsilon_exact=exact.epsilon,
+                distribution=dist,
+                per_recommendation=dict(exact.per_recommendation),
+            )
+        )
+        if eps_k <= config.eps_stop:
+            trace.status = "converged"
+            return trace
+
+        additions: list[list[float]] = [[] for _ in grids]
+        for i, grid in enumerate(grids):
+            recs = {s: gain for (j, s), (gain, _) in exact.per_recommendation.items() if j == i}
+            if sum(recs.values()) < config.beta * eps_k - _BIND_TOL * (1 + eps_k):
+                continue
+            for s_i, gain in recs.items():
+                # skip only gains too small to matter: were every gain of the
+                # player at most this share, its total would be at most eps_stop
+                if gain <= config.eps_stop / len(recs):
+                    continue
+                for t in candidates(dist, i, s_i):
+                    if np.min(np.abs(grid - t), initial=np.inf) > config.merge_tol and all(
+                        abs(t - u) > config.merge_tol for u in additions[i]
+                    ):
+                        additions[i].append(float(t))
+
+        if not any(additions):
+            stalled = True
+            if not config.degenerate:
+                break
+            pending = tuple(() for _ in grids)
+            continue
+        pending = tuple(tuple(a) for a in additions)
+        grids = tuple(
+            merge_points(list(g) + extra, config.merge_tol) if extra else g
+            for g, extra in zip(grids, additions)
+        )
+
+    trace.status = "stalled" if stalled else "max_iter"
+    return trace
 
 
 def run_adaptive(game: PolynomialGame, initial_grids, config: AdaptiveConfig | None = None) -> IterationTrace:
@@ -229,177 +285,99 @@ def run_adaptive(game: PolynomialGame, initial_grids, config: AdaptiveConfig | N
     clears the beta threshold (expected only in the degenerate mode).
     """
     config = config or AdaptiveConfig()
-    grids = tuple(merge_points(g, config.merge_tol) for g in initial_grids)
-    trace = IterationTrace()
-    pending = tuple(tuple(float(p) for p in g) for g in grids)
-    stalled = False
-
-    for k in range(config.max_iter):
-        eps_k, dist = _solve_iteration(game, grids, config)
-        report = min_epsilon(game, dist)
-        trace.records.append(
-            IterationRecord(
-                k=k,
-                grids=grids,
-                new_strategies=pending,
-                epsilon=eps_k,
-                epsilon_exact=report.epsilon,
-                distribution=dist,
-                per_recommendation=dict(report.per_recommendation),
-            )
-        )
-        if eps_k <= config.eps_stop:
-            trace.status = "converged"
-            return trace
-
-        additions: list[list[float]] = [[] for _ in range(game.num_players)]
-        for i in range(game.num_players):
-            if report.player_total(i) < config.beta * eps_k - _BIND_TOL * (1 + eps_k):
-                continue
-            for (j, s_i), (gain, _) in report.per_recommendation.items():
-                if j != i or gain <= config.eps_stop:
-                    continue
-                g_poly = deviation_gain_poly(game, i, dist, s_i)
-                _, _, maximizers = maximize_univariate(g_poly, _NEAR_OPT_TOL)
-                for t in maximizers:
-                    if np.min(np.abs(grids[i] - t), initial=np.inf) > config.merge_tol and all(
-                        abs(t - u) > config.merge_tol for u in additions[i]
-                    ):
-                        additions[i].append(t)
-
-        if not any(additions):
-            stalled = True
-            if not config.degenerate:
-                break
-            pending = tuple(() for _ in range(game.num_players))
-            continue
-        pending = tuple(tuple(a) for a in additions)
-        grids = _grow(grids, additions, config.merge_tol)
-
-    trace.status = "stalled" if stalled else "max_iter"
-    return trace
+    return _adaptive_loop(
+        tuple(merge_points(g, config.merge_tol) for g in initial_grids),
+        lambda grids: _solve_iteration(game, grids, config),
+        lambda dist: min_epsilon(game, dist),
+        lambda dist, i, s_i: maximize_univariate(
+            deviation_gain_poly(game, i, dist, s_i), _NEAR_OPT_TOL
+        )[2],
+        config,
+    )
 
 
 # ---------------------------------------------------------------------------
-# finite-game variant: deviations enumerate the full strategy set
+# finite games: deviations enumerate the full strategy set
 
 
-def _subset_payoffs(fg: FiniteGame, subset_idx, i: int) -> np.ndarray:
-    """Player i's payoffs in :func:`player_view` layout: one row per strategy
-    of the full set, one column per opponent profile on the subsets."""
-    axes = [np.arange(fg.shape[i]) if j == i else idx for j, idx in enumerate(subset_idx)]
-    return player_view(fg.payoffs[i][np.ix_(*axes)], i)
+def _subset_payoffs(fg: FiniteGame, grids, i: int):
+    """Player i's payoffs in :func:`player_view` layout, one row per strategy
+    of the full set and one column per opponent profile on the subsets
+    ``grids`` of the strategy sets, and the rows of player i's subset."""
+    subset_idx = [np.searchsorted(g, sub) for g, sub in zip(fg.grids, grids)]
+    rec = subset_idx[i]
+    subset_idx[i] = np.arange(fg.shape[i])
+    return player_view(fg.payoffs[i][np.ix_(*subset_idx)], i), rec
 
 
-def _finite_report(fg: FiniteGame, subset_idx, dist: SupportedDistribution) -> EpsilonReport:
+def _full_set_gains(fg: FiniteGame, dist: SupportedDistribution, i: int) -> np.ndarray:
+    """Player i's gains from each recommendation of ``dist`` (rows) to each
+    strategy of the full set (columns)."""
+    u, rec = _subset_payoffs(fg, dist.grids, i)
+    return gains(player_view(dist.probs, i), u, u[rec])
+
+
+def _finite_report(fg: FiniteGame, dist: SupportedDistribution) -> EpsilonReport:
     per = {}
     totals = np.zeros(fg.num_players)
     for i in range(fg.num_players):
-        u = _subset_payoffs(fg, subset_idx, i)
-        rows = gains(player_view(dist.probs, i), u, u[subset_idx[i]])
-        for s_idx, mass, row in zip(subset_idx[i], dist.marginal(i), rows):
+        rows = _full_set_gains(fg, dist, i)
+        for s_i, mass, row in zip(dist.grids[i], dist.marginal(i), rows):
             if mass <= MASS_TOL:
                 continue
-            best, best_t = 0.0, int(s_idx)
-            for t_idx, gain in enumerate(row):
-                if gain > best + 1e-12:
-                    best, best_t = float(gain), t_idx
-            per[(i, float(fg.grids[i][s_idx]))] = (best, float(fg.grids[i][best_t]))
-            totals[i] += best
+            t = int(np.argmax(row))
+            gain = max(float(row[t]), 0.0)
+            per[(i, float(s_i))] = (gain, float(fg.grids[i][t]))
+            totals[i] += gain
     return EpsilonReport(float(totals.max(initial=0.0)), per)
 
 
-def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig | None = None) -> IterationTrace:
-    """Adaptive loop on a finite game: the per-iteration problem is an LP and
-    deviations/maximizers range over the full finite strategy set."""
-    config = config or AdaptiveConfig()
-    subset_idx = []
-    for i, pts in enumerate(initial_subsets):
-        idx = sorted({int(np.argmin(np.abs(fg.grids[i] - float(p)))) for p in pts})
-        subset_idx.append(idx)
-    trace = IterationTrace()
-    pending = tuple(tuple(float(fg.grids[i][j]) for j in subset_idx[i]) for i in range(fg.num_players))
-    stalled = False
-
-    for k in range(config.max_iter):
-        eps_k, probs = _solve_finite_iteration(fg, subset_idx, config)
-        grids_k = tuple(fg.grids[i][subset_idx[i]] for i in range(fg.num_players))
-        dist = SupportedDistribution.from_solver(grids_k, probs)
-        report = _finite_report(fg, subset_idx, dist)
-        trace.records.append(
-            IterationRecord(
-                k=k,
-                grids=grids_k,
-                new_strategies=pending,
-                epsilon=eps_k,
-                epsilon_exact=report.epsilon,
-                distribution=dist,
-                per_recommendation=dict(report.per_recommendation),
-            )
-        )
-        if eps_k <= config.eps_stop:
-            trace.status = "converged"
-            return trace
-
-        additions = [[] for _ in range(fg.num_players)]
-        for i in range(fg.num_players):
-            if report.player_total(i) < config.beta * eps_k - _BIND_TOL * (1 + eps_k):
-                continue
-            u = _subset_payoffs(fg, subset_idx, i)
-            rows = gains(player_view(dist.probs, i), u, u[subset_idx[i]])
-            for mass, row in zip(dist.marginal(i), rows):
-                if mass <= MASS_TOL:
-                    continue
-                best = row.max()
-                if best <= config.eps_stop:
-                    continue
-                for t_idx, gain in enumerate(row):
-                    if gain >= best - _NEAR_OPT_TOL and t_idx not in subset_idx[i] \
-                            and t_idx not in additions[i]:
-                        additions[i].append(t_idx)
-
-        if not any(additions):
-            stalled = True
-            if not config.degenerate:
-                break
-            pending = tuple(() for _ in range(fg.num_players))
-            continue
-        pending = tuple(
-            tuple(float(fg.grids[i][j]) for j in additions[i]) for i in range(fg.num_players)
-        )
-        subset_idx = [sorted(set(subset_idx[i]) | set(additions[i])) for i in range(fg.num_players)]
-
-    trace.status = "stalled" if stalled else "max_iter"
-    return trace
+def _near_argmax(fg: FiniteGame, dist: SupportedDistribution, i: int, s_i: float) -> np.ndarray:
+    row = _full_set_gains(fg, dist, i)[np.searchsorted(dist.grids[i], s_i)]
+    return fg.grids[i][row >= row.max() - _NEAR_OPT_TOL]
 
 
-def _solve_finite_iteration(fg: FiniteGame, subset_idx, config: AdaptiveConfig):
-    problem = ConicProblem()
-    shape = tuple(len(s) for s in subset_idx)
-    pi, var_idx = _distribution_vars(problem, shape)
-    eps = problem.add_scalar_var()
-
+def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
+    """The iteration LP over the subsets ``grids`` of the strategy sets.
+    Columns: the cells in C order, eps, then one ev_{i,s} per recommendation
+    of each player in turn.  Rows: every deviation to the full set
+    (gain <= ev_{i,s}), sum_s ev_{i,s} <= eps, and the restricted deviations
+    within the subsets (gain <= alpha * eps, dropped in degenerate mode)."""
+    shape = tuple(len(g) for g in grids)
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    full, restricted = [], []
     for i in range(fg.num_players):
-        rows = player_view(var_idx, i)
-        u = _subset_payoffs(fg, subset_idx, i)
-        player_sum = LinExpr()
-        for pos, s_idx in enumerate(subset_idx[i]):
-            if not config.degenerate:
-                for t_idx in subset_idx[i]:
-                    if t_idx != s_idx:
-                        gain = _gain_row(rows[pos], u[t_idx] - u[s_idx])
-                        problem.add_leq(gain - config.alpha * expr(eps), 0.0)
-            ev = problem.add_scalar_var()
-            player_sum = player_sum + expr(ev)
-            for t_idx in range(len(u)):
-                problem.add_leq(_gain_row(rows[pos], u[t_idx] - u[s_idx]) - expr(ev), 0.0)
-        problem.add_leq(player_sum - expr(eps), 0.0)
+        u, rec = _subset_payoffs(fg, grids, i)
+        s, t = np.divmod(np.arange(len(rec) * len(u)), len(u))
+        full.append(gain_rows(player_view(flat, i), u[rec], u, s, t))
+        restricted.append(full[-1][np.isin(t, rec) & (t != rec[s])])
+    picks = sp.block_diag([np.repeat(np.eye(k), len(g), axis=0) for k, g in zip(shape, fg.grids)])
+    sums = sp.block_diag([np.ones((1, k)) for k in shape])
+    blocks = [[sp.vstack(full), None, -picks], [None, -np.ones((len(shape), 1)), sums]]
+    if not config.degenerate:
+        R = sp.vstack(restricted)
+        blocks.append([R, np.full((R.shape[0], 1), -config.alpha), None])
+    n = flat.size
+    c = np.zeros(n + 1 + sum(shape))
+    c[n] = 1.0
+    x = solve_lp(c, sp.bmat(blocks, "csr"), n, config.solver_tol)
+    return float(x[n]), SupportedDistribution.from_solver(grids, x[:n].reshape(shape))
 
-    problem.set_objective(expr(eps))
-    sol = problem.solve(tol=config.solver_tol)
-    if sol.status is not Status.OPTIMAL:
-        raise SolverError(f"finite iteration LP ended with status {sol.status.value}")
-    probs = np.zeros(shape)
-    for cell, v in pi.items():
-        probs[cell] = sol.value(v)
-    return float(sol.value(eps)), probs
+
+def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig | None = None) -> IterationTrace:
+    """Adaptive loop on a finite game: the per-iteration problem is an LP
+    solved by HiGHS, and deviations and candidates range over the full
+    finite strategy set.  Each initial point selects its nearest strategy;
+    as on [-1,1], strategies within ``merge_tol`` of the grid count as on it."""
+    config = config or AdaptiveConfig()
+    grids = tuple(
+        g[sorted({int(np.argmin(np.abs(g - float(p)))) for p in pts})]
+        for g, pts in zip(fg.grids, initial_subsets)
+    )
+    return _adaptive_loop(
+        grids,
+        lambda grids: _solve_finite_iteration(fg, grids, config),
+        lambda dist: _finite_report(fg, dist),
+        lambda dist, i, s_i: _near_argmax(fg, dist, i, s_i),
+        config,
+    )

@@ -183,8 +183,9 @@ class ConicProblem:
     def solve(self, tol: float = 1e-8, max_iter: int = 200) -> "ConicSolution":
         if not (0 < tol <= 1e-2):
             raise SolverError("tol must lie in (0, 1e-2]")
-        if self.num_scalars == 0 and not self.blocks:
-            raise SolverError("problem has no variables")
+        # the IPM needs a cone; linear programs go to finite_ce.solve_lp
+        if not any(self.scalar_nonneg) and not self.blocks:
+            raise SolverError("problem has no variables in a cone")
         from . import ipm
 
         return ipm.solve(self, tol=tol, max_iter=max_iter)

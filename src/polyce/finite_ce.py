@@ -47,9 +47,6 @@ class EpsilonReport:
     epsilon: float
     per_recommendation: dict[tuple[int, float], tuple[float, float]]
 
-    def player_total(self, player: int) -> float:
-        return sum(v[0] for (i, _), v in self.per_recommendation.items() if i == player)
-
     def to_json(self) -> str:
         rows = [
             {"player": i, "strategy": s, "epsilon": e, "maximizer": t}
@@ -84,6 +81,19 @@ def max_ce_violation(fg: FiniteGame, dist: SupportedDistribution) -> float:
     return worst
 
 
+def gain_rows(cells, u_rec, u_dev, s, t) -> sp.csr_matrix:
+    """Row k is the gain sum_o p(cells[s_k, o]) (u_dev[t_k, o] - u_rec[s_k, o])
+    of deviating from recommendation s_k to strategy t_k, as a sparse row over
+    the columns 0 .. cells.size - 1 with exact zeros dropped.  ``cells``
+    (column indices), ``u_rec`` (payoffs of the recommendations) and ``u_dev``
+    (payoffs of the deviations) are in :func:`player_view` layout."""
+    indptr = np.arange(len(s) + 1) * cells.shape[1]
+    rows = (u_dev[t] - u_rec[s]).ravel(), cells[s].ravel(), indptr
+    out = sp.csr_matrix(rows, shape=(len(s), cells.size))
+    out.eliminate_zeros()
+    return out
+
+
 def _deviation_rows(fg: FiniteGame) -> sp.csr_matrix:
     """Every CE inequality sum_{s_-i} p(s, s_-i) (u_i(t, s_-i) - u_i(s, s_-i))
     <= 0 as one sparse matrix over the cells in C order, one row per
@@ -93,12 +103,30 @@ def _deviation_rows(fg: FiniteGame) -> sp.csr_matrix:
     for i in range(fg.num_players):
         u = player_view(fg.payoffs[i], i)
         s, t = np.nonzero(~np.eye(len(u), dtype=bool))
-        indptr = np.arange(len(s) + 1) * u.shape[1]
-        rows = (u[t] - u[s]).ravel(), player_view(flat, i)[s].ravel(), indptr
-        blocks.append(sp.csr_matrix(rows, shape=(len(s), flat.size)))
-    out = sp.vstack(blocks, format="csr")
-    out.eliminate_zeros()
-    return out
+        blocks.append(gain_rows(player_view(flat, i), u, u, s, t))
+    return sp.vstack(blocks, format="csr")
+
+
+def solve_lp(c, A_ub, n_cells: int, tol: float) -> np.ndarray:
+    """Minimize c.x over x >= 0 subject to A_ub x <= 0 and the first
+    ``n_cells`` entries summing to one, by HiGHS with primal and dual
+    feasibility tolerances ``tol``.  Raises :class:`SolverError` with HiGHS's
+    message, which names the model status, unless HiGHS reports an optimum."""
+    # HiGHS rejects feasibility tolerances below 1e-10 with only a warning
+    # and then solves at its default 1e-7
+    if not 1e-10 <= tol <= 1e-2:
+        raise SolverError("tol must lie in [1e-10, 1e-2]")
+    # imported here: loading scipy.optimize adds about 0.2 s to every start-up
+    from scipy.optimize import linprog
+
+    res = linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=(np.arange(len(c)) < n_cells)[None] * 1.0,
+        b_eq=[1.0], bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
+    )
+    if res.status != 0:
+        raise SolverError(f"LP solve failed: {res.message}")
+    return res.x
 
 
 def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistribution:
@@ -109,11 +137,6 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistrib
     functional of the cell probabilities.  With ``objective=None`` minimizes
     the largest cell probability through one level column t >= every cell.
     """
-    if not 0 < tol <= 1e-2:
-        raise SolverError("tol must lie in (0, 1e-2]")
-    # imported here: loading scipy.optimize adds about 0.2 s to every start-up
-    from scipy.optimize import linprog
-
     n = int(np.prod(fg.shape))
     A_ub = _deviation_rows(fg)
     c = np.zeros(n)
@@ -123,16 +146,10 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistrib
     else:
         for cell, coef in objective.items():
             c[np.ravel_multi_index(cell, fg.shape)] = -coef
-    res = linprog(
-        c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=(np.arange(len(c)) < n)[None] * 1.0,
-        b_eq=[1.0], bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
-    )
-    # a CE always exists and the simplex is bounded: any other outcome is a
-    # solver failure
-    if res.status != 0:
-        raise SolverError(f"CE solve failed: {res.message}")
-    dist = SupportedDistribution.from_solver(fg.grids, res.x[:n].reshape(fg.shape))
+    # a CE always exists and the simplex is bounded: any status but optimal
+    # is a solver failure
+    x = solve_lp(c, A_ub, n, tol)
+    dist = SupportedDistribution.from_solver(fg.grids, x[:n].reshape(fg.shape))
     worst = max_ce_violation(fg, dist)
     if worst > 1e-7:
         raise SolverError(f"CE constraints violated by {worst:.2e} after solve")

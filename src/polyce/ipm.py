@@ -7,7 +7,9 @@ and a Mehrotra predictor-corrector, which yields clean infeasibility and
 unboundedness certificates alongside optimal solutions.  The centering
 parameter is sigma = mu_aff / mu clipped to [0, 1] on every solve.  Dense
 linear algebra throughout; intended for desk-scale problems (PSD blocks up
-to ~60x60, a few thousand equalities).
+to ~60x60, a few thousand equalities).  A problem without a cone has no
+interior to follow: ``ConicProblem.solve`` rejects it, and linear programs
+go to HiGHS instead (``finite_ce.solve_lp``).
 """
 
 from __future__ import annotations
@@ -282,8 +284,6 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
     if problem.trivially_infeasible:
         return ConicSolution(status=Status.INFEASIBLE)
     cp = compile_problem(problem)
-    if cp.cone_dim == 0:
-        return _solve_linear(problem, cp, tol)
 
     cone = _Cone(cp)
     m, f, n = cp.m, cp.f, cp.f + cp.cone_dim
@@ -520,26 +520,3 @@ def _extract(problem, cp: Compiled, status, xf, xc, y, tau, iters, tol) -> Conic
         sol.status = Status.NUMERICAL_FAILURE
     return sol
 
-
-def _solve_linear(problem, cp: Compiled, tol) -> ConicSolution:
-    """No cone variables: plain linear algebra on A x = b, min c.x."""
-    A = cp.A.toarray()
-    x, *_ = np.linalg.lstsq(A, cp.b, rcond=None)
-    if np.abs(A @ x - cp.b).max(initial=0.0) > max(1e-9, tol):
-        return ConicSolution(status=Status.INFEASIBLE)
-    yT, *_ = np.linalg.lstsq(A.T, cp.c, rcond=None)
-    if np.abs(A.T @ yT - cp.c).max(initial=0.0) > max(1e-9, tol):
-        return ConicSolution(status=Status.UNBOUNDED)
-    pobj = cp.obj_scale * float(cp.c @ x) + cp.obj_const
-    scal_vals = np.array([x[col] for col in cp.scal_col])
-    return ConicSolution(
-        status=Status.OPTIMAL,
-        objective_value=pobj,
-        dual_objective=pobj,
-        scalar_values=scal_vals,
-        block_values=[],
-        eq_duals=cp.obj_scale * (yT / cp.row_scale)[: len(problem.equalities)],
-        iterations=0,
-        eq_residual=float(np.abs(cp.row_scale * (A @ x - cp.b)).max(initial=0.0)),
-        min_block_eig=0.0,
-    )

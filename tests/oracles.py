@@ -130,3 +130,53 @@ def dense_ce_minmax_level(fg):
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def dense_finite_iteration_value(fg, subsets, alpha, degenerate=False):
+    """Optimal eps of the adaptive loop's iteration LP on a finite game over
+    the strategy index ``subsets``, from a dense LP written out cell by cell:
+    gains within the subsets <= alpha * eps (dropped when degenerate), every
+    gain to the full strategy set <= ev[i, s], and sum_s ev[i, s] <= eps."""
+    from scipy.optimize import linprog
+
+    cells = list(itertools.product(*subsets))
+    evs = [(i, s) for i in range(fg.num_players) for s in subsets[i]]
+    n = len(cells)
+    width = n + 1 + len(evs)
+
+    def gain_row(i, s, t):
+        row = np.zeros(width)
+        for k, cell in enumerate(cells):
+            if cell[i] == s:
+                dev = list(cell)
+                dev[i] = t
+                row[k] = fg.payoffs[i][tuple(dev)] - fg.payoffs[i][cell]
+        return row
+
+    rows = []
+    for i in range(fg.num_players):
+        for s in subsets[i]:
+            for t in range(fg.shape[i]):
+                if not degenerate and t in subsets[i] and t != s:
+                    row = gain_row(i, s, t)
+                    row[n] = -alpha
+                    rows.append(row)
+                row = gain_row(i, s, t)
+                row[n + 1 + evs.index((i, s))] = -1.0
+                rows.append(row)
+        row = np.zeros(width)
+        row[n] = -1.0
+        for k, (j, _) in enumerate(evs):
+            if j == i:
+                row[n + 1 + k] = 1.0
+        rows.append(row)
+    c = np.zeros(width)
+    c[n] = 1.0
+    A_eq = np.zeros((1, width))
+    A_eq[0, :n] = 1.0
+    res = linprog(
+        c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)), A_eq=A_eq, b_eq=[1.0],
+        bounds=[(0, None)] * n + [(None, None)] * (1 + len(evs)), method="highs-ipm",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyce.adaptive import (
     AdaptiveConfig,
@@ -12,9 +14,9 @@ from polyce.adaptive import (
 )
 from polyce.conic import Status
 from polyce.finite_ce import min_epsilon
-from polyce.games import SupportedDistribution, random_polynomial_game
+from polyce.games import FiniteGame, SupportedDistribution, random_polynomial_game
 
-from oracles import max_departure_gain
+from oracles import dense_finite_iteration_value, max_departure_gain
 
 
 def test_config_validation():
@@ -111,6 +113,14 @@ def test_adaptive_support_growth():
             assert sum(len(g) for g in nxt.grids) > sum(len(g) for g in prev.grids)
 
 
+def test_adaptive_grows_on_gains_that_sum_past_eps_stop():
+    # player 0 binds with a total gain of 1.2e-6, but each of its two
+    # recommendations gains less than eps_stop = 1e-6 on its own
+    trace = run_adaptive(random_polynomial_game(2, 4, 10), [[0.0], [0.0]])
+    assert trace.status == "converged"
+    assert trace.final.epsilon <= 1e-6
+
+
 def test_adaptive_degenerate_mode_stalls(emb_game):
     cfg = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True, max_iter=5)
     trace = run_adaptive(emb_game, [[-1.0], [-1.0]], cfg)
@@ -157,3 +167,23 @@ def test_finite_start_at_pure_nash(table3):
     assert trace.status == "converged"
     assert len(trace.records) == 1
     assert trace.final.epsilon <= 1e-6
+
+
+@given(
+    st.integers(0, 10_000),
+    st.one_of(st.permutations([3, 4]), st.permutations([2, 3, 4])),
+    st.sampled_from([(0.0, False), (0.5, False), (1.0, True)]),
+)
+@settings(max_examples=30, deadline=None)
+def test_finite_iteration_lp_matches_dense_oracle(seed, shape, mode):
+    # distinct strategy-set sizes per axis, so a misplaced opponent axis in
+    # the deviation rows changes the LP
+    rng = np.random.default_rng(seed)
+    grids = tuple(np.linspace(-1, 1, k) for k in shape)
+    fg = FiniteGame(grids, tuple(rng.integers(0, 8, size=tuple(shape)).astype(float) for _ in shape))
+    subsets = [sorted(rng.choice(k, size=rng.integers(1, k + 1), replace=False)) for k in shape]
+    alpha, degenerate = mode
+    config = AdaptiveConfig(alpha=alpha, beta=1.0, degenerate=degenerate, max_iter=1)
+    trace = run_adaptive_finite(fg, [g[idx] for g, idx in zip(grids, subsets)], config)
+    expected = dense_finite_iteration_value(fg, subsets, alpha, degenerate)
+    assert trace.records[0].epsilon == pytest.approx(expected, abs=1e-7)

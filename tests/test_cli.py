@@ -163,15 +163,16 @@ def test_solver_failure_exits_2(quad_path, monkeypatch, capsys):
 
 def test_static_nan_tol_exits_2(quad_path):
     # its own process: a nan tolerance that reached HiGHS would kill the
-    # interpreter instead of raising
+    # interpreter instead of raising, and one below 1e-10 would only warn
     path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-m", "polyce.cli", "static", "--game", quad_path, "--grid", "2",
-         "--tol", "nan"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == EXIT_SOLVER, out.stderr
-    assert "tol must lie in (0, 1e-2]" in out.stderr
+    for tol in ("nan", "1e-12"):
+        out = subprocess.run(
+            [sys.executable, "-m", "polyce.cli", "static", "--game", quad_path, "--grid", "2",
+             "--tol", tol],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == EXIT_SOLVER, out.stderr
+        assert "tol must lie in [1e-10, 1e-2]" in out.stderr
 
 
 def test_bad_flags_exit_1(quad_path):

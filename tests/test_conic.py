@@ -49,17 +49,6 @@ def test_pinned_offdiagonal_infeasible():
     assert p.solve().status is Status.INFEASIBLE
 
 
-def test_linear_equality_only():
-    p = ConicProblem()
-    t = p.add_scalar_var()
-    p.add_equality(expr(t), 1.0)
-    p.set_objective(expr(t))
-    s = p.solve()
-    assert s.status is Status.OPTIMAL
-    assert s.objective_value == pytest.approx(1.0, abs=1e-9)
-    assert s.value(t) == pytest.approx(1.0)
-
-
 def test_unbounded_direction_detected():
     p = ConicProblem()
     X = p.add_psd_block(2)
@@ -222,6 +211,13 @@ def test_builder_misuse():
         p.solve(tol=0.5)
     with pytest.raises(SolverError, match="no variables"):
         ConicProblem().solve()
+    # free scalars only: a linear system with no cone for the IPM
+    p = ConicProblem()
+    t = p.add_scalar_var()
+    p.add_equality(expr(t), 1.0)
+    p.set_objective(expr(t))
+    with pytest.raises(SolverError, match="no variables in a cone"):
+        p.solve()
 
 
 def test_constant_equality_folding():

@@ -213,7 +213,7 @@ def test_midpoint_grid_rule():
 
 
 def test_static_rejects_bad_tolerance(quad_game):
-    for tol in (0.0, -1.0, 0.5):
+    for tol in (0.0, -1.0, 0.5, 1e-12):
         with pytest.raises(SolverError, match="tol must lie"):
             static_discretization(quad_game, 2, tol=tol)
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "polyce").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "polyce").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +40,40 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_definitions(definers: list[str], readers: list[str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants of the
+    ``definers`` sources whose name no source in ``readers`` reads, imports or
+    takes as an attribute.  Dunder names are exempt."""
+    defined = []
+    for source in definers:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_scan_flags_a_dead_private_definition():
+    module = "_A = 1\n_B: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n__all__ = []\n"
+    assert dead_private_definitions([module], [module]) == ["_B", "_f", "_C"]
+    reader = "from m import _B, _f\nimport m\nm._C()\n"
+    assert dead_private_definitions([module], [module, reader]) == []
+
+
+def test_no_dead_private_definitions():
+    assert dead_private_definitions([p.read_text() for p in PACKAGE],
+                                    [p.read_text() for p in SOURCES]) == []
