@@ -228,8 +228,10 @@ def _adaptive_loop(grids, solve, report, candidates, config: AdaptiveConfig) -> 
     stalled = False
 
     for k in range(config.max_iter):
-        eps_k, dist = solve(grids)
-        exact = report(dist)
+        # a stalled degenerate loop repeats its last record without solving
+        if k == 0 or any(pending):
+            eps_k, dist = solve(grids)
+            exact = report(dist)
         trace.records.append(
             IterationRecord(
                 k=k,

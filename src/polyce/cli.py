@@ -155,7 +155,7 @@ def cmd_audit(args) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"distribution file is not JSON: {exc}") from exc
-    if "final_distribution" in doc:  # adaptive trace
+    if isinstance(doc, dict) and "final_distribution" in doc:  # adaptive trace
         doc = doc["final_distribution"]
     dist = parse_distribution(json.dumps(doc))
     if dist.num_players != game.num_players:

@@ -168,13 +168,12 @@ def midpoint_grid(d: int, include_endpoints: bool = False) -> np.ndarray:
 
 
 def static_discretization(
-    game: PolynomialGame, d: int, objective=None, include_endpoints: bool = False,
-    tol: float = 1e-8,
+    game: PolynomialGame, d: int, include_endpoints: bool = False, tol: float = 1e-8,
 ) -> tuple[SupportedDistribution, EpsilonReport]:
     """Sample the game on the midpoint grid of size d (every player), solve
     the sampled-game CE LP, and report the exact epsilon of the result
     against the continuous game."""
     grid = midpoint_grid(d, include_endpoints)
     fg = sample_game(game, [grid] * game.num_players)
-    dist = ce_lp(fg, objective, tol=tol)
+    dist = ce_lp(fg, tol=tol)
     return dist, min_epsilon(game, dist)

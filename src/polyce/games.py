@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import MultiPoly, PolynomialError, merge_points
+from .polynomials import MultiPoly, PolynomialError, grlex_monomials, merge_points
 
 GRID_MERGE_TOL = 1e-9
 _COORD_TOL = 1e-12
@@ -222,9 +222,9 @@ def eval_utility(game: PolynomialGame, player: int, point) -> float:
     return float(_sample(game.utilities[player], player, grids).item())
 
 
-def _grid_index(grid: np.ndarray, value: float, tol: float = GRID_MERGE_TOL) -> int:
+def _grid_index(grid: np.ndarray, value: float) -> int:
     idx = int(np.argmin(np.abs(grid - value)))
-    if abs(grid[idx] - value) > tol:
+    if abs(grid[idx] - value) > GRID_MERGE_TOL:
         raise GameFormatError(f"strategy {value} not in grid {grid.tolist()}")
     return idx
 
@@ -292,6 +292,24 @@ def serialize_game(game: PolynomialGame) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_number(x) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number_tensor(value, what: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array."""
+    def leaves(v):
+        return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
+
+    if not all(_is_number(x) and math.isfinite(x) for x in leaves(value)):
+        raise GameFormatError(f"{what} must hold finite numbers only")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:
+        raise GameFormatError(f"{what} is not a rectangular array: {exc}") from exc
+
+
 def parse_game(text: str) -> PolynomialGame:
     try:
         doc = json.loads(text)
@@ -305,11 +323,16 @@ def parse_game(text: str) -> PolynomialGame:
     n = len(players)
     utilities = doc["utilities"]
     if not isinstance(utilities, list) or len(utilities) != n:
-        raise GameFormatError(f"expected {n} utilities, got {len(utilities)}")
+        raise GameFormatError(f"expected {n} utilities, got {utilities!r:.60}")
     polys = []
     for i, entry in enumerate(utilities):
+        entry_terms = entry.get("terms", []) if isinstance(entry, dict) else None
+        if not isinstance(entry_terms, list):
+            raise GameFormatError(f"utility {i} must be an object with a 'terms' list")
         terms = {}
-        for term in entry.get("terms", []):
+        for term in entry_terms:
+            if not isinstance(term, dict):
+                raise GameFormatError(f"utility {i}: term {term!r} is not an object")
             exp = term.get("exp")
             coef = term.get("coef")
             if not isinstance(exp, list) or len(exp) != n:
@@ -317,10 +340,11 @@ def parse_game(text: str) -> PolynomialGame:
                     f"utility {i}: term {term} has {len(exp) if isinstance(exp, list) else '?'}"
                     f" exponents, expected {n}"
                 )
-            if any((not isinstance(e, int)) or e < 0 for e in exp):
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exp):
                 raise GameFormatError(f"utility {i}: bad exponent tuple {exp}")
-            if not isinstance(coef, (int, float)) or not math.isfinite(coef):
-                raise GameFormatError(f"utility {i}: non-finite coefficient in term {term}")
+            if not _is_number(coef) or not math.isfinite(coef):
+                raise GameFormatError(
+                    f"utility {i}: non-finite or non-numeric coefficient in term {term}")
             key = tuple(exp)
             terms[key] = terms.get(key, 0.0) + float(coef)
         try:
@@ -346,27 +370,23 @@ def parse_distribution(text: str) -> SupportedDistribution:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"not valid JSON: {exc}") from exc
-    if "grids" not in doc or "probs" not in doc:
+    if not isinstance(doc, dict) or "grids" not in doc or "probs" not in doc:
         raise GameFormatError("distribution document must have 'grids' and 'probs'")
-    raw_grids = [np.asarray(g, dtype=float) for g in doc["grids"]]
-    probs = np.asarray(doc["probs"], dtype=float)
+    grids_doc = doc["grids"] if isinstance(doc["grids"], list) else []
+    raw_grids = [_number_tensor(g, "each grid") for g in grids_doc]
+    if not raw_grids or any(g.ndim != 1 or g.size == 0 for g in raw_grids):
+        raise GameFormatError("'grids' must be a nonempty list of nonempty number lists")
+    probs = _number_tensor(doc["probs"], "'probs'")
     if probs.shape != tuple(len(g) for g in raw_grids):
         raise GameFormatError("probs shape does not match grids")
-    # merge grid points closer than GRID_MERGE_TOL, accumulating their mass
+    # sort the grid points, merging those closer than GRID_MERGE_TOL and
+    # accumulating their mass
     grids, out = [], probs
     for axis, g in enumerate(raw_grids):
-        merged = merge_points(g, GRID_MERGE_TOL)
-        if len(merged) == len(g) and np.all(np.diff(g) > 0):
-            grids.append(np.asarray(g, dtype=float))
-            continue
-        idx = [_grid_index(merged, v) for v in g]
-        folded = np.zeros(out.shape[:axis] + (len(merged),) + out.shape[axis + 1 :])
-        for k, m in enumerate(idx):
-            sl_src = [slice(None)] * out.ndim
-            sl_dst = [slice(None)] * out.ndim
-            sl_src[axis], sl_dst[axis] = k, m
-            folded[tuple(sl_dst)] += out[tuple(sl_src)]
-        grids.append(merged)
+        grids.append(merge_points(g, GRID_MERGE_TOL))
+        folded = np.zeros(out.shape[:axis] + (len(grids[-1]),) + out.shape[axis + 1:])
+        idx = [_grid_index(grids[-1], v) for v in g]
+        np.add.at(np.moveaxis(folded, axis, 0), idx, np.moveaxis(out, axis, 0))
         out = folded
     return SupportedDistribution.from_solver(grids, out)
 
@@ -383,20 +403,13 @@ def player_names(n: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(n))
 
 
-def random_polynomial_game(
-    num_players: int, degree: int, seed: int, coef_std: float = 1.0
-) -> PolynomialGame:
+def random_polynomial_game(num_players: int, degree: int, seed: int) -> PolynomialGame:
     """Random game: every monomial of total degree <= ``degree`` gets an
-    independent N(0, coef_std^2) coefficient.  Deterministic per seed."""
+    independent N(0, 1) coefficient.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    exponents = [
-        exp
-        for exp in itertools.product(range(degree + 1), repeat=num_players)
-        if sum(exp) <= degree
-    ]
-    exponents.sort(key=lambda e: (sum(e), e))
+    exponents = grlex_monomials(num_players, degree)
     utilities = []
     for _ in range(num_players):
-        coefs = rng.normal(0.0, coef_std, size=len(exponents))
+        coefs = rng.normal(0.0, 1.0, size=len(exponents))
         utilities.append(MultiPoly(num_players, dict(zip(exponents, coefs))))
     return PolynomialGame(tuple(utilities), player_names(num_players))

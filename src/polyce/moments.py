@@ -4,11 +4,14 @@ Couples two necessary-condition families over the truncated joint moments of
 a candidate equilibrium measure:
 
 * moment validity: the order-r moment matrix and per-variable localizing
-  matrices for (1 - s_i^2) are PSD (necessary-only for n >= 2), and
+  matrices for (1 - s_i^2) are PSD (necessary-only for n >= 2).  The
+  relaxation and :func:`moment_validity_margin` read their entries from
+  one table, :func:`polyce.sos.localizing_entries`;
 * the deviation test: for each player the matrix of moment-weighted
   deviation gains against squared polynomial test functions of degree <= d
-  must be negative semidefinite for every deviation t in [-1,1], encoded by
-  the biform interval SOS identity.
+  must be negative semidefinite for every deviation t in [-1,1].  It is
+  built negated, on its PSD side, for the biform interval SOS identity;
+  :func:`separating_test_polynomial` negates it back to gains.
 
 Growing d (and with it the moment truncation r) yields a nested family of
 outer approximations of the set of correlated-equilibrium moments; their
@@ -24,7 +27,8 @@ import numpy as np
 
 from .conic import ConicProblem, LinExpr, SolverError, Status, expr
 from .games import PolynomialGame
-from .sos import MomentVector, grlex_monomials, matrix_psd_on_interval_constraint, \
+from .polynomials import grlex_monomials
+from .sos import MomentVector, localizing_entries, matrix_psd_on_interval_constraint, \
     moment_feasibility_constraint
 
 MEMBERSHIP_SLACK = 1e-6
@@ -104,11 +108,11 @@ class PayoffBox:
 
 
 def _deviation_matrix_entries(game, player, order, moment_of):
-    """Entries of the moment-weighted deviation-gain matrix for one player:
-    (j,k) entry = integral of s_i^{j+k} [u_i(t, s_-i) - u_i(s)] dpi, a
-    polynomial in t whose coefficients are affine in the moments."""
+    """Upper-triangle entries of the negated moment-weighted deviation-gain
+    matrix for one player, the side that must be PSD on [-1,1]: (j,k) entry
+    = integral of s_i^{j+k} [u_i(s) - u_i(t, s_-i)] dpi, a polynomial in t
+    whose coefficients are affine in the moments."""
     u = game.utilities[player]
-    n = game.num_players
     t_deg = u.degree_in(player)
     dim = order.d + 1
     entries = [[None] * dim for _ in range(dim)]
@@ -117,12 +121,12 @@ def _deviation_matrix_entries(game, player, order, moment_of):
             power = j + k
             coeffs = [LinExpr() for _ in range(t_deg + 1)]
             for exp, coef in u.terms.items():
-                # + coef * t^{exp_i} * mu[(power) e_i + exp_{-i}]
+                # - coef * t^{exp_i} * mu[(power) e_i + exp_{-i}]
                 shifted = tuple(power if v == player else e for v, e in enumerate(exp))
-                coeffs[exp[player]] = coeffs[exp[player]] + coef * moment_of(shifted)
-                # - coef * mu[exp + power e_i]
+                coeffs[exp[player]] = coeffs[exp[player]] - coef * moment_of(shifted)
+                # + coef * mu[exp + power e_i]
                 bumped = tuple(e + power if v == player else e for v, e in enumerate(exp))
-                coeffs[0] = coeffs[0] - coef * moment_of(bumped)
+                coeffs[0] = coeffs[0] + coef * moment_of(bumped)
             entries[j][k] = coeffs
     return entries, t_deg
 
@@ -130,13 +134,12 @@ def _deviation_matrix_entries(game, player, order, moment_of):
 INTERIOR_SLACK = 1e-7
 
 
-def build_relaxation(game: PolynomialGame, order: RelaxationOrder,
-                     psd_slack: float = INTERIOR_SLACK):
+def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
     """Moment variables + validity constraints + per-player deviation-matrix
     NSD-on-interval constraints.  Returns ``(problem, moments, handles)``
     where ``moments`` maps exponent tuples to scalar variables.
 
-    ``psd_slack`` relaxes every matrix constraint to -slack*I.  The exact
+    ``INTERIOR_SLACK`` (1e-7) relaxes every matrix constraint to -slack*I.  The exact
     relaxation often has empty interior (sliver equilibrium sets, boundary
     supports), which cripples interior-point accuracy; the slack enlarges
     the feasible set slightly, which is the *sound* direction for an outer
@@ -153,19 +156,14 @@ def build_relaxation(game: PolynomialGame, order: RelaxationOrder,
 
     validity = moment_feasibility_constraint(
         problem, {e: expr(v) for e, v in moments.items()}, n, 2 * order.r,
-        diag_shift=psd_slack,
+        diag_shift=INTERIOR_SLACK,
     )
     deviation_blocks = []
     for i in range(n):
         entries, t_deg = _deviation_matrix_entries(game, i, order, moment_of)
-        negated = [
-            [None if entries[j][k] is None else [-1.0 * c for c in entries[j][k]]
-             for k in range(order.d + 1)]
-            for j in range(order.d + 1)
-        ]
         deviation_blocks.append(
             matrix_psd_on_interval_constraint(
-                problem, negated, order.d + 1, t_deg, diag_shift=psd_slack
+                problem, entries, order.d + 1, t_deg, diag_shift=INTERIOR_SLACK
             )
         )
     handles = {"validity": validity, "deviation": deviation_blocks}
@@ -222,15 +220,12 @@ def payoff_region_sketch(
     if directions < 3:
         raise ValueError("need at least 3 directions")
     n = game.num_players
-    dirs = []
     if n == 2:
         angles = 2.0 * np.pi * np.arange(directions) / directions
         dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(directions):
-            v = rng.normal(size=n)
-            dirs.append(v / np.linalg.norm(v))
+        dirs = [v / np.linalg.norm(v) for v in rng.normal(size=(directions, n))]
     return [(d, _optimize_payoff(game, order, d, tol)) for d in dirs]
 
 
@@ -238,36 +233,19 @@ def payoff_region_sketch(
 # membership tests for concrete moment vectors
 
 
-def _numeric_matrix(entries_fn, basis):
-    dim = len(basis)
-    M = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            M[i, j] = entries_fn(basis[i], basis[j])
-    return M
-
-
 def moment_validity_margin(mv: MomentVector, r: int) -> float:
     """Most-negative eigenvalue over the moment matrix and all localizing
     matrices of a concrete moment vector (0 or more means valid)."""
-    n = mv.num_vars
-    basis = grlex_monomials(n, r)
     worst = np.inf
-    M = _numeric_matrix(lambda a, b: mv[tuple(x + y for x, y in zip(a, b))], basis)
-    worst = min(worst, float(np.linalg.eigvalsh(M)[0]))
-    loc_basis = grlex_monomials(n, r - 1)
-    for v in range(n):
-        def loc(a, b, v=v):
-            s = tuple(x + y for x, y in zip(a, b))
-            s2 = tuple(x + (2 if k == v else 0) for k, x in enumerate(s))
-            return mv[s] - mv[s2]
-        L = _numeric_matrix(loc, loc_basis)
-        worst = min(worst, float(np.linalg.eigvalsh(L)[0]))
+    for dim, entries in localizing_entries(mv.num_vars, r):
+        M = np.empty((dim, dim))
+        for i, j, terms in entries:
+            M[i, j] = M[j, i] = sum(sign * mv[e] for e, sign in terms)
+        worst = min(worst, float(np.linalg.eigvalsh(M)[0]))
     return worst
 
 
-def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector,
-                     tol: float = 1e-8) -> float:
+def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector) -> float:
     """Smallest lam such that the deviation matrices shifted by -lam*I are
     negative semidefinite on [-1,1]; a correlated equilibrium has margin
     <= 0 (up to numerics)."""
@@ -279,21 +257,11 @@ def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVec
             game, i, order, lambda e: LinExpr(const=mv[tuple(e)])
         )
         dim = order.d + 1
-        negated = []
         for j in range(dim):
-            row = []
-            for k in range(dim):
-                if k < j:
-                    row.append(None)
-                    continue
-                coeffs = [-1.0 * c for c in entries[j][k]]
-                if j == k:
-                    coeffs[0] = coeffs[0] + expr(lam)
-                row.append(coeffs)
-            negated.append(row)
-        matrix_psd_on_interval_constraint(problem, negated, dim, t_deg)
+            entries[j][j][0] = entries[j][j][0] + expr(lam)
+        matrix_psd_on_interval_constraint(problem, entries, dim, t_deg)
         problem.set_objective(expr(lam))
-        sol = problem.solve(tol=tol)
+        sol = problem.solve(tol=1e-8)
         if sol.status is not Status.OPTIMAL:
             raise SolverError(f"deviation margin solve failed: {sol.status.value}")
         worst = max(worst, float(sol.objective_value))
@@ -318,15 +286,13 @@ def check_moment_membership(
     return deviation_margin(game, order, mv) <= slack
 
 
-def separating_test_polynomial(
-    game: PolynomialGame, order: RelaxationOrder, mv: MomentVector,
-    grid: int = 401, tol: float = 1e-9,
-):
+def separating_test_polynomial(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector):
     """Search for a violated deviation test: returns (player, t0, p_coeffs)
     with the property that the squared test polynomial p certifies a
     profitable deviation to t0 under any measure with these moments, or None
-    if every deviation matrix is NSD (within ``tol``) on the scan grid."""
-    ts = np.linspace(-1.0, 1.0, grid)
+    if every deviation matrix is NSD (within 1e-9) on a 401-point scan grid
+    of [-1,1]."""
+    ts = np.linspace(-1.0, 1.0, 401)
     best = None
     for i in range(game.num_players):
         entries, t_deg = _deviation_matrix_entries(
@@ -336,16 +302,13 @@ def separating_test_polynomial(
         polys = np.zeros((dim, dim, t_deg + 1))
         for j in range(dim):
             for k in range(j, dim):
-                polys[j, k] = [c.const for c in entries[j][k]]
+                polys[j, k] = [-c.const for c in entries[j][k]]  # back to the gains
                 polys[k, j] = polys[j, k]
         powers = ts[:, None] ** np.arange(t_deg + 1)[None, :]
         mats = np.einsum("jkd,td->tjk", polys, powers)
         eigs, vecs = np.linalg.eigh(mats)
-        worst = np.unravel_index(np.argmax(eigs[:, -1]), eigs[:, -1].shape)[0]
+        worst = int(np.argmax(eigs[:, -1]))
         val = float(eigs[worst, -1])
-        if val > tol and (best is None or val > best[0]):
+        if val > 1e-9 and (best is None or val > best[0]):
             best = (val, i, float(ts[worst]), vecs[worst][:, -1].copy())
-    if best is None:
-        return None
-    _, player, t0, v = best
-    return player, t0, v
+    return None if best is None else best[1:]

@@ -7,8 +7,10 @@ arrays are used only where hot loops or root finding need them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -87,9 +89,7 @@ class MultiPoly:
         return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = MultiPoly.constant(self.num_vars, other)
-        return self + (-other)
+        return self + (-other)  # __add__ takes numbers too
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -138,28 +138,41 @@ class MultiPoly:
         return coeffs
 
 
+@lru_cache(maxsize=None)
+def grlex_monomials(num_vars: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples with total degree <= max_degree, graded lex order:
+    the one monomial basis of moment vectors, moment matrices and games."""
+    monos = [
+        e
+        for e in itertools.product(range(max_degree + 1), repeat=num_vars)
+        if sum(e) <= max_degree
+    ]
+    monos.sort(key=lambda e: (sum(e), e))
+    return tuple(monos)
+
+
 def poly_eval(coeffs, x):
     """Evaluate an ascending-coefficient univariate polynomial."""
     return npoly.polyval(x, np.asarray(coeffs, dtype=float))
 
 
-def _trim_negligible(coeffs: np.ndarray, rel: float = 1e-12) -> np.ndarray:
-    """Drop trailing coefficients below ``rel`` times the largest magnitude;
+def _trim_negligible(coeffs: np.ndarray) -> np.ndarray:
+    """Drop trailing coefficients below 1e-12 times the largest magnitude;
     they move values on [-1,1] by less than any tolerance in this package
     but wreck the conditioning of the companion matrix."""
     if coeffs.size == 0:
         return coeffs
-    floor = rel * float(np.abs(coeffs).max())
+    floor = 1e-12 * float(np.abs(coeffs).max())
     n = coeffs.size
     while n > 0 and abs(coeffs[n - 1]) <= floor:
         n -= 1
     return coeffs[:n]
 
 
-def _polish_root(deriv: np.ndarray, t: float, sweeps: int = 12) -> float:
-    """Newton iteration on the derivative, clamped to [-1,1]."""
+def _polish_root(deriv: np.ndarray, t: float) -> float:
+    """At most 12 Newton steps on the derivative, clamped to [-1,1]."""
     d2 = npoly.polyder(deriv)
-    for _ in range(sweeps):
+    for _ in range(12):
         slope = npoly.polyval(t, d2)
         if slope == 0.0:
             break

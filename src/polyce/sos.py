@@ -1,52 +1,46 @@
 """Sum-of-squares and moment constraints as conic building blocks.
 
-Encodes, over a :class:`~polyce.conic.ConicProblem`:
+Encodes two conditions over a :class:`~polyce.conic.ConicProblem`, each
+written by one function:
 
-* plain univariate SOS membership (Gram matrix with antidiagonal ties),
-* nonnegativity on [-1,1] via the decomposition p = s + (1-x^2) t with s, t
-  both SOS; for a concrete p, :func:`prove_interval_nonneg` solves the
-  lower-bound program max delta s.t. p - delta = s + (1-x^2) t on p scaled
-  to unit largest coefficient, and accepts p when delta* >= -DECISION_SLACK
-  (5e-8, below the PSD tolerance of :func:`verify_certificate`, 1e-7 times
-  the largest coefficient of p when that exceeds 1),
-* PSD-ness of a symmetric polynomial matrix M(t) on [-1,1] via the biform
-  identity x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S, T SOS,
-* truncated-moment feasibility on [-1,1]^n: moment matrix plus one
-  localizing matrix per variable for the weight (1 - s_i^2).
+* a symmetric polynomial matrix M(t) is PSD on [-1,1]
+  (:func:`matrix_psd_on_interval_constraint`), via the biform identity
+  x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S, T SOS.  One polynomial p >= 0
+  on [-1,1], p = s + (1-x^2) t with s, t SOS, is its 1x1 case
+  (:func:`interval_nonneg_constraint`).  For a concrete p,
+  :func:`prove_interval_nonneg` solves the lower-bound program max delta
+  s.t. p - delta = s + (1-x^2) t on p scaled to unit largest coefficient,
+  and accepts p when delta* >= -DECISION_SLACK (5e-8, below the PSD
+  tolerance of :func:`verify_certificate`, 1e-7 times the largest
+  coefficient of p when that exceeds 1);
+* truncated moments on [-1,1]^n are feasible
+  (:func:`moment_feasibility_constraint`): the moment matrix and one
+  localizing matrix per variable for the weight (1 - s_i^2) are PSD.  One
+  table, :func:`localizing_entries`, lists their entries, and
+  :func:`polyce.moments.moment_validity_margin` fills it with numbers.
 
 Degree bookkeeping: for a target of degree D the interval decomposition uses
 deg s = 2*ceil(D/2) and deg t = 2*floor((D-1)/2) clamped at 0, which is
 parity-tight (for odd D the s part runs one degree above D and the spurious
 top coefficient is tied to the t part).  Monomial bases are ordered graded
-lexicographic throughout and that order is frozen across modules.
+lexicographic throughout (:func:`polyce.polynomials.grlex_monomials`) and
+that order is frozen across modules.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .conic import ConicProblem, LinExpr, PsdBlock, SolverError, Status, expr
-from .polynomials import poly_eval
+from .polynomials import grlex_monomials, poly_eval
 
 # prove_interval_nonneg accepts p when min p/max|p_k| on [-1,1] >= -DECISION_SLACK
 DECISION_SLACK = 5e-8
-
-
-@lru_cache(maxsize=None)
-def grlex_monomials(num_vars: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples with total degree <= max_degree, graded lex order."""
-    monos = [
-        e
-        for e in itertools.product(range(max_degree + 1), repeat=num_vars)
-        if sum(e) <= max_degree
-    ]
-    monos.sort(key=lambda e: (sum(e), e))
-    return tuple(monos)
 
 
 @dataclass(frozen=True)
@@ -122,21 +116,6 @@ def antidiagonal_sums(gram: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_exprs(coeffs) -> list[LinExpr]:
-    return [LinExpr.of(c) for c in coeffs]
-
-
-def _antidiag_expr(Q: PsdBlock, k: int) -> LinExpr:
-    d = Q.dim - 1
-    out = LinExpr()
-    for i in range(max(0, k - d), min(d, k) + 1):
-        j = k - i
-        if i > j:
-            continue
-        out = out + (1.0 if i == j else 2.0) * Q.entry(i, j)
-    return out
-
-
 def interval_degrees(degree: int) -> tuple[int, int]:
     """Half-degrees (hs, ht) of the s and t Grams for a degree-``degree`` target."""
     hs = (degree + 1) // 2
@@ -148,21 +127,9 @@ def interval_nonneg_constraint(
     problem: ConicProblem, poly_coeffs, degree: int
 ) -> tuple[PsdBlock, PsdBlock]:
     """Constrain a polynomial (affine coefficients, degree <= ``degree``) to be
-    nonnegative on [-1,1] by matching it to s(x) + (1-x^2) t(x)."""
-    if degree < 0:
-        raise SolverError("degree must be nonnegative")
-    coeffs = _as_exprs(poly_coeffs)
-    if len(coeffs) - 1 > degree:
-        raise SolverError(f"got degree {len(coeffs) - 1} coefficients for degree {degree}")
-    hs, ht = interval_degrees(degree)
-    Qs = problem.add_psd_block(hs + 1)
-    Qt = problem.add_psd_block(ht + 1)
-    top = max(2 * hs, 2 * ht + 2)
-    for k in range(top + 1):
-        lhs = _antidiag_expr(Qs, k) + _antidiag_expr(Qt, k) - _antidiag_expr(Qt, k - 2)
-        target = coeffs[k] if k < len(coeffs) else LinExpr()
-        problem.add_equality(lhs - target, 0.0)
-    return Qs, Qt
+    nonnegative on [-1,1] by matching it to s(x) + (1-x^2) t(x): the 1x1 case
+    of :func:`matrix_psd_on_interval_constraint`."""
+    return matrix_psd_on_interval_constraint(problem, [[poly_coeffs]], 1, degree)
 
 
 def matrix_psd_on_interval_constraint(
@@ -188,21 +155,19 @@ def matrix_psd_on_interval_constraint(
 
     def pair_sum(Q: PsdBlock, h: int, a: int, b: int, k: int) -> LinExpr:
         # sum over p+q=k of Q[(a,p),(b,q)]; for a == b the ordered double
-        # count folds into the usual 1/2 antidiagonal weights
+        # count folds into the usual 1/2 antidiagonal weights over p <= q
         out = LinExpr()
-        for p in range(max(0, k - h), min(h, k) + 1):
-            q = k - p
-            i, j = a * (h + 1) + p, b * (h + 1) + q
-            if a == b and i > j:
-                continue
+        last = min(h, k) if a != b else min(h, k // 2)
+        for p in range(max(0, k - h), last + 1):
+            i, j = a * (h + 1) + p, b * (h + 1) + k - p
             mult = 1.0 if (a != b or i == j) else 2.0
-            out = out + mult * Q.entry(min(i, j), max(i, j))
+            out = out + mult * Q.entry(i, j)
         return out
 
     top = max(2 * hS, 2 * hT + 2)
     for a in range(m):
         for b in range(a, m):
-            coeffs = _as_exprs(entries[a][b])
+            coeffs = [LinExpr.of(c) for c in entries[a][b]]
             if len(coeffs) - 1 > D:
                 raise SolverError(f"entry ({a},{b}) has degree above {D}")
             for k in range(top + 1):
@@ -214,13 +179,35 @@ def matrix_psd_on_interval_constraint(
     return QS, QT
 
 
+@lru_cache(maxsize=None)
+def localizing_entries(num_vars: int, r: int):
+    """The moment matrix of half-order r, then for each variable v the
+    localizing matrix of half-order r-1 for the weight 1 - s_v^2, as
+    ``(dim, entries)`` pairs over the graded-lex basis.  An upper-triangle
+    entry ``(i, j, terms)`` is sum(sign * mu[exponent] for exponent, sign in
+    terms), the weight times basis[i] * basis[j] integrated."""
+    out = []
+    for v in [None] + list(range(num_vars)):
+        basis = grlex_monomials(num_vars, r if v is None else r - 1)
+        entries = []
+        for i, ei in enumerate(basis):
+            for j in range(i, len(basis)):
+                s = tuple(x + y for x, y in zip(ei, basis[j]))
+                terms = [(s, 1.0)]
+                if v is not None:  # the - s_v^2 part of the weight
+                    terms.append((tuple(x + 2 * (k == v) for k, x in enumerate(s)), -1.0))
+                entries.append((i, j, tuple(terms)))
+        out.append((len(basis), tuple(entries)))
+    return tuple(out)
+
+
 def moment_feasibility_constraint(
     problem: ConicProblem, values, num_vars: int, order: int,
     diag_shift: float = 0.0,
 ) -> tuple[PsdBlock, list[PsdBlock]]:
     """Necessary moment conditions for a probability measure on [-1,1]^n at
-    truncation ``order`` = 2r: moment matrix of order r PSD, one localizing
-    matrix of order r-1 per variable for the weight (1 - s_i^2), mu_0 = 1.
+    truncation ``order`` = 2r: every matrix of :func:`localizing_entries`
+    PSD, and mu_0 = 1.
 
     ``values`` maps exponent tuples of total degree <= 2r to affine
     expressions (or plain numbers).  A positive ``diag_shift`` admits
@@ -229,34 +216,18 @@ def moment_feasibility_constraint(
     """
     if order < 2 or order % 2:
         raise SolverError("order must be an even integer >= 2")
-    r = order // 2
+    blocks = []
+    for dim, entries in localizing_entries(num_vars, order // 2):
+        Q = problem.add_psd_block(dim)
+        for i, j, terms in entries:
+            lhs = Q.entry(i, j)
+            for e, sign in terms:
+                lhs = lhs - sign * LinExpr.of(values[e])
+            problem.add_equality(lhs, diag_shift if i == j else 0.0)
+        blocks.append(Q)
 
-    def val(e) -> LinExpr:
-        return LinExpr.of(values[tuple(e)])
-
-    basis = grlex_monomials(num_vars, r)
-    M = problem.add_psd_block(len(basis))
-    for i, ei in enumerate(basis):
-        for j in range(i, len(basis)):
-            ej = basis[j]
-            s = tuple(x + y for x, y in zip(ei, ej))
-            problem.add_equality(M.entry(i, j) - val(s), diag_shift if i == j else 0.0)
-
-    loc_blocks = []
-    loc_basis = grlex_monomials(num_vars, r - 1)
-    for v in range(num_vars):
-        L = problem.add_psd_block(len(loc_basis))
-        for i, ei in enumerate(loc_basis):
-            for j in range(i, len(loc_basis)):
-                s = tuple(x + y for x, y in zip(ei, loc_basis[j]))
-                s2 = tuple(x + (2 if k == v else 0) for k, x in enumerate(s))
-                problem.add_equality(
-                    L.entry(i, j) - val(s) + val(s2), diag_shift if i == j else 0.0
-                )
-        loc_blocks.append(L)
-
-    problem.add_equality(val((0,) * num_vars), 1.0)
-    return M, loc_blocks
+    problem.add_equality(LinExpr.of(values[(0,) * num_vars]), 1.0)
+    return blocks[0], blocks[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +252,23 @@ def reconstruct_target(cert: SosCertificate) -> np.ndarray:
     return out
 
 
-def verify_certificate(
-    cert: SosCertificate, target_coeffs, psd_tol: float = 1e-7,
-    coeff_tol: float = 1e-7, grid_tol: float = 1e-6,
-) -> tuple[bool, float]:
-    """Soundness check: PSD Grams, coefficient reconstruction within
-    ``coeff_tol``, and the target itself nonnegative (>= -grid_tol) on a
-    101-point uniform grid.  Every tolerance is multiplied by
-    max(1, largest target coefficient magnitude), because a certificate's
-    rounding errors grow with its coefficients.  Returns (ok, max
-    coefficient residual)."""
+def verify_certificate(cert: SosCertificate, target_coeffs) -> tuple[bool, float]:
+    """Soundness check: PSD Grams (smallest eigenvalue >= -1e-7),
+    coefficient reconstruction within 1e-7, and the target itself
+    nonnegative (>= -1e-6) on a 101-point uniform grid.  Every tolerance is
+    multiplied by max(1, largest target coefficient magnitude), because a
+    certificate's rounding errors grow with its coefficients.  Returns (ok,
+    max coefficient residual)."""
     target = np.atleast_1d(np.asarray(target_coeffs, dtype=float))
     scale = max(1.0, float(np.abs(target).max(initial=0.0)))
     for gram in (cert.gram_s, cert.gram_t):
         if gram is None or gram.size == 0:
             continue
-        if float(np.linalg.eigvalsh((gram + gram.T) / 2)[0]) < -psd_tol * scale:
+        if float(np.linalg.eigvalsh((gram + gram.T) / 2)[0]) < -1e-7 * scale:
             return False, float("inf")
-    recon = reconstruct_target(cert)
-    n = max(target.size, recon.size)
-    diff = np.zeros(n)
-    diff[: recon.size] += recon
-    diff[: target.size] -= target
-    residual = float(np.abs(diff).max(initial=0.0))
+    residual = float(np.abs(npoly.polysub(reconstruct_target(cert), target)).max())
     grid_min = float(poly_eval(target, np.linspace(-1.0, 1.0, 101)).min())
-    ok = residual <= coeff_tol * scale and grid_min >= -grid_tol * scale
+    ok = residual <= 1e-7 * scale and grid_min >= -1e-6 * scale
     return ok, residual
 
 
@@ -313,14 +276,10 @@ def _absorb_residual(cert: SosCertificate, target: np.ndarray) -> SosCertificate
     """Spread the coefficient residual of a certificate uniformly over the
     matching antidiagonals of the s-Gram, so reconstruction is exact to
     rounding.  The eigenvalue perturbation is bounded by the residual."""
-    recon = reconstruct_target(cert)
-    n = max(recon.size, target.size)
-    delta = np.zeros(n)
-    delta[: recon.size] += recon
-    delta[: target.size] -= target
+    delta = npoly.polysub(reconstruct_target(cert), target)  # trailing zeros trimmed
     gram = cert.gram_s.copy()
     d = gram.shape[0] - 1
-    for k in range(min(n, 2 * d + 1)):
+    for k in range(min(delta.size, 2 * d + 1)):
         cells = [(i, k - i) for i in range(max(0, k - d), min(d, k) + 1)]
         if not cells:
             continue
@@ -330,7 +289,7 @@ def _absorb_residual(cert: SosCertificate, target: np.ndarray) -> SosCertificate
     return SosCertificate(gram, cert.gram_t, cert.degree)
 
 
-def prove_interval_nonneg(coeffs, tol: float = 1e-9):
+def prove_interval_nonneg(coeffs):
     """Decide whether a concrete polynomial is nonnegative on [-1,1].
 
     Returns ``(True, certificate)`` or ``(False, None)``.  The check is the
@@ -343,13 +302,13 @@ def prove_interval_nonneg(coeffs, tol: float = 1e-9):
     The program is solved for p/c, with c the largest coefficient magnitude
     of p, because the solver's accuracy on delta* is relative to the size of
     the coefficients.  p counts as nonnegative when delta* of p/c is
-    >= -DECISION_SLACK (5e-8, ten times the error of delta* at the default
-    ``tol`` on polynomials with a root on [-1,1]); otherwise the result is
+    >= -DECISION_SLACK (5e-8, ten times the error of delta* at the solver
+    tolerance 1e-9 on polynomials with a root on [-1,1]); otherwise the result is
     ``(False, None)``.  The certificate is c times the one for p/c, with
     c*delta* and the rest of the coefficient residual absorbed into the
     s-Gram, so reconstruction is exact to rounding.  Absorbing a delta* in
     [-DECISION_SLACK, 0) moves an eigenvalue of the s-Gram by at most
-    c*|delta*|, which is within the ``psd_tol`` of :func:`verify_certificate`
+    c*|delta*|, which is within the PSD tolerance of :func:`verify_certificate`
     (1e-7 times max(1, c)) for every c.  Raises SolverError
     when the solver does not reach an optimum.
     """
@@ -360,11 +319,11 @@ def prove_interval_nonneg(coeffs, tol: float = 1e-9):
     scale = float(np.abs(coeffs).max()) or 1.0
     problem = ConicProblem()
     delta = problem.add_scalar_var()
-    shifted = _as_exprs(coeffs / scale)
-    shifted[0] = shifted[0] - delta
+    shifted = list(coeffs / scale)
+    shifted[0] = LinExpr.of(shifted[0]) - delta
     qs, qt = interval_nonneg_constraint(problem, shifted, degree)
     problem.set_objective(-1.0 * expr(delta))
-    sol = problem.solve(tol=tol)
+    sol = problem.solve(tol=1e-9)
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"interval nonnegativity check failed: {sol.status.value}")
     if sol.value(delta) < -DECISION_SLACK:

@@ -180,3 +180,22 @@ def dense_finite_iteration_value(fg, subsets, alpha, degenerate=False):
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def atom_localizing_matrices(atoms, weights, r):
+    """Moment matrix of half-order r, then the localizing matrix of
+    half-order r-1 for each weight 1 - x_v^2, of the measure
+    sum_k weights[k] * delta(atoms[k]), each built densely as
+    sum_k w_k g(x_k) b(x_k) b(x_k)' over the graded-lex monomial basis b."""
+    n = atoms.shape[1]
+
+    def basis(x, half):
+        exps = [e for e in itertools.product(range(half + 1), repeat=n) if sum(e) <= half]
+        exps.sort(key=lambda e: (sum(e), e))
+        return np.array([math.prod(xi**k for xi, k in zip(x, e)) for e in exps])
+
+    mats = [sum(w * np.outer(basis(x, r), basis(x, r)) for x, w in zip(atoms, weights))]
+    for v in range(n):
+        mats.append(sum(w * (1.0 - x[v] ** 2) * np.outer(basis(x, r - 1), basis(x, r - 1))
+                        for x, w in zip(atoms, weights)))
+    return mats

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyce import adaptive
 from polyce.adaptive import (
     AdaptiveConfig,
     build_iteration_sdp,
@@ -12,7 +13,7 @@ from polyce.adaptive import (
     run_adaptive,
     run_adaptive_finite,
 )
-from polyce.conic import Status
+from polyce.conic import SolverError, Status
 from polyce.finite_ce import min_epsilon
 from polyce.games import FiniteGame, SupportedDistribution, random_polynomial_game
 
@@ -152,6 +153,26 @@ def test_finite_degenerate_mode_gets_stuck(table3):
     assert all(e == pytest.approx(1.0, abs=1e-6) for e in trace.epsilons())
     for g in trace.final.grids:
         assert np.allclose(g, [-1.0, 0.0])
+
+
+def test_stalled_degenerate_loop_does_not_solve_again(table3, emb_game, monkeypatch):
+    # records 2-4 of the criterion-3 fixtures repeat record 1 on the same
+    # grids, so only the first two iterations solve
+    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True, max_iter=5)
+    for name, run, game in (("_solve_finite_iteration", run_adaptive_finite, table3),
+                            ("_solve_iteration", run_adaptive, emb_game)):
+        solves = []
+        real = getattr(adaptive, name)
+        monkeypatch.setattr(adaptive, name, lambda *a, real=real: solves.append(a) or real(*a))
+        trace = run(game, [[-1.0], [-1.0]], cfg)
+        assert trace.status == "stalled" and len(trace.records) == 5
+        assert len(solves) == 2
+        for rec in trace.records[2:]:
+            assert rec.new_strategies == ((), ())
+            assert rec.epsilon == trace.records[1].epsilon
+            assert rec.distribution is trace.records[1].distribution
+    with pytest.raises(SolverError, match="empty strategy grid"):
+        run_adaptive(emb_game, [[], []], cfg)
 
 
 def test_finite_restricted_condition_restores_convergence(table3):

@@ -89,6 +89,28 @@ def test_malformed_game_file_exits_1(tmp_path, capsys):
     assert "exponents" in err and "[1, 0, 0]" in err
 
 
+@pytest.mark.parametrize("command, game_text, dist_text", [
+    ("audit", None, "5"),
+    ("audit", None, '{"final_distribution": {"grids": [[0], [0]], "probs": [[true]]}}'),
+    ("static", '{"players": ["x"], "utilities": [[1]]}', None),
+    ("static", '{"players": ["x"], "utilities": [{"terms": [{"exp": [true], "coef": 1}]}]}', None),
+])
+def test_wrongly_typed_json_exits_1(quad_path, tmp_path, capsys, command, game_text, dist_text):
+    game = quad_path
+    if game_text is not None:
+        game = tmp_path / "game.json"
+        game.write_text(game_text)
+    args = [command, "--game", str(game)]
+    if dist_text is not None:
+        dist = tmp_path / "dist.json"
+        dist.write_text(dist_text)
+        args += ["--dist", str(dist)]
+    else:
+        args += ["--grid", "2"]
+    assert main(args) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["static", "--game", "/nonexistent.json", "--grid", "2"]) == EXIT_INPUT
 

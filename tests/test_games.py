@@ -192,6 +192,39 @@ def test_parse_rejects_malformed_documents():
         parse_game('{"players": ["x", "y"], "utilities": [{"terms": []}]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"players": ["x"], "utilities": 5}', "expected 1 utilities"),
+    ('{"players": ["x"], "utilities": [[1]]}', "utility 0 must be an object"),
+    ('{"players": ["x"], "utilities": [{"terms": 7}]}', "'terms' list"),
+    ('{"players": ["x"], "utilities": [{"terms": [5]}]}', "not an object"),
+    ('{"players": ["x"], "utilities": [{"terms": [{"exp": [true], "coef": 1}]}]}', "bad exponent"),
+    ('{"players": ["x"], "utilities": [{"terms": [{"exp": [1.0], "coef": 1}]}]}', "bad exponent"),
+    ('{"players": ["x"], "utilities": [{"terms": [{"exp": [1], "coef": true}]}]}', "coefficient"),
+    ('{"players": ["x"], "utilities": [{"terms": [{"exp": [1], "coef": "2"}]}]}', "coefficient"),
+])
+def test_parse_game_rejects_wrong_json_types(text, message):
+    with pytest.raises(GameFormatError, match=message):
+        parse_game(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "must have 'grids' and 'probs'"),
+    ('{"grids": 3, "probs": 1}', "'grids' must be a nonempty list"),
+    ('{"grids": [], "probs": 1}', "'grids' must be a nonempty list"),
+    ('{"grids": [[]], "probs": []}', "nonempty number lists"),
+    ('{"grids": [[[0]]], "probs": [1]}', "nonempty number lists"),
+    ('{"grids": [[true]], "probs": [1]}', "finite numbers"),
+    ('{"grids": [[NaN]], "probs": [1]}', "finite numbers"),
+    ('{"grids": [[0]], "probs": [true]}', "finite numbers"),
+    ('{"grids": [[0]], "probs": ["1"]}', "finite numbers"),
+    ('{"grids": [[0], [1]], "probs": [[1, 2], 3]}', "not a rectangular array"),
+    ('{"grids": [[0], [1]], "probs": [1]}', "shape does not match"),
+])
+def test_parse_distribution_rejects_wrong_json_types(text, message):
+    with pytest.raises(GameFormatError, match=message):
+        parse_distribution(text)
+
+
 def test_distribution_validation():
     with pytest.raises(GameFormatError, match="sum"):
         SupportedDistribution((np.array([0.0]),), np.array([0.5]))

@@ -77,3 +77,61 @@ def test_scan_flags_a_dead_private_definition():
 def test_no_dead_private_definitions():
     assert dead_private_definitions([p.read_text() for p in PACKAGE],
                                     [p.read_text() for p in SOURCES]) == []
+
+
+CALLERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
+
+
+def dead_parameters(definers: list[str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions and methods in ``definers``
+    that no call in ``callers`` passes, by keyword or by position.  A call
+    counts when its called name, bare or after a dot, is the function's
+    name; a ``*args`` or ``**kwargs`` argument counts as passing every
+    parameter it could reach.  Dunder methods are exempt."""
+    defaulted = []  # (function, parameter, call position or None)
+    for source in definers:
+        tree = ast.parse(source)
+        in_class = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = id(node) in in_class and not static  # self is not in the call
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for k in range(first, len(positional)):
+                defaulted.append((node.name, positional[k].arg, k - bound))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    defaulted.append((node.name, arg.arg, None))
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, param, position):
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        return position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return [f"{fn}({param})" for fn, param, position in defaulted
+            if not any(passes(call, param, position) for call in calls.get(fn, []))]
+
+
+def test_scan_flags_a_dead_parameter():
+    module = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "class K:\n    def m(self, x=0):\n        pass\n"
+              "    @staticmethod\n    def s(y=0):\n        pass\n"
+              "    def __init__(self, z=0):\n        pass\n")
+    assert dead_parameters([module], [module]) == ["f(b)", "f(c)", "f(d)", "m(x)", "s(y)"]
+    caller = "f(0, 1)\nobj.f(0, d=4)\nK().m(5)\nK.s(6)\n"
+    assert dead_parameters([module], [caller]) == ["f(c)"]
+    assert dead_parameters([module], ["f(*args)\nK().m(**kw)\nK.s(*a)\n"]) == ["f(d)"]
+
+
+def test_no_dead_parameters():
+    assert dead_parameters([p.read_text() for p in PACKAGE],
+                           [p.read_text() for p in CALLERS]) == []

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from polyce.conic import ConicProblem, Status, expr
-from polyce.polynomials import poly_eval
+from polyce.moments import moment_validity_margin
+from polyce.polynomials import grlex_monomials, poly_eval
 from polyce.sos import (
     MomentVector,
     SosCertificate,
     certificate_from_solution,
-    grlex_monomials,
     interval_degrees,
     interval_nonneg_constraint,
+    localizing_entries,
     matrix_psd_on_interval_constraint,
     moment_feasibility_constraint,
     prove_interval_nonneg,
     reconstruct_target,
     verify_certificate,
 )
+
+from oracles import atom_localizing_matrices
 
 
 def _feasible(build):
@@ -184,6 +187,27 @@ def test_moments_of_finite_measures_always_feasible():
                 lambda p, mv=mv, n=n, r=r: moment_feasibility_constraint(p, mv.values, n, 2 * r)
             )
             assert sol.status is Status.OPTIMAL, (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_localizing_table_matches_atom_oracle(n, r):
+    # random atoms fill [-1,1]^n, so every localizing weight differs per atom
+    rng = np.random.default_rng(11 + 10 * n + r)
+    atoms = rng.uniform(-1.0, 1.0, size=(5, n))
+    w = rng.random(5)
+    w /= w.sum()
+    mu = {e: float(sum(wk * np.prod(x ** np.array(e)) for x, wk in zip(atoms, w)))
+          for e in grlex_monomials(n, 2 * r)}
+    expected = atom_localizing_matrices(atoms, w, r)
+    table = localizing_entries(n, r)
+    assert len(table) == len(expected) == n + 1
+    for (dim, entries), dense in zip(table, expected):
+        assert dense.shape == (dim, dim)
+        assert len(entries) == dim * (dim + 1) // 2
+        for i, j, terms in entries:
+            assert sum(sign * mu[e] for e, sign in terms) == pytest.approx(dense[i, j], abs=1e-12)
+    worst = min(float(np.linalg.eigvalsh(m)[0]) for m in expected)
+    assert moment_validity_margin(MomentVector(n, 2 * r, mu), r) == pytest.approx(worst, abs=1e-12)
 
 
 def test_moment_vector_validation():
