@@ -346,6 +346,8 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
     (gain <= ev_{i,s}), sum_s ev_{i,s} <= eps, and the restricted deviations
     within the subsets (gain <= alpha * eps, dropped in degenerate mode)."""
     shape = tuple(len(g) for g in grids)
+    if 0 in shape:
+        raise SolverError("empty strategy grid")
     flat = np.arange(int(np.prod(shape))).reshape(shape)
     full, restricted = [], []
     for i in range(fg.num_players):

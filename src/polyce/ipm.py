@@ -5,11 +5,19 @@ subspace, a nonnegative orthant, and PSD matrix cones (svec-packed).  The
 algorithm is the homogeneous self-dual embedding with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector, which yields clean infeasibility and
 unboundedness certificates alongside optimal solutions.  The centering
-parameter is sigma = mu_aff / mu clipped to [0, 1] on every solve.  Dense
-linear algebra throughout; intended for desk-scale problems (PSD blocks up
-to ~60x60, a few thousand equalities).  A problem without a cone has no
-interior to follow: ``ConicProblem.solve`` rejects it, and linear programs
-go to HiGHS instead (``finite_ce.solve_lp``).
+parameter is sigma = mu_aff / mu clipped to [0, 1] on every solve.
+
+The cone layer holds the PSD blocks of each dimension d as one (k, d, d)
+stack, reached through one gather (svec -> d x d) and one scatter
+(d x d -> svec) index per stack, so each cone kernel runs once per block
+size.  A stacked kernel does per matrix the arithmetic of a per-block loop
+(the same LAPACK and BLAS calls on the same layouts), and the Schur
+complement adds its block terms in block order, so every solve is
+bit-identical to one through the per-block kernels that the tests keep as
+an oracle.  Intended for desk-scale problems (PSD blocks up to ~60x60, a few
+thousand equalities).  A problem without a cone has no interior to follow:
+``ConicProblem.solve`` rejects it, and linear programs go to HiGHS instead
+(``finite_ce.solve_lp``).
 """
 
 from __future__ import annotations
@@ -50,39 +58,6 @@ class Compiled:
     row_scale: np.ndarray
     obj_scale: float
     obj_const: float
-
-
-@lru_cache(maxsize=None)
-def _svec_index(dim: int):
-    """(rows, cols, scale) of the upper triangle in svec order, plus the
-    inverse scale used when unpacking."""
-    rows, cols = np.triu_indices(dim)
-    scale = np.where(rows == cols, 1.0, _SQRT2)
-    return rows, cols, scale
-
-
-def svec(mat: np.ndarray) -> np.ndarray:
-    rows, cols, scale = _svec_index(mat.shape[0])
-    return mat[rows, cols] * scale
-
-
-def unsvec(v: np.ndarray, dim: int) -> np.ndarray:
-    rows, cols, scale = _svec_index(dim)
-    vals = v / scale
-    mat = np.empty((dim, dim))
-    mat[rows, cols] = vals
-    mat[cols, rows] = vals
-    return mat
-
-
-def unsvec_batch(V: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of V are svec vectors; returns the (len(V), dim, dim) stack."""
-    rows, cols, scale = _svec_index(dim)
-    vals = V / scale
-    out = np.empty((V.shape[0], dim, dim))
-    out[:, rows, cols] = vals
-    out[:, cols, rows] = vals
-    return out
 
 
 def compile_problem(p: ConicProblem) -> Compiled:
@@ -163,97 +138,149 @@ def compile_problem(p: ConicProblem) -> Compiled:
 
 
 # ---------------------------------------------------------------------------
-# cone operations
+# cone operations on (k, d, d) stacks, one per PSD block size
+
+
+@lru_cache(maxsize=None)
+def _triangle(dim: int):
+    """Index tables of the svec layout (upper triangle row by row, off-diagonal
+    entries times sqrt 2): the svec position and scale of every (i, j), and
+    the flat position and scale of every svec entry.  Shared, so read-only."""
+    rows, cols = np.triu_indices(dim)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    pos = np.empty((dim, dim), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    tables = (pos, scale[pos], rows * dim + cols, scale)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+class _Group:
+    """The PSD blocks ``blocks`` of one dimension, whose svec segments start
+    at ``starts`` in the cone vector."""
+
+    def __init__(self, dim: int, blocks: np.ndarray, starts: np.ndarray):
+        pos, self.scale_dd, self.flat, self.scale = _triangle(dim)
+        self.dim, self.blocks = dim, blocks
+        self.gather = starts[:, None, None] + pos  # (k, d, d) -> cone position
+        self.scatter = starts[:, None] + np.arange(self.scale.size)  # svec -> cone position
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        return v[..., self.gather] / self.scale_dd
+
+    def pack(self, mats: np.ndarray, out: np.ndarray) -> None:
+        out[self.scatter] = mats.reshape(len(self.blocks), -1)[:, self.flat] * self.scale
 
 
 class _Scaling:
-    """NT scaling: per-orthant w, per-block (R, Rinv) with X = R Lam R',
-    Z = R^{-T} Lam R^{-1}."""
+    """NT scaling: w on the orthant and, per group, the stacks R, R^{-1} and
+    lam with X = R Lam R', Z = R^{-T} Lam R^{-1} (the transposes are views)."""
 
-    def __init__(self, cp: Compiled, x: np.ndarray, z: np.ndarray):
-        q = cp.q
+    def __init__(self, cone: _Cone, x: np.ndarray, z: np.ndarray):
+        q = cone.q
         self.w2 = x[:q] / z[:q]
+        self.w = np.sqrt(self.w2)
         self.lam_orth = np.sqrt(x[:q] * z[:q])
-        self.R, self.Rinv, self.lam_blk = [], [], []
-        for dim, off in zip(cp.block_dims, cp.block_offsets):
-            X = unsvec(x[q + off : q + off + dim * (dim + 1) // 2], dim)
-            Z = unsvec(z[q + off : q + off + dim * (dim + 1) // 2], dim)
-            Lx = np.linalg.cholesky(X)
-            Lz = np.linalg.cholesky(Z)
-            U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
+        self.R, self.Rinv, self.lam = [], [], []
+        xz = np.stack([x, z])
+        for g in cone.groups:
+            Lx, Lz = np.linalg.cholesky(g.unpack(xz))
+            U, sv, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Lx)
             sq = np.sqrt(sv)
-            R = Lx @ Vt.T / sq
-            Rinv = (U.T @ Lz.T) / sq[:, None]
-            self.R.append(R)
-            self.Rinv.append(Rinv)
-            self.lam_blk.append(sv)
+            self.R.append(Lx @ Vt.swapaxes(-1, -2) / sq[:, None, :])
+            self.Rinv.append((U.swapaxes(-1, -2) @ Lz.swapaxes(-1, -2)) / sq[:, :, None])
+            self.lam.append(sv)
+        self.RT = [R.swapaxes(-1, -2) for R in self.R]
+        self.RinvT = [Ri.swapaxes(-1, -2) for Ri in self.Rinv]
+        # diagonal stacks; singular values are finite and >= 0, so the
+        # off-diagonal entries are +0.0 as in np.diag
+        self.Lam = [lam[:, :, None] * np.eye(lam.shape[1]) for lam in self.lam]
 
 
 class _Cone:
     def __init__(self, cp: Compiled):
-        self.cp = cp
+        self.cp, self.q = cp, cp.q
         self.nu = cp.q + sum(cp.block_dims)
+        dims = np.array(cp.block_dims, dtype=int)
+        starts = cp.q + np.array(cp.block_offsets, dtype=np.intp)
+        self.groups = [_Group(d, np.flatnonzero(dims == d), starts[dims == d])
+                       for d in dict.fromkeys(cp.block_dims)]
+        # (group, index in group) of each block, in block order
+        where = {k: (gi, j) for gi, g in enumerate(self.groups) for j, k in enumerate(g.blocks)}
+        self.order = [where[k] for k in range(len(dims))]
 
     def identity(self) -> np.ndarray:
-        cp = self.cp
-        e = np.zeros(cp.cone_dim)
-        e[: cp.q] = 1.0
-        for dim, off in zip(cp.block_dims, cp.block_offsets):
-            e[cp.q + off : cp.q + off + dim * (dim + 1) // 2] = svec(np.eye(dim))
+        e = np.zeros(self.cp.cone_dim)
+        e[: self.q] = 1.0
+        for g in self.groups:
+            g.pack(np.broadcast_to(np.eye(g.dim), g.gather.shape), e)
         return e
 
-    def blocks(self, v: np.ndarray):
-        cp = self.cp
-        for dim, off in zip(cp.block_dims, cp.block_offsets):
-            yield dim, off, unsvec(v[cp.q + off : cp.q + off + dim * (dim + 1) // 2], dim)
+    def constraint_stacks(self, A_cone: sp.csr_matrix) -> list:
+        """The rows of A_cone unpacked once per group, as (k, m, d, d) stacks."""
+        dense = A_cone.toarray()
+        return [np.moveaxis(g.unpack(dense), 0, 1) for g in self.groups]
 
     def apply_T(self, sc: _Scaling, u: np.ndarray) -> np.ndarray:
         """T u T with T = R R' per block; w^2 * u on the orthant."""
-        cp = self.cp
         out = np.empty_like(u)
-        out[: cp.q] = sc.w2 * u[: cp.q]
-        for k, (dim, off, U) in enumerate(self.blocks(u)):
-            R = sc.R[k]
-            M = R @ (R.T @ U @ R) @ R.T
-            out[cp.q + off : cp.q + off + dim * (dim + 1) // 2] = svec(M)
+        out[: self.q] = sc.w2 * u[: self.q]
+        for g, R, RT in zip(self.groups, sc.R, sc.RT):
+            g.pack(R @ (RT @ g.unpack(u) @ R) @ RT, out)
         return out
 
-    def scale_down(self, sc: _Scaling, u: np.ndarray, dual: bool) -> list:
+    def scale_down(self, sc: _Scaling, u: np.ndarray, dual: bool) -> tuple:
         """Scaled-space images: R' u R per block for dual vectors, R^{-1} u
-        R^{-T} for primal; orthant entries divided/multiplied by w."""
-        cp = self.cp
-        w = np.sqrt(sc.w2)
-        orth = u[: cp.q] * w if dual else u[: cp.q] / w
-        mats = []
-        for k, (dim, off, U) in enumerate(self.blocks(u)):
-            if dual:
-                mats.append(sc.R[k].T @ U @ sc.R[k])
-            else:
-                mats.append(sc.Rinv[k] @ U @ sc.Rinv[k].T)
-        return [orth, mats]
+        R^{-T} for primal; orthant entries multiplied/divided by w."""
+        orth = u[: self.q] * sc.w if dual else u[: self.q] / sc.w
+        left, right = (sc.RT, sc.R) if dual else (sc.Rinv, sc.RinvT)
+        return orth, [L @ g.unpack(u) @ Rt for g, L, Rt in zip(self.groups, left, right)]
 
     def from_scaled_primal(self, sc: _Scaling, orth: np.ndarray, mats: list) -> np.ndarray:
-        cp = self.cp
-        out = np.zeros(cp.cone_dim)
-        out[: cp.q] = orth * np.sqrt(sc.w2)
-        for k, (dim, off) in enumerate(zip(cp.block_dims, cp.block_offsets)):
-            M = sc.R[k] @ mats[k] @ sc.R[k].T
-            out[cp.q + off : cp.q + off + dim * (dim + 1) // 2] = svec(M)
+        out = np.zeros(self.cp.cone_dim)
+        out[: self.q] = orth * sc.w
+        for g, R, RT, M in zip(self.groups, sc.R, sc.RT, mats):
+            g.pack(R @ M @ RT, out)
         return out
 
-    def max_step(self, orth_dir: np.ndarray, mat_dirs: list, lam_orth, lam_blk) -> float:
-        """Largest alpha with lam + alpha*dir staying in the cone (scaled space)."""
+    def max_step(self, sc: _Scaling, *dirs: tuple) -> float:
+        """Largest alpha with lam + alpha*dir staying in the cone (scaled
+        space) for each of the scaled directions (orth, mats) given."""
         alpha = np.inf
-        neg = orth_dir < 0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(-lam_orth[neg] / orth_dir[neg])))
-        for k, D in enumerate(mat_dirs):
-            lam = lam_blk[k]
-            M = D / np.sqrt(np.outer(lam, lam))
-            emin = float(np.linalg.eigvalsh((M + M.T) / 2)[0])
-            if emin < 0:
-                alpha = min(alpha, 1.0 / (-emin))
+        for orth_dir, _ in dirs:
+            neg = orth_dir < 0
+            if np.any(neg):
+                alpha = min(alpha, float(np.min(-sc.lam_orth[neg] / orth_dir[neg])))
+        for gi, lam in enumerate(sc.lam):
+            M = np.stack([d[1][gi] for d in dirs]) / np.sqrt(lam[:, :, None] * lam[:, None, :])
+            emin = np.linalg.eigvalsh((M + M.swapaxes(-1, -2)) / 2)[..., 0]
+            emin = emin[emin < 0]
+            if emin.size:
+                alpha = min(alpha, float(np.min(1.0 / -emin)))
         return alpha
+
+    def centrality(self, sc: _Scaling, sd_x: list, sd_z: list, alpha: float) -> list:
+        """Per block, in block order, the smallest eigenvalue of the
+        symmetrized (Lam + alpha dx)(Lam + alpha dz) in scaled space."""
+        emins = []
+        for Lam, X, Z in zip(sc.Lam, sd_x, sd_z):
+            P = (Lam + alpha * X) @ (Lam + alpha * Z)
+            emins.append(np.linalg.eigvalsh((P + P.swapaxes(-1, -2)) / 2)[:, 0].tolist())
+        return [emins[gi][j] for gi, j in self.order]
+
+    def targets(self, sc: _Scaling, sdx: tuple, sdz: tuple, smu: float) -> tuple:
+        """Corrector complementarity targets in scaled space: smu - lam^2
+        minus the symmetrized second-order term of the predictor (sdx, sdz),
+        through the inverse Lyapunov operator of Lam."""
+        lam_o = sc.lam_orth
+        d_orth = (smu - lam_o**2 - sdx[0] * sdz[0]) / lam_o
+        d_mats = []
+        for g, lam, Lam, X, Z in zip(self.groups, sc.lam, sc.Lam, sdx[1], sdz[1]):
+            corr = (X @ Z + Z @ X) / 2.0
+            N = smu * np.eye(g.dim) - Lam**2 - corr
+            d_mats.append(2.0 * N / (lam[:, :, None] + lam[:, None, :]))
+        return d_orth, d_mats
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +288,19 @@ class _Cone:
 
 
 def _finite(parts) -> bool:
-    return all(np.all(np.isfinite(v)) for v in parts)
+    return all(np.isfinite(v).all() for v in parts)
 
 
-def _schur(cp: Compiled, sc: _Scaling, A_orth: sp.csr_matrix,
-           blk_mats: list[np.ndarray]) -> np.ndarray:
-    m = cp.m
-    S = (A_orth.multiply(sc.w2[None, :])).dot(A_orth.T).toarray() if cp.q \
+def _schur(cone: _Cone, sc: _Scaling, A_orth: sp.csr_matrix, blk_mats: list) -> np.ndarray:
+    """A T A' from the orthant part and from the (k, m, d, d) stacks of
+    constraint matrices per group; block terms are added in block order."""
+    m = cone.cp.m
+    S = (A_orth.multiply(sc.w2[None, :])).dot(A_orth.T).toarray() if cone.q \
         else np.zeros((m, m))
-    for k, dim in enumerate(cp.block_dims):
-        R = sc.R[k]
-        scaled = np.matmul(np.matmul(R.T, blk_mats[k]), R)
-        flat = scaled.reshape(m, dim * dim)
+    scaled = [np.matmul(np.matmul(RT[:, None], Ab), R[:, None])
+              for RT, Ab, R in zip(sc.RT, blk_mats, sc.R)]
+    for gi, j in cone.order:
+        flat = scaled[gi][j].reshape(m, -1)
         S += flat @ flat.T
     return S
 
@@ -286,18 +314,12 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
     cp = compile_problem(problem)
 
     cone = _Cone(cp)
-    m, f, n = cp.m, cp.f, cp.f + cp.cone_dim
-    A = cp.A
-    A_free = A[:, :f].toarray() if f else np.zeros((m, 0))
-    A_cone = A[:, f:].tocsr()
+    m, f = cp.m, cp.f
+    A_free = cp.A[:, :f].toarray() if f else np.zeros((m, 0))
+    A_cone = cp.A[:, f:].tocsr()
+    A_coneT = A_cone.T.tocsr()
     A_orth = A_cone[:, : cp.q].tocsr()
-    # constraint matrices per PSD block, unpacked once
-    blk_mats = [
-        unsvec_batch(
-            A_cone[:, cp.q + off : cp.q + off + dim * (dim + 1) // 2].toarray(), dim
-        )
-        for dim, off in zip(cp.block_dims, cp.block_offsets)
-    ]
+    blk_mats = cone.constraint_stacks(A_cone)
     b, c = cp.b, cp.c
     c_f, c_c = c[:f], c[f:]
     norm_b = 1.0 + np.abs(b).max(initial=0.0)
@@ -310,24 +332,21 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
     tau, kappa = 1.0, 1.0
     nu1 = cone.nu + 1
 
-    def residuals():
-        rp = A_free @ xf + A_cone @ xc - b * tau
-        rd_f = A_free.T @ y - c_f * tau
-        rd_c = A_cone.T @ y + z - c_c * tau
-        rg = float(c_f @ xf + c_c @ xc - b @ y + kappa)
-        return rp, rd_f, rd_c, rg
-
     status = Status.NUMERICAL_FAILURE
     it = 0
-    mu0 = 1.0
     best = None  # (metric, xf, xc, y, tau)
     for it in range(1, max_iter + 1):
-        rp, rd_f, rd_c, rg = residuals()
+        Ax = A_free @ xf + A_cone @ xc
+        ATy_f, ATy_z = A_free.T @ y, A_coneT @ y + z
+        rp = Ax - b * tau
+        rd_f = ATy_f - c_f * tau
+        rd_c = ATy_z - c_c * tau
+        rg = float(c_f @ xf + c_c @ xc - b @ y + kappa)
         mu = (float(xc @ z) + tau * kappa) / nu1
 
         # -- convergence / certificate tests -------------------------------
-        pobj = float(c_f @ xf + c_c @ xc) / tau
-        dobj = float(b @ y) / tau
+        cx, by = float(c_f @ xf + c_c @ xc), float(b @ y)
+        pobj, dobj = cx / tau, by / tau
         pres = np.abs(rp).max(initial=0.0) / (tau * norm_b)
         dres = max(np.abs(rd_f).max(initial=0.0), np.abs(rd_c).max(initial=0.0)) / (tau * norm_c)
         relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
@@ -337,25 +356,22 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         if pres <= tol and dres <= tol and relgap <= tol:
             status = Status.OPTIMAL
             break
-        if not np.isfinite(metric) or mu < 1e-16 * mu0:
+        if not np.isfinite(metric) or mu < 1e-16:
             break
-        by = float(b @ y)
-        hres = max(np.abs(A_free.T @ y).max(initial=0.0),
-                   np.abs(A_cone.T @ y + z).max(initial=0.0))
+        hres = max(np.abs(ATy_f).max(initial=0.0), np.abs(ATy_z).max(initial=0.0))
         if by > tol and hres / by <= tol * norm_c:
             status = Status.INFEASIBLE
             break
-        cx = float(c_f @ xf + c_c @ xc)
-        if -cx > tol and np.abs(A_free @ xf + A_cone @ xc).max(initial=0.0) / (-cx) <= tol * norm_b:
+        if -cx > tol and np.abs(Ax).max(initial=0.0) / (-cx) <= tol * norm_b:
             status = Status.UNBOUNDED
             break
 
         # -- NT scaling and KKT factorization ------------------------------
         try:
-            sc = _Scaling(cp, xc, z)
+            sc = _Scaling(cone, xc, z)
         except np.linalg.LinAlgError:
             break
-        S = _schur(cp, sc, A_orth, blk_mats)
+        S = _schur(cone, sc, A_orth, blk_mats)
         K2 = np.zeros((m + f, m + f))
         K2[:m, :m] = S + _REG * np.eye(m)
         if f:
@@ -371,19 +387,19 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         except (ValueError, sla.LinAlgError):
             break
 
-        qc = A_cone @ cone.apply_T(sc, c_c)
-        ec = float(c_c @ cone.apply_T(sc, c_c))
+        Tc = cone.apply_T(sc, c_c)
+        qc = A_cone @ Tc
+        ec = float(c_c @ Tc)
         g = np.concatenate([qc - b, c_f])
         wt = sla.lu_solve(lu, np.concatenate([qc + b, c_f]))
-
-        lam_o, lam_b = sc.lam_orth, sc.lam_blk
+        T_rdc = cone.apply_T(sc, rd_c)
 
         def direction(d_orth, d_mats, dk):
             """Solve the Newton system for complementarity targets
             (d_orth, d_mats) in scaled space and target dk for tau*kappa."""
             rdrt = cone.from_scaled_primal(sc, d_orth, d_mats)
             # h0 = A_c (R D R' + T rd_c T);  e0 = <c_c, same>
-            hvec = rdrt + cone.apply_T(sc, rd_c)
+            hvec = rdrt + T_rdc
             h0 = A_cone @ hvec
             e0 = float(c_c @ hvec)
             wr = sla.lu_solve(lu, np.concatenate([-rp - h0, -rd_f]))
@@ -392,50 +408,44 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             dtau = (rhs4 - float(g @ wr)) / denom
             sol = wr + dtau * wt
             dy, dxf = sol[:m], sol[m:]
-            dz = -rd_c - A_cone.T @ dy + c_c * dtau
+            dz = -rd_c - A_coneT @ dy + c_c * dtau
             dxc = rdrt - cone.apply_T(sc, dz)
             dkap = (dk - kappa * dtau) / tau
             return dxf, dxc, dy, dz, dtau, dkap
 
         def step_len(dxc, dz, dtau, dkap, centrality: bool = False):
-            sd_z = cone.scale_down(sc, dz, dual=True)
+            """Step length and the scaled directions (primal, dual)."""
             sd_x = cone.scale_down(sc, dxc, dual=False)
-            alpha = cone.max_step(sd_x[0], sd_x[1], lam_o, lam_b)
-            alpha = min(alpha, cone.max_step(sd_z[0], sd_z[1], lam_o, lam_b))
+            sd_z = cone.scale_down(sc, dz, dual=True)
+            alpha = cone.max_step(sc, sd_x, sd_z)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkap < 0:
                 alpha = min(alpha, -kappa / dkap)
             alpha = min(1.0, _STEP_FRAC * alpha)
-            if not centrality:
-                return alpha
             # keep the iterate in a wide neighborhood of the central path so
             # the terminal point stays near-central (and reproducible) even
             # on problems with fat optimal faces
-            for _ in range(12):
+            for _ in range(12 if centrality else 0):
                 prods = [(tau + alpha * dtau) * (kappa + alpha * dkap)]
-                no = (lam_o + alpha * sd_x[0]) * (lam_o + alpha * sd_z[0])
+                no = (sc.lam_orth + alpha * sd_x[0]) * (sc.lam_orth + alpha * sd_z[0])
                 prods.extend(no.tolist())
-                for k3, lam in enumerate(lam_b):
-                    P = (np.diag(lam) + alpha * sd_x[1][k3]) @ (np.diag(lam) + alpha * sd_z[1][k3])
-                    prods.append(float(np.linalg.eigvalsh((P + P.T) / 2)[0]))
-                nx = xc + alpha * dxc
-                nz = z + alpha * dz
-                mu_new = (float(nx @ nz) + prods[0]) / nu1
+                prods.extend(cone.centrality(sc, sd_x[1], sd_z[1], alpha))
+                mu_new = (float((xc + alpha * dxc) @ (z + alpha * dz)) + prods[0]) / nu1
                 if min(prods) >= _NEIGHBORHOOD * mu_new:
                     break
                 alpha *= 0.7
-            return alpha
+            return alpha, sd_x, sd_z
 
         # -- predictor and corrector ---------------------------------------
         # a singular KKT factor surfaces as a non-finite direction or as an
         # eigensolver failure in the step length; both end the loop as a
         # breakdown
         try:
-            aff = direction(-lam_o, [-np.diag(lb) for lb in lam_b], -tau * kappa)
+            aff = direction(-sc.lam_orth, [-Lam for Lam in sc.Lam], -tau * kappa)
             if not _finite(aff):
                 break
-            a_aff = step_len(aff[1], aff[3], aff[4], aff[5])
+            a_aff, sdx, sdz = step_len(aff[1], aff[3], aff[4], aff[5])
             mu_aff = (
                 float((xc + a_aff * aff[1]) @ (z + a_aff * aff[3]))
                 + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
@@ -445,19 +455,12 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             # reproducible rather than an artifact of the predictor endgame
             sigma = min(1.0, max(0.0, mu_aff / mu))
 
-            sdx = cone.scale_down(sc, aff[1], dual=False)
-            sdz = cone.scale_down(sc, aff[3], dual=True)
-            d_orth = (sigma * mu - lam_o**2 - sdx[0] * sdz[0]) / lam_o
-            d_mats = []
-            for k2, lam in enumerate(lam_b):
-                corr = (sdx[1][k2] @ sdz[1][k2] + sdz[1][k2] @ sdx[1][k2]) / 2.0
-                N = sigma * mu * np.eye(len(lam)) - np.diag(lam**2) - corr
-                d_mats.append(2.0 * N / np.add.outer(lam, lam))
+            d_orth, d_mats = cone.targets(sc, sdx, sdz, sigma * mu)
             dk = sigma * mu - tau * kappa - aff[4] * aff[5]
             dxf, dxc, dy, dz, dtau, dkap = step = direction(d_orth, d_mats, dk)
             if not _finite(step):
                 break
-            alpha = step_len(dxc, dz, dtau, dkap, centrality=True)
+            alpha = step_len(dxc, dz, dtau, dkap, centrality=True)[0]
         except (ValueError, sla.LinAlgError):
             break
         if not np.isfinite(alpha) or alpha < 1e-10:
@@ -474,36 +477,33 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         # endgame breakdown after effective convergence: take the best iterate
         status = Status.OPTIMAL
         _, xf, xc, y, tau = best
-    return _extract(problem, cp, status, xf, xc, y, tau, it, tol)
+    return _extract(problem, cone, status, xf, xc, y, tau, it, tol)
 
 
-def _extract(problem, cp: Compiled, status, xf, xc, y, tau, iters, tol) -> ConicSolution:
+def _extract(problem, cone: _Cone, status, xf, xc, y, tau, iters, tol) -> ConicSolution:
     if status is not Status.OPTIMAL:
         return ConicSolution(status=status, iterations=iters)
+    cp = cone.cp
     xf_h, xc_h = xf / tau, xc / tau
+    x_h = np.concatenate([xf_h, xc_h])
     y_h = cp.obj_scale * (y / tau / cp.row_scale)
 
-    scal_vals = np.empty(len(cp.scal_col))
-    for i, col in enumerate(cp.scal_col):
-        scal_vals[i] = xf_h[col] if col < cp.f else xc_h[col - cp.f]
-    block_vals = []
+    scal_vals = x_h[cp.scal_col]
+    stacks = [g.unpack(xc_h) for g in cone.groups]
+    eigs = [np.linalg.eigvalsh(s)[:, 0] for s in stacks]
+    block_vals, min_eig = [], 0.0
     for kind in cp.blk_col:
         if kind[0] == "orth":
             block_vals.append(np.array([[xc_h[kind[1] - cp.f]]]))
+            min_eig = min(min_eig, float(block_vals[-1][0, 0]))
         else:
-            k = kind[1]
-            dim, off = cp.block_dims[k], cp.block_offsets[k]
-            block_vals.append(unsvec(xc_h[cp.q + off : cp.q + off + dim * (dim + 1) // 2], dim))
+            gi, j = cone.order[kind[1]]
+            block_vals.append(stacks[gi][j])
+            min_eig = min(min_eig, float(eigs[gi][j]))
 
     pobj = cp.obj_scale * float(cp.c[: cp.f] @ xf_h + cp.c[cp.f :] @ xc_h) + cp.obj_const
     dobj = cp.obj_scale * float(cp.b @ (y / tau)) + cp.obj_const
-    resid = float(np.abs(cp.row_scale * (cp.A @ np.concatenate([xf_h, xc_h]) - cp.b)).max(initial=0.0))
-    min_eig = 0.0
-    for bv in block_vals:
-        if bv.shape[0] > 1:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(bv)[0]))
-        else:
-            min_eig = min(min_eig, float(bv[0, 0]))
+    resid = float(np.abs(cp.row_scale * (cp.A @ x_h - cp.b)).max(initial=0.0))
     sol = ConicSolution(
         status=Status.OPTIMAL,
         objective_value=pobj,
@@ -519,4 +519,3 @@ def _extract(problem, cp: Compiled, status, xf, xc, y, tau, iters, tol) -> Conic
     if resid > max(1e-7, 100 * tol * scale) or min_eig < -max(1e-7, 100 * tol):
         sol.status = Status.NUMERICAL_FAILURE
     return sol
-

@@ -199,3 +199,124 @@ def atom_localizing_matrices(atoms, weights, r):
         mats.append(sum(w * (1.0 - x[v] ** 2) * np.outer(basis(x, r - 1), basis(x, r - 1))
                         for x, w in zip(atoms, weights)))
     return mats
+
+
+# ---------------------------------------------------------------------------
+# per-block cone kernels of the conic IPM: one loop iteration per PSD block,
+# each block unpacked from and packed into its own svec segment
+
+
+def _svec_index(dim):
+    rows, cols = np.triu_indices(dim)
+    return rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+
+
+def svec(mat):
+    rows, cols, scale = _svec_index(mat.shape[0])
+    return mat[rows, cols] * scale
+
+
+def unsvec(v, dim):
+    rows, cols, scale = _svec_index(dim)
+    vals = v / scale
+    mat = np.empty((dim, dim))
+    mat[rows, cols] = vals
+    mat[cols, rows] = vals
+    return mat
+
+
+def _segments(cp):
+    for dim, off in zip(cp.block_dims, cp.block_offsets):
+        yield dim, slice(cp.q + off, cp.q + off + dim * (dim + 1) // 2)
+
+
+def cone_blocks(cp, v):
+    """The PSD blocks of the cone vector v, unpacked one by one."""
+    return [unsvec(v[seg], dim) for dim, seg in _segments(cp)]
+
+
+class BlockScaling:
+    """NT scaling per block: X = R Lam R', Z = R^{-T} Lam R^{-1}."""
+
+    def __init__(self, cp, x, z):
+        q = cp.q
+        self.w2 = x[:q] / z[:q]
+        self.lam_orth = np.sqrt(x[:q] * z[:q])
+        self.R, self.Rinv, self.lam = [], [], []
+        for X, Z in zip(cone_blocks(cp, x), cone_blocks(cp, z)):
+            Lx = np.linalg.cholesky(X)
+            Lz = np.linalg.cholesky(Z)
+            U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
+            sq = np.sqrt(sv)
+            self.R.append(Lx @ Vt.T / sq)
+            self.Rinv.append((U.T @ Lz.T) / sq[:, None])
+            self.lam.append(sv)
+
+
+def block_apply_T(cp, sc, u):
+    out = np.empty_like(u)
+    out[: cp.q] = sc.w2 * u[: cp.q]
+    for R, U, (dim, seg) in zip(sc.R, cone_blocks(cp, u), _segments(cp)):
+        out[seg] = svec(R @ (R.T @ U @ R) @ R.T)
+    return out
+
+
+def block_scale_down(cp, sc, u, dual):
+    w = np.sqrt(sc.w2)
+    orth = u[: cp.q] * w if dual else u[: cp.q] / w
+    if dual:
+        return orth, [R.T @ U @ R for R, U in zip(sc.R, cone_blocks(cp, u))]
+    return orth, [Ri @ U @ Ri.T for Ri, U in zip(sc.Rinv, cone_blocks(cp, u))]
+
+
+def block_from_scaled_primal(cp, sc, orth, mats):
+    out = np.zeros(cp.cone_dim)
+    out[: cp.q] = orth * np.sqrt(sc.w2)
+    for R, M, (dim, seg) in zip(sc.R, mats, _segments(cp)):
+        out[seg] = svec(R @ M @ R.T)
+    return out
+
+
+def block_max_step(sc, orth_dir, mat_dirs):
+    alpha = np.inf
+    neg = orth_dir < 0
+    if np.any(neg):
+        alpha = min(alpha, float(np.min(-sc.lam_orth[neg] / orth_dir[neg])))
+    for lam, D in zip(sc.lam, mat_dirs):
+        M = D / np.sqrt(np.outer(lam, lam))
+        emin = float(np.linalg.eigvalsh((M + M.T) / 2)[0])
+        if emin < 0:
+            alpha = min(alpha, 1.0 / (-emin))
+    return alpha
+
+
+def block_centrality(sc, sd_x, sd_z, alpha):
+    out = []
+    for lam, X, Z in zip(sc.lam, sd_x, sd_z):
+        P = (np.diag(lam) + alpha * X) @ (np.diag(lam) + alpha * Z)
+        out.append(float(np.linalg.eigvalsh((P + P.T) / 2)[0]))
+    return out
+
+
+def block_targets(sc, sdx, sdz, smu):
+    d_orth = (smu - sc.lam_orth**2 - sdx[0] * sdz[0]) / sc.lam_orth
+    d_mats = []
+    for lam, X, Z in zip(sc.lam, sdx[1], sdz[1]):
+        corr = (X @ Z + Z @ X) / 2.0
+        N = smu * np.eye(len(lam)) - np.diag(lam**2) - corr
+        d_mats.append(2.0 * N / np.add.outer(lam, lam))
+    return d_orth, d_mats
+
+
+def block_schur(cp, sc, A_cone):
+    """A T A' with the constraint matrices unpacked block by block."""
+    m = cp.m
+    A_orth = A_cone[:, : cp.q].tocsr()
+    S = (A_orth.multiply(sc.w2[None, :])).dot(A_orth.T).toarray() if cp.q \
+        else np.zeros((m, m))
+    for R, (dim, seg) in zip(sc.R, _segments(cp)):
+        rows = A_cone[:, seg].toarray()
+        mats = np.stack([unsvec(r, dim) for r in rows])
+        flat = np.matmul(np.matmul(R.T, mats), R).reshape(m, dim * dim)
+        S += flat @ flat.T
+    return S

@@ -175,6 +175,13 @@ def test_stalled_degenerate_loop_does_not_solve_again(table3, emb_game, monkeypa
         run_adaptive(emb_game, [[], []], cfg)
 
 
+@pytest.mark.parametrize("subsets", [[[], []], [[0.0], []]])
+def test_finite_empty_initial_subset_is_a_solver_error(subsets):
+    fg = FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.eye(2), np.eye(2)))
+    with pytest.raises(SolverError, match="empty strategy grid"):
+        run_adaptive_finite(fg, subsets)
+
+
 def test_finite_restricted_condition_restores_convergence(table3):
     trace = run_adaptive_finite(table3, [[-1.0], [-1.0]], AdaptiveConfig(max_iter=5))
     assert trace.status == "converged"

@@ -1,0 +1,150 @@
+"""The IPM's grouped cone kernels against the per-block oracle, and
+concurrent solves of distinct problems."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyce import ipm
+from polyce.conic import ConicProblem, LinExpr, Status, expr
+
+import oracles
+
+
+def _problem(rng, dims, nonneg, free):
+    """PSD blocks of the given dims plus nonneg and free scalars, random
+    equalities that a random interior point satisfies, and a cost that is
+    positive on the cone: a feasible, bounded problem."""
+    p = ConicProblem()
+    blocks = [p.add_psd_block(d) for d in dims]
+    w = [p.add_nonneg_var() for _ in range(nonneg)]
+    f = [p.add_scalar_var() for _ in range(free)]
+    x0 = []
+    for X in blocks:
+        B = rng.normal(size=(X.dim, X.dim))
+        x0.append(B @ B.T + 0.4 * np.eye(X.dim))
+    w0 = rng.uniform(0.5, 1.5, nonneg)
+    f0 = rng.normal(size=free)
+    for _ in range(int(rng.integers(1, 7))):
+        e, rhs = LinExpr(), 0.0
+        for X, X0 in zip(blocks, x0):
+            for i in range(X.dim):
+                for j in range(i, X.dim):
+                    c = float(rng.normal())
+                    e = e + c * X.entry(i, j)
+                    rhs += c * X0[i, j]
+        for v, v0 in zip(w + f, np.concatenate([w0, f0])):
+            c = float(rng.normal())
+            e = e + c * expr(v)
+            rhs += c * v0
+        p.add_equality(e, rhs)
+    obj = LinExpr()
+    for X in blocks:
+        C = rng.normal(size=(X.dim, X.dim))
+        C = C @ C.T + 0.2 * np.eye(X.dim)
+        for i in range(X.dim):
+            for j in range(i, X.dim):
+                obj = obj + (C[i, j] * (2.0 if i != j else 1.0)) * X.entry(i, j)
+    for v in w:
+        obj = obj + float(rng.uniform(0.1, 1.0)) * expr(v)
+    p.set_objective(obj)
+    return p
+
+
+def _interior(rng, cp):
+    """A cone vector strictly inside the cone."""
+    v = np.empty(cp.cone_dim)
+    v[: cp.q] = rng.uniform(0.1, 2.0, cp.q)
+    for dim, off in zip(cp.block_dims, cp.block_offsets):
+        B = rng.normal(size=(dim, dim))
+        v[cp.q + off : cp.q + off + dim * (dim + 1) // 2] = oracles.svec(B @ B.T + 0.1 * np.eye(dim))
+    return v
+
+
+def _all_equal(mine, theirs):
+    return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
+
+
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True),
+    counts=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    nonneg=st.integers(0, 3),
+    free=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[3], counts=[2, 1, 1, 1, 1], nonneg=0, free=0, seed=1)  # q = 0, f = 0
+@example(sizes=[1, 2, 3, 4, 5], counts=[1, 2, 3, 1, 2], nonneg=2, free=2, seed=2)
+@example(sizes=[1], counts=[3, 1, 1, 1, 1], nonneg=0, free=1, seed=3)  # orthant only
+@settings(max_examples=60, deadline=None)
+def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free, seed):
+    # dim-1 blocks join the orthant, so q = 0 only without them and without
+    # nonneg scalars
+    rng = np.random.default_rng(seed)
+    dims = [d for d, k in zip(sizes, counts) for _ in range(k)]
+    rng.shuffle(dims)
+    cp = ipm.compile_problem(_problem(rng, dims, nonneg, free))
+    cone = ipm._Cone(cp)
+
+    def blocks(stacks):
+        return [stacks[gi][j] for gi, j in cone.order]
+
+    x, z = _interior(rng, cp), _interior(rng, cp)
+    u, v = rng.normal(size=cp.cone_dim), rng.normal(size=cp.cone_dim)
+    sc, ref = ipm._Scaling(cone, x, z), oracles.BlockScaling(cp, x, z)
+    assert np.array_equal(sc.w2, ref.w2) and np.array_equal(sc.lam_orth, ref.lam_orth)
+    for mine, theirs in ((sc.R, ref.R), (sc.Rinv, ref.Rinv), (sc.lam, ref.lam)):
+        assert _all_equal(blocks(mine), theirs)
+    assert _all_equal(blocks(sc.Lam), [np.diag(lam) for lam in ref.lam])
+
+    identity = np.concatenate([np.ones(cp.q)] + [oracles.svec(np.eye(d)) for d in cp.block_dims])
+    assert np.array_equal(cone.identity(), identity)
+    assert np.array_equal(cone.apply_T(sc, u), oracles.block_apply_T(cp, ref, u))
+    sd = {dual: cone.scale_down(sc, u if dual else v, dual) for dual in (False, True)}
+    ref_sd = {dual: oracles.block_scale_down(cp, ref, u if dual else v, dual) for dual in (False, True)}
+    for dual in (False, True):
+        assert np.array_equal(sd[dual][0], ref_sd[dual][0])
+        assert _all_equal(blocks(sd[dual][1]), ref_sd[dual][1])
+        assert cone.max_step(sc, sd[dual]) == oracles.block_max_step(ref, *ref_sd[dual])
+    assert cone.max_step(sc, sd[False], sd[True]) == min(
+        oracles.block_max_step(ref, *ref_sd[False]), oracles.block_max_step(ref, *ref_sd[True]))
+    alpha = float(rng.uniform(0.0, 1.0))
+    assert cone.centrality(sc, sd[False][1], sd[True][1], alpha) == oracles.block_centrality(
+        ref, ref_sd[False][1], ref_sd[True][1], alpha)
+
+    smu = float(rng.uniform(0.01, 2.0))
+    d_orth, d_mats = cone.targets(sc, sd[False], sd[True], smu)
+    ref_orth, ref_mats = oracles.block_targets(ref, ref_sd[False], ref_sd[True], smu)
+    assert np.array_equal(d_orth, ref_orth) and _all_equal(blocks(d_mats), ref_mats)
+    assert np.array_equal(cone.from_scaled_primal(sc, d_orth, d_mats),
+                          oracles.block_from_scaled_primal(cp, ref, ref_orth, ref_mats))
+
+    A_cone = cp.A[:, cp.f :].tocsr()
+    S = ipm._schur(cone, sc, A_cone[:, : cp.q].tocsr(), cone.constraint_stacks(A_cone))
+    assert np.array_equal(S, oracles.block_schur(cp, ref, A_cone))
+
+
+def _fingerprint(sol):
+    arrays = [sol.scalar_values, sol.eq_duals, *sol.block_values]
+    return (sol.status, sol.iterations, sol.objective_value.hex(), sol.dual_objective.hex(),
+            sol.eq_residual.hex(), sol.min_block_eig.hex(),
+            [(a.shape, a.tobytes()) for a in arrays])
+
+
+def test_concurrent_solves_match_sequential_solves():
+    # distinct problems with mixed block sizes, more threads than cores and
+    # frequent thread switches: shared solver state would show as a changed bit
+    mixes = ([2, 3, 2], [4, 1, 3, 3], [5, 2], [3, 3, 3, 2, 4], [2, 2, 1, 5], [3, 4])
+    problems = [_problem(np.random.default_rng(seed), dims, 2, 1) for seed, dims in enumerate(mixes)]
+    sequential = [_fingerprint(p.solve()) for p in problems]
+    assert all(fp[0] is Status.OPTIMAL for fp in sequential)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(lambda p: _fingerprint(p.solve()), problems * 3, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential * 3
