@@ -169,19 +169,28 @@ def _trim_negligible(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:n]
 
 
-def _polish_root(deriv: np.ndarray, t: float) -> float:
-    """At most 12 Newton steps on the derivative, clamped to [-1,1]."""
-    d2 = npoly.polyder(deriv)
-    for _ in range(12):
-        slope = npoly.polyval(t, d2)
-        if slope == 0.0:
-            break
-        step = npoly.polyval(t, deriv) / slope
-        if not math.isfinite(step):
-            break
-        t = min(1.0, max(-1.0, t - step))
-        if abs(step) < 1e-14:
-            break
+def _polish_roots(deriv: np.ndarray, starts) -> np.ndarray:
+    """At most 12 Newton steps on the derivative from every start at once,
+    clamped to [-1,1].  A start stops on its own at a zero slope, a
+    non-finite step, a step below 1e-14 or a step that leaves it in place
+    (every later step would repeat it)."""
+    # one Horner pass for deriv and its derivative (k * c_k as in polyder);
+    # the zero top coefficient of the latter leaves every value's bits alone
+    d2 = np.append(np.arange(1, deriv.size) * deriv[1:], 0.0)
+    both = np.stack([deriv, d2], axis=1)
+    t = np.array(starts, dtype=float)
+    live = np.arange(t.size)
+    with np.errstate(all="ignore"):  # every non-finite step stops its start
+        for _ in range(12):
+            value, slope = npoly.polyval(t[live], both)
+            step = value / slope
+            live, step = live[np.isfinite(step)], step[np.isfinite(step)]
+            moved = np.clip(t[live] - step, -1.0, 1.0)
+            go_on = (np.abs(step) >= 1e-14) & (moved != t[live])
+            t[live] = moved
+            live = live[go_on]
+            if not live.size:
+                break
     return t
 
 
@@ -189,32 +198,33 @@ def maximize_univariate(p, near_tol: float = 1e-6):
     """Global maximum of a univariate polynomial over [-1, 1].
 
     Candidate points are the real roots of the derivative (companion-matrix
-    eigenvalues, via ``numpy.polynomial.polyroots``) plus both endpoints.
+    eigenvalues, via ``numpy.polynomial.polyroots``) and a 17-point net,
+    each polished by its own Newton steps on the derivative, plus both
+    endpoints.
     Returns ``(t_star, value, maximizers)`` where ``t_star`` is the smallest
     maximizer and ``maximizers`` lists every candidate whose value is within
     ``near_tol`` of the maximum, sorted ascending.
 
-    Constant polynomials return ``(-1.0, constant, [-1.0])``.
+    Constant polynomials return ``(-1.0, constant, [-1.0])``.  Raises
+    PolynomialError on a non-finite coefficient.
     """
     if isinstance(p, MultiPoly):
         coeffs = p.univariate_coeffs()
     else:
         coeffs = np.atleast_1d(np.asarray(p, dtype=float))
+    if not np.isfinite(coeffs).all():
+        raise PolynomialError("non-finite coefficient")
     coeffs = _trim_negligible(coeffs)
     if coeffs.size <= 1:
         c = float(coeffs[0]) if coeffs.size else 0.0
         return -1.0, c, [-1.0]
 
-    candidates = [-1.0, 1.0]
-    deriv = npoly.polyder(coeffs)
-    deriv = _trim_negligible(deriv)
-    if deriv.size > 1:
-        roots = npoly.polyroots(deriv)
-        for r in roots:
-            if abs(r.imag) < 1e-7 and -1.0 - 1e-9 <= r.real <= 1.0 + 1e-9:
-                candidates.append(_polish_root(deriv, float(np.clip(r.real, -1, 1))))
-    # coarse safety net against any missed critical point
-    candidates.extend(_polish_root(deriv, t) for t in np.linspace(-1.0, 1.0, 17))
+    deriv = _trim_negligible(npoly.polyder(coeffs))
+    roots = npoly.polyroots(deriv)
+    real = roots.real[(abs(roots.imag) < 1e-7) & (abs(roots.real) <= 1.0 + 1e-9)]
+    # the 17-point net is a coarse safety net against any missed critical point
+    starts = np.concatenate([np.clip(real, -1.0, 1.0), np.linspace(-1.0, 1.0, 17)])
+    candidates = [-1.0, 1.0, *_polish_roots(deriv, starts).tolist()]
 
     merged: list[float] = []
     for t in sorted(candidates):

@@ -7,12 +7,14 @@ written by one function:
   (:func:`matrix_psd_on_interval_constraint`), via the biform identity
   x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S, T SOS.  One polynomial p >= 0
   on [-1,1], p = s + (1-x^2) t with s, t SOS, is its 1x1 case
-  (:func:`interval_nonneg_constraint`).  For a concrete p,
-  :func:`prove_interval_nonneg` solves the lower-bound program max delta
-  s.t. p - delta = s + (1-x^2) t on p scaled to unit largest coefficient,
-  and accepts p when delta* >= -DECISION_SLACK (5e-8, below the PSD
-  tolerance of :func:`verify_certificate`, 1e-7 times the largest
-  coefficient of p when that exceeds 1);
+  (:func:`interval_nonneg_constraint`).  For a concrete p scaled to unit
+  largest coefficient, :func:`prove_interval_nonneg` decides in two steps:
+  it refutes p when root finding shows a point of [-1,1] where p <
+  -DECISION_SLACK, and otherwise solves the lower-bound program max delta
+  s.t. p - delta = s + (1-x^2) t and accepts p when delta* >=
+  -DECISION_SLACK (5e-8, below the PSD tolerance of
+  :func:`verify_certificate`, 1e-7 times the largest coefficient of p when
+  that exceeds 1);
 * truncated moments on [-1,1]^n are feasible
   (:func:`moment_feasibility_constraint`): the moment matrix and one
   localizing matrix per variable for the weight (1 - s_i^2) are PSD.  One
@@ -37,9 +39,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .conic import ConicProblem, LinExpr, PsdBlock, SolverError, Status, expr
-from .polynomials import grlex_monomials, poly_eval
+from .polynomials import PolynomialError, grlex_monomials, maximize_univariate, poly_eval
 
-# prove_interval_nonneg accepts p when min p/max|p_k| on [-1,1] >= -DECISION_SLACK
+# prove_interval_nonneg refutes p when p/max|p_k| < -DECISION_SLACK at a root-found
+# point of [-1,1], and otherwise when the SDP's min of p/max|p_k| is below it
 DECISION_SLACK = 5e-8
 
 
@@ -292,31 +295,41 @@ def _absorb_residual(cert: SosCertificate, target: np.ndarray) -> SosCertificate
 def prove_interval_nonneg(coeffs):
     """Decide whether a concrete polynomial is nonnegative on [-1,1].
 
-    Returns ``(True, certificate)`` or ``(False, None)``.  The check is the
-    lower-bound program  max delta  s.t.  p - delta = s + (1-x^2) t  with s, t
-    SOS and delta a free scalar.  Its optimum delta* is the minimum of p on
+    Returns ``(True, certificate)`` or ``(False, None)``.  The decision is
+    made on p/c, with c the largest coefficient magnitude of p, because the
+    solver's accuracy is relative to the size of the coefficients.  First,
+    :func:`~polyce.polynomials.maximize_univariate` of -p/c finds the least
+    value of p/c over both endpoints and the polished critical points; below
+    -DECISION_SLACK it refutes p without an SDP.  Its rounding, about
+    deg * 2^-52 times sum|p_k|/c, and the trailing coefficients under 1e-12
+    that it trims are far below 5e-8, so that value is negative exactly.
+    Root finding can miss a minimum, so otherwise the lower-bound program
+    max delta  s.t.  p/c - delta = s + (1-x^2) t  with s, t SOS and delta a
+    free scalar decides.  Its optimum delta* is the minimum of p/c on
     [-1,1], and both it and its dual have strictly feasible points, so it
     stays well posed when p touches zero on the interval (an exact match
     p = s + (1-x^2) t has no interior there).
 
-    The program is solved for p/c, with c the largest coefficient magnitude
-    of p, because the solver's accuracy on delta* is relative to the size of
-    the coefficients.  p counts as nonnegative when delta* of p/c is
-    >= -DECISION_SLACK (5e-8, ten times the error of delta* at the solver
-    tolerance 1e-9 on polynomials with a root on [-1,1]); otherwise the result is
-    ``(False, None)``.  The certificate is c times the one for p/c, with
-    c*delta* and the rest of the coefficient residual absorbed into the
-    s-Gram, so reconstruction is exact to rounding.  Absorbing a delta* in
-    [-DECISION_SLACK, 0) moves an eigenvalue of the s-Gram by at most
-    c*|delta*|, which is within the PSD tolerance of :func:`verify_certificate`
-    (1e-7 times max(1, c)) for every c.  Raises SolverError
+    p counts as nonnegative when delta* >= -DECISION_SLACK (5e-8, ten times
+    the error of delta* at the solver tolerance 1e-9 on polynomials with a
+    root on [-1,1]); otherwise the result is ``(False, None)``.  The
+    certificate is c times the one for p/c, with c*delta* and the rest of
+    the coefficient residual absorbed into the s-Gram, so reconstruction is
+    exact to rounding.  Absorbing a delta* in [-DECISION_SLACK, 0) moves an
+    eigenvalue of the s-Gram by at most c*|delta*|, which is within the PSD
+    tolerance of :func:`verify_certificate` (1e-7 times max(1, c)) for every
+    c.  Raises PolynomialError on a non-finite coefficient and SolverError
     when the solver does not reach an optimum.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+    if not np.isfinite(coeffs).all():
+        raise PolynomialError("non-finite coefficient")
     if coeffs.size == 0:
         coeffs = np.zeros(1)
     degree = coeffs.size - 1
     scale = float(np.abs(coeffs).max()) or 1.0
+    if maximize_univariate(-coeffs / scale)[1] > DECISION_SLACK:
+        return False, None  # a point where p/c < -DECISION_SLACK
     problem = ConicProblem()
     delta = problem.add_scalar_var()
     shifted = list(coeffs / scale)

@@ -14,6 +14,24 @@ def dense_max_on_interval(coeffs, points=200001):
     return float(ts[k]), float(vals[k])
 
 
+def polish_root(deriv, t):
+    """One start's Newton polish on the derivative, clamped to [-1,1]: at
+    most 12 scalar steps, stopping at a zero slope, a non-finite step or a
+    step below 1e-14."""
+    d2 = np.polynomial.polynomial.polyder(deriv)
+    for _ in range(12):
+        slope = np.polynomial.polynomial.polyval(t, d2)
+        if slope == 0.0:
+            break
+        step = np.polynomial.polynomial.polyval(t, deriv) / slope
+        if not math.isfinite(step):
+            break
+        t = min(1.0, max(-1.0, t - step))
+        if abs(step) < 1e-14:
+            break
+    return t
+
+
 def departure_gain(fg, dist, player, zeta):
     """Total expected gain for one player from the departure map ``zeta``
     (index -> index), enumerated cell by cell."""

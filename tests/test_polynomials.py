@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyce.games import conditional_coeffs
 from polyce.polynomials import (
     MultiPoly,
     PolynomialError,
+    _polish_roots,
     maximize_univariate,
     merge_points,
     poly_eval,
 )
 
-from oracles import dense_max_on_interval
+from oracles import dense_max_on_interval, polish_root
 
 
 def test_term_map_normalization():
@@ -73,6 +74,31 @@ def test_maximize_vertex_outside_interval():
     # vertex of 6t - 2t^2 sits at t=1.5; the boundary wins
     t_star, value, _ = maximize_univariate([0.0, 6.0, -2.0])
     assert (t_star, value) == (1.0, 4.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maximize_rejects_non_finite_coefficients(bad):
+    for coeffs in ([bad, 1.0, 3.0], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(PolynomialError, match="non-finite"):
+            maximize_univariate(coeffs)
+
+
+@given(
+    st.lists(st.floats(-1, 1), min_size=2, max_size=9),
+    st.floats(-3, 3),
+    st.lists(st.floats(-1, 1), max_size=20),
+)
+@example([0.25, -1.0, 1.0], 0.0, [0.5, 0.0])  # double root at 0.5: zero slope there
+@example([1e300, 1e-300], 0.0, [0.0])  # the first step overflows
+@settings(max_examples=200, deadline=None)
+def test_polish_sweep_matches_scalar_oracle(deriv, log_scale, starts):
+    # degrees 1-8, coefficient scales 1e-3 to 1e3, explicit starts at -1 and 1
+    deriv = np.array(deriv) * 10.0**log_scale
+    starts = [-1.0, 1.0, *starts]
+    with np.errstate(all="ignore"):
+        expected = np.array([polish_root(deriv, t) for t in starts])
+    got = _polish_roots(deriv, starts)
+    assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
 
 
 def test_maximize_constant_and_empty():

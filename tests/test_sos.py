@@ -3,8 +3,10 @@ import pytest
 
 from polyce.conic import ConicProblem, Status, expr
 from polyce.moments import moment_validity_margin
-from polyce.polynomials import grlex_monomials, poly_eval
+from polyce import sos
+from polyce.polynomials import PolynomialError, grlex_monomials, maximize_univariate, poly_eval
 from polyce.sos import (
+    DECISION_SLACK,
     MomentVector,
     SosCertificate,
     certificate_from_solution,
@@ -99,6 +101,53 @@ def test_verify_tolerances_grow_with_the_target():
 def test_interval_negative_poly_refuted():
     ok, cert = prove_interval_nonneg([-2.0, 1.0])  # x - 2
     assert not ok and cert is None
+
+
+def _no_solve(self, *args, **kwargs):
+    raise AssertionError("SDP solved")
+
+
+def test_negative_poly_refuted_by_witness_without_a_solve(monkeypatch):
+    monkeypatch.setattr(ConicProblem, "solve", _no_solve)
+    for coeffs in ([-2.0, 1.0], [1.0, 0.0, -1.1], [5e3, -3e4, 1e4], [0.0, 0.0, 0.0, -1e-6]):
+        assert prove_interval_nonneg(coeffs) == (False, None)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2e-8, 0.0, 1.0],  # x^2 - 2e-8, interior minimum
+    [-2e-5, 0.0, 1e3],  # the same times 1e3
+    [1.0, 0.0, -1.0 - 4e-8],  # 1 - (1 + 4e-8) x^2, minimum at both endpoints
+])
+def test_near_zero_minimum_reaches_the_sdp(monkeypatch, coeffs):
+    scale = max(abs(c) for c in coeffs)
+    least = -maximize_univariate(-np.array(coeffs) / scale)[1]
+    assert -DECISION_SLACK < least < 0.0
+    calls = []
+    solve = ConicProblem.solve
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConicProblem, "solve", spy)
+    ok, cert = prove_interval_nonneg(coeffs)
+    assert len(calls) == 1
+    assert ok and verify_certificate(cert, coeffs)[0]  # the SDP accepts within the slack
+
+
+def test_sdp_refutes_what_root_finding_misses(monkeypatch):
+    # root finding is only a sufficient test; the SDP keeps its own refutation
+    monkeypatch.setattr(sos, "maximize_univariate", lambda p: (-1.0, 0.0, [-1.0]))
+    for coeffs in ([-2.0, 1.0], [1.0, 0.0, -1.1]):
+        assert prove_interval_nonneg(coeffs) == (False, None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prove_rejects_non_finite_coefficients_before_solving(monkeypatch, bad):
+    monkeypatch.setattr(ConicProblem, "solve", _no_solve)
+    for coeffs in ([1.0, bad], [bad, 0.0, 1.0]):
+        with pytest.raises(PolynomialError, match="non-finite"):
+            prove_interval_nonneg(coeffs)
 
 
 def test_matrix_interval_psd_feasible():
