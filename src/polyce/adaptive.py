@@ -16,11 +16,13 @@ degenerate alpha = beta = 1 mode (restricted constraints dropped, explicit
 flag) exists to reproduce the known stalling behavior and is documented as
 non-convergent.
 
-One loop serves both game types; each supplies three oracles:
+One loop serves both game types; each supplies two oracles, the iteration
+solve and an exact :class:`EpsilonReport` whose near-maximizers are the
+candidate strategies:
 
 * polynomial games: t ranges over [-1,1], so the full deviations are interval
-  SOS constraints and the iteration is an SDP; the exact epsilon comes from
-  ``min_epsilon`` and the maximizers from derivative root finding, which
+  SOS constraints and the iteration is an SDP; the exact epsilon and the
+  maximizers come from ``min_epsilon`` by derivative root finding, which
   finds the same tight points as SDP dual decoding and is testable alone;
 * finite games: t ranges over the full strategy set, so the iteration is an
   LP, built as one sparse matrix and solved by HiGHS; the exact epsilon and
@@ -46,12 +48,11 @@ from .games import (
     PolynomialGame,
     SupportedDistribution,
     conditional_coeffs,
-    deviation_gain_poly,
     gains,
     player_view,
     sample_game,
 )
-from .polynomials import maximize_univariate, merge_points
+from .polynomials import NEAR_TOL, maximize_univariate, merge_points
 from .sos import interval_nonneg_constraint
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 _BIND_TOL = 1e-6
-_NEAR_OPT_TOL = 1e-6
+_MERGE_TOL = 1e-6  # a strategy this close to a grid point counts as on the grid
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class AdaptiveConfig:
     beta: float = 1.0
     eps_stop: float = 1e-6
     max_iter: int = 50
-    merge_tol: float = 1e-6
     degenerate: bool = False
     solver_tol: float = 1e-8
 
@@ -151,7 +151,7 @@ class IterationTrace:
 
 def _gain_row(var_idx, coeffs) -> LinExpr:
     """sum_o coeffs[o] * pi[var_idx[o]] over one recommendation's cells."""
-    return LinExpr({("s", int(k)): float(c) for k, c in zip(var_idx, coeffs) if c != 0.0})
+    return LinExpr({int(k): float(c) for k, c in zip(var_idx, coeffs) if c != 0.0})
 
 
 def build_iteration_sdp(
@@ -171,7 +171,7 @@ def build_iteration_sdp(
     fg = sample_game(game, grids)
     problem = ConicProblem()
     pi = {cell: problem.add_nonneg_var() for cell in np.ndindex(fg.shape)}
-    problem.add_equality(LinExpr({("s", v.index): 1.0 for v in pi.values()}), 1.0)
+    problem.add_equality(LinExpr({v.index: 1.0 for v in pi.values()}), 1.0)
     var_idx = np.array([v.index for v in pi.values()]).reshape(fg.shape)
     eps = problem.add_scalar_var()
 
@@ -217,12 +217,11 @@ def _solve_iteration(game, grids, config: AdaptiveConfig):
     return float(sol.value(handles["eps"])), dist
 
 
-def _adaptive_loop(grids, solve, report, candidates, config: AdaptiveConfig) -> IterationTrace:
+def _adaptive_loop(grids, solve, report, config: AdaptiveConfig) -> IterationTrace:
     """The alpha/beta loop from the given grids.  ``solve(grids)`` returns the
-    iteration optimum and its distribution, ``report(dist)`` the exact
-    :class:`EpsilonReport`, and ``candidates(dist, i, s)`` the strategies that
-    come within ``_NEAR_OPT_TOL`` of player i's best deviation from
-    recommendation s."""
+    iteration optimum and its distribution, and ``report(dist)`` the exact
+    :class:`EpsilonReport`, whose near-maximizers are the strategies that
+    may join the grids."""
     trace = IterationTrace()
     pending = tuple(tuple(float(p) for p in g) for g in grids)
     stalled = False
@@ -257,9 +256,9 @@ def _adaptive_loop(grids, solve, report, candidates, config: AdaptiveConfig) -> 
                 # player at most this share, its total would be at most eps_stop
                 if gain <= config.eps_stop / len(recs):
                     continue
-                for t in candidates(dist, i, s_i):
-                    if np.min(np.abs(grid - t), initial=np.inf) > config.merge_tol and all(
-                        abs(t - u) > config.merge_tol for u in additions[i]
+                for t in exact.near_maximizers[(i, s_i)]:
+                    if np.min(np.abs(grid - t), initial=np.inf) > _MERGE_TOL and all(
+                        abs(t - u) > _MERGE_TOL for u in additions[i]
                     ):
                         additions[i].append(float(t))
 
@@ -271,7 +270,7 @@ def _adaptive_loop(grids, solve, report, candidates, config: AdaptiveConfig) -> 
             continue
         pending = tuple(tuple(a) for a in additions)
         grids = tuple(
-            merge_points(list(g) + extra, config.merge_tol) if extra else g
+            merge_points(list(g) + extra, _MERGE_TOL) if extra else g
             for g, extra in zip(grids, additions)
         )
 
@@ -288,12 +287,9 @@ def run_adaptive(game: PolynomialGame, initial_grids, config: AdaptiveConfig | N
     """
     config = config or AdaptiveConfig()
     return _adaptive_loop(
-        tuple(merge_points(g, config.merge_tol) for g in initial_grids),
+        tuple(merge_points(g, _MERGE_TOL) for g in initial_grids),
         lambda grids: _solve_iteration(game, grids, config),
         lambda dist: min_epsilon(game, dist),
-        lambda dist, i, s_i: maximize_univariate(
-            deviation_gain_poly(game, i, dist, s_i), _NEAR_OPT_TOL
-        )[2],
         config,
     )
 
@@ -320,7 +316,7 @@ def _full_set_gains(fg: FiniteGame, dist: SupportedDistribution, i: int) -> np.n
 
 
 def _finite_report(fg: FiniteGame, dist: SupportedDistribution) -> EpsilonReport:
-    per = {}
+    per, near = {}, {}
     totals = np.zeros(fg.num_players)
     for i in range(fg.num_players):
         rows = _full_set_gains(fg, dist, i)
@@ -330,13 +326,9 @@ def _finite_report(fg: FiniteGame, dist: SupportedDistribution) -> EpsilonReport
             t = int(np.argmax(row))
             gain = max(float(row[t]), 0.0)
             per[(i, float(s_i))] = (gain, float(fg.grids[i][t]))
+            near[(i, float(s_i))] = tuple(fg.grids[i][row >= row.max() - NEAR_TOL].tolist())
             totals[i] += gain
-    return EpsilonReport(float(totals.max(initial=0.0)), per)
-
-
-def _near_argmax(fg: FiniteGame, dist: SupportedDistribution, i: int, s_i: float) -> np.ndarray:
-    row = _full_set_gains(fg, dist, i)[np.searchsorted(dist.grids[i], s_i)]
-    return fg.grids[i][row >= row.max() - _NEAR_OPT_TOL]
+    return EpsilonReport(float(totals.max(initial=0.0)), per, near)
 
 
 def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
@@ -372,7 +364,7 @@ def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig 
     """Adaptive loop on a finite game: the per-iteration problem is an LP
     solved by HiGHS, and deviations and candidates range over the full
     finite strategy set.  Each initial point selects its nearest strategy;
-    as on [-1,1], strategies within ``merge_tol`` of the grid count as on it."""
+    as on [-1,1], strategies within ``_MERGE_TOL`` of the grid count as on it."""
     config = config or AdaptiveConfig()
     grids = tuple(
         g[sorted({int(np.argmin(np.abs(g - float(p)))) for p in pts})]
@@ -382,6 +374,5 @@ def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig 
         grids,
         lambda grids: _solve_finite_iteration(fg, grids, config),
         lambda dist: _finite_report(fg, dist),
-        lambda dist, i, s_i: _near_argmax(fg, dist, i, s_i),
         config,
     )

@@ -6,6 +6,12 @@ objective (always minimized).  ``add_leq`` writes an inequality as an
 equality with a fresh nonnegative slack; 1x1 PSD blocks are routed to the
 nonnegative orthant internally.
 
+Every variable has one position in one variable vector, fixed when it is
+declared: a scalar at ``ScalarVar.index``, a dim x dim PSD block at the
+dim(dim+1)/2 positions from ``PsdBlock.start``, in the solver's svec order
+(upper triangle row by row, defined once by :func:`_triangle`).  ``LinExpr``
+keys and ``ConicSolution.values`` use this numbering.
+
 ``solve`` hands the built problem to the interior-point method in
 :mod:`polyce.ipm` and returns a :class:`ConicSolution` with primal values,
 equality multipliers, and a status in {Optimal, Infeasible, Unbounded,
@@ -15,7 +21,8 @@ NumericalFailure}.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,23 +38,36 @@ class Status(enum.Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
+@lru_cache(maxsize=None)
+def _triangle(dim: int):
+    """Index tables of the svec layout (upper triangle row by row, off-diagonal
+    entries times sqrt 2): the svec position and scale of every (i, j), and
+    the flat position and scale of every svec entry.  Shared, so read-only."""
+    rows, cols = np.triu_indices(dim)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    pos = np.empty((dim, dim), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    tables = (pos, scale[pos], rows * dim + cols, scale)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 @dataclass(frozen=True)
 class ScalarVar:
-    index: int
+    index: int  # position in the variable vector
     nonneg: bool = False
 
 
 @dataclass(frozen=True)
 class PsdBlock:
-    index: int
+    start: int  # position of entry (0, 0) in the variable vector
     dim: int
 
     def entry(self, i: int, j: int) -> "LinExpr":
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise SolverError(f"entry ({i},{j}) outside {self.dim}x{self.dim} block")
-        if i > j:
-            i, j = j, i
-        return LinExpr({("p", self.index, i, j): 1.0})
+        return LinExpr({self.start + int(_triangle(self.dim)[0][i, j]): 1.0})
 
 
 @dataclass(frozen=True)
@@ -69,7 +89,7 @@ class LinExpr:
         if isinstance(x, LinExpr):
             return x
         if isinstance(x, ScalarVar):
-            return LinExpr({("s", x.index): 1.0})
+            return LinExpr({x.index: 1.0})
         if isinstance(x, (int, float, np.floating, np.integer)):
             return LinExpr(const=float(x))
         raise SolverError(f"cannot interpret {x!r} as a linear expression")
@@ -118,19 +138,27 @@ class ConicProblem:
     of the built data, so distinct problems solve concurrently."""
 
     def __init__(self):
-        self.num_scalars = 0
-        self.scalar_nonneg: list[bool] = []
+        self.num_vars = 0  # length of the variable vector
+        self.scalars: list[ScalarVar] = []
         self.blocks: list[PsdBlock] = []
         self.equalities: list[tuple[dict, float]] = []  # (coeffs, rhs)
         self.objective: LinExpr = LinExpr()
         self.trivially_infeasible = False
 
+    @property
+    def num_scalars(self) -> int:
+        return len(self.scalars)
+
+    @property
+    def scalar_nonneg(self) -> list[bool]:
+        return [v.nonneg for v in self.scalars]
+
     # -- builder ops -------------------------------------------------------
 
     def add_scalar_var(self, nonneg: bool = False) -> ScalarVar:
-        v = ScalarVar(self.num_scalars, nonneg)
-        self.num_scalars += 1
-        self.scalar_nonneg.append(nonneg)
+        v = ScalarVar(self.num_vars, nonneg)
+        self.num_vars += 1
+        self.scalars.append(v)
         return v
 
     def add_nonneg_var(self) -> ScalarVar:
@@ -139,23 +167,15 @@ class ConicProblem:
     def add_psd_block(self, dim: int) -> PsdBlock:
         if dim < 1:
             raise SolverError("PSD block dimension must be >= 1")
-        blk = PsdBlock(len(self.blocks), int(dim))
+        blk = PsdBlock(self.num_vars, int(dim))
+        self.num_vars += blk.dim * (blk.dim + 1) // 2
         self.blocks.append(blk)
         return blk
 
     def _check_expr(self, e: LinExpr) -> None:
         for key in e.coeffs:
-            if key[0] == "s":
-                if not 0 <= key[1] < self.num_scalars:
-                    raise SolverError(f"undeclared scalar variable {key[1]}")
-            elif key[0] == "p":
-                _, b, i, j = key
-                if not 0 <= b < len(self.blocks):
-                    raise SolverError(f"undeclared PSD block {b}")
-                if not (0 <= i <= j < self.blocks[b].dim):
-                    raise SolverError(f"bad entry ({i},{j}) for block {b}")
-            else:
-                raise SolverError(f"unknown variable key {key}")
+            if not (isinstance(key, int) and 0 <= key < self.num_vars):
+                raise SolverError(f"undeclared variable {key!r}")
 
     def add_equality(self, e, rhs: float = 0.0) -> EqConstraint:
         e = LinExpr.of(e)
@@ -198,35 +218,33 @@ class ConicSolution:
     status: Status
     objective_value: float = float("nan")
     dual_objective: float = float("nan")
-    scalar_values: np.ndarray | None = None
-    block_values: list[np.ndarray] = field(default_factory=list)
+    values: np.ndarray | None = None  # the variable vector
     eq_duals: np.ndarray | None = None
     iterations: int = 0
     eq_residual: float = float("nan")
     min_block_eig: float = float("nan")
 
-    def value(self, handle):
+    def _require_optimal(self, what: str) -> None:
         if self.status is not Status.OPTIMAL:
-            raise SolverError(f"no primal values: status is {self.status.value}")
+            raise SolverError(f"no {what}: status is {self.status.value}")
+
+    def value(self, handle):
+        self._require_optimal("primal values")
         if isinstance(handle, ScalarVar):
-            return float(self.scalar_values[handle.index])
+            return float(self.values[handle.index])
         if isinstance(handle, PsdBlock):
-            return self.block_values[handle.index]
+            return self.values[handle.start + _triangle(handle.dim)[0]]
         raise SolverError(f"cannot look up {handle!r}")
 
     def evaluate(self, e: LinExpr) -> float:
+        self._require_optimal("primal values")
         total = e.const
         for key, coef in e.coeffs.items():
-            if key[0] == "s":
-                total += coef * float(self.scalar_values[key[1]])
-            else:
-                _, b, i, j = key
-                total += coef * float(self.block_values[b][i, j])
+            total += coef * float(self.values[key])
         return total
 
     def dual(self, eq: EqConstraint) -> float:
-        if self.status is not Status.OPTIMAL:
-            raise SolverError(f"no duals: status is {self.status.value}")
+        self._require_optimal("duals")
         if eq.index < 0:
             return 0.0
         return float(self.eq_duals[eq.index])

@@ -42,10 +42,14 @@ class EpsilonReport:
     ``per_recommendation[(player, s_i)] = (eps, t_star)`` where eps is the
     maximum of the deviation-gain polynomial over [-1,1] and t_star its
     smallest maximizer; ``epsilon`` is the largest per-player total.
+    ``near_maximizers`` has the same keys and lists, ascending, every
+    deviation within ``polynomials.NEAR_TOL`` of that maximum; ``to_json``
+    leaves it out.
     """
 
     epsilon: float
     per_recommendation: dict[tuple[int, float], tuple[float, float]]
+    near_maximizers: dict[tuple[int, float], tuple[float, ...]]
 
     def to_json(self) -> str:
         rows = [
@@ -58,18 +62,19 @@ class EpsilonReport:
 def min_epsilon(game: PolynomialGame, dist: SupportedDistribution) -> EpsilonReport:
     """Exact minimal epsilon for which ``dist`` is an approximate correlated
     equilibrium of ``game`` (deviations range over all of [-1,1])."""
-    per: dict[tuple[int, float], tuple[float, float]] = {}
+    per, near = {}, {}
     totals = np.zeros(game.num_players)
     for i in range(game.num_players):
         rows = zip(dist.grids[i], dist.marginal(i), gain_coeffs(game, i, dist))
         for s_i, mass, g in rows:
             if mass <= MASS_TOL:
                 continue
-            t_star, value, _ = maximize_univariate(g)
+            t_star, value, maximizers = maximize_univariate(g)
             value = max(value, 0.0)
             per[(i, float(s_i))] = (value, t_star)
+            near[(i, float(s_i))] = tuple(maximizers)
             totals[i] += value
-    return EpsilonReport(float(totals.max(initial=0.0)), per)
+    return EpsilonReport(float(totals.max(initial=0.0)), per, near)
 
 
 def max_ce_violation(fg: FiniteGame, dist: SupportedDistribution) -> float:

@@ -7,6 +7,13 @@ and a Mehrotra predictor-corrector, which yields clean infeasibility and
 unboundedness certificates alongside optimal solutions.  The centering
 parameter is sigma = mu_aff / mu clipped to [0, 1] on every solve.
 
+``compile_problem`` maps the builder's variable vector to solver columns
+through two arrays made once: ``col`` (variable -> column) and ``scale``
+(sqrt 2 on off-diagonal PSD entries, else 1).  Free scalars come first, then
+the orthant (nonnegative scalars, then 1x1 blocks), then one svec segment per
+larger block.  A coefficient on variable v goes to column ``col[v]`` divided
+by ``scale[v]``, and the solution is read back as ``x[col] / scale``.
+
 The cone layer holds the PSD blocks of each dimension d as one (k, d, d)
 stack, reached through one gather (svec -> d x d) and one scatter
 (d x d -> svec) index per stack, so each cone kernel runs once per block
@@ -24,15 +31,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .conic import ConicProblem, ConicSolution, Status
+from .conic import ConicProblem, ConicSolution, Status, _triangle
 
-_SQRT2 = np.sqrt(2.0)
 _REG = 1e-10  # static regularization of the KKT system
 _STEP_FRAC = 0.98
 _NEIGHBORHOOD = 1e-3  # wide-neighborhood centrality floor, min(x.z)/mu
@@ -53,74 +58,42 @@ class Compiled:
     A: sp.csr_matrix            # m x (f + cone_dim)
     b: np.ndarray
     c: np.ndarray
-    scal_col: list[int]         # builder scalar -> column
-    blk_col: list[tuple]        # builder block -> ("orth", col) | ("psd", k)
+    col: np.ndarray             # builder variable -> column
+    scale: np.ndarray           # builder variable -> svec scale (1 or sqrt 2)
     row_scale: np.ndarray
     obj_scale: float
     obj_const: float
 
 
 def compile_problem(p: ConicProblem) -> Compiled:
-    f = sum(0 if nn else 1 for nn in p.scalar_nonneg)
-    q = sum(1 for nn in p.scalar_nonneg if nn)
-    scal_col: list[int] = []
-    next_free, next_orth = 0, f
-    for nn in p.scalar_nonneg:
-        if nn:
-            scal_col.append(next_orth)
-            next_orth += 1
-        else:
-            scal_col.append(next_free)
-            next_free += 1
-
-    blk_col: list[tuple] = []
-    block_dims, block_offsets = [], []
-    sv_off = 0
-    for blk in p.blocks:
-        if blk.dim == 1:
-            blk_col.append(("orth", next_orth))
-            next_orth += 1
-            q += 1
-        else:
-            blk_col.append(("psd", len(block_dims)))
-            block_dims.append(blk.dim)
-            block_offsets.append(sv_off)
-            sv_off += blk.dim * (blk.dim + 1) // 2
-    cone_dim = q + sv_off
-    n = f + cone_dim
-
-    def column_of(key):
-        if key[0] == "s":
-            return scal_col[key[1]], 1.0
-        _, bidx, i, j = key
-        kind = blk_col[bidx]
-        if kind[0] == "orth":
-            return kind[1], 1.0
-        k = kind[1]
-        dim = block_dims[k]
-        base = f + q + block_offsets[k]
-        # svec position of (i, j) within an upper-triangular row-major layout
-        pos = i * dim - i * (i - 1) // 2 + (j - i)
-        return base + pos, (1.0 if i == j else 1.0 / _SQRT2)
+    # groups 0-3: free scalars, nonnegative scalars, 1x1 blocks, larger blocks
+    group = np.full(p.num_vars, 3)
+    group[[v.index for v in p.scalars]] = [int(v.nonneg) for v in p.scalars]
+    group[[blk.start for blk in p.blocks if blk.dim == 1]] = 2
+    col = np.empty(p.num_vars, dtype=np.intp)
+    col[np.argsort(group, kind="stable")] = np.arange(p.num_vars)
+    f = int(np.count_nonzero(group == 0))
+    q = int(np.count_nonzero(group < 3)) - f
+    psd = [blk for blk in p.blocks if blk.dim > 1]
+    scale = np.ones(p.num_vars)
+    for blk in psd:
+        svec_scale = _triangle(blk.dim)[3]
+        scale[blk.start : blk.start + svec_scale.size] = svec_scale
+    inv_scale = 1.0 / scale
 
     m = len(p.equalities)
-    rows, cols, vals = [], [], []
+    keys = np.fromiter((k for coeffs, _ in p.equalities for k in coeffs), dtype=np.intp)
+    vals = np.fromiter((v for coeffs, _ in p.equalities for v in coeffs.values()), dtype=float)
+    rows = np.repeat(np.arange(m), [len(coeffs) for coeffs, _ in p.equalities])
     b = np.zeros(max(m, 1))
-    for k, (coeffs, rhs) in enumerate(p.equalities):
-        b[k] = rhs
-        for key, coef in coeffs.items():
-            col, scale = column_of(key)
-            rows.append(k)
-            cols.append(col)
-            vals.append(coef * scale)
+    b[:m] = [rhs for _, rhs in p.equalities]
     if m == 0:
         m = 1  # dummy all-zero row keeps the HSD machinery uniform
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    A = sp.csr_matrix((vals * inv_scale[keys], (rows, col[keys])), shape=(m, p.num_vars))
 
-    c = np.zeros(n)
-    for key, coef in p.objective.coeffs.items():
-        col, scale = column_of(key)
-        c[col] += coef * scale
+    c = np.zeros(p.num_vars)
+    keys = np.fromiter(p.objective.coeffs, dtype=np.intp)
+    c[col[keys]] += np.fromiter(p.objective.coeffs.values(), dtype=float) * inv_scale[keys]
 
     row_scale = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), np.abs(b))
     row_scale = np.maximum(row_scale, 1e-8)
@@ -130,30 +103,15 @@ def compile_problem(p: ConicProblem) -> Compiled:
     c = c / obj_scale
 
     return Compiled(
-        m=m, f=f, q=q, block_dims=block_dims, block_offsets=block_offsets,
-        cone_dim=cone_dim, A=A.tocsr(), b=b, c=c, scal_col=scal_col,
-        blk_col=blk_col, row_scale=row_scale, obj_scale=obj_scale,
-        obj_const=p.objective.const,
+        m=m, f=f, q=q, block_dims=[blk.dim for blk in psd],
+        block_offsets=[int(col[blk.start]) - f - q for blk in psd],
+        cone_dim=p.num_vars - f, A=A.tocsr(), b=b, c=c, col=col, scale=scale,
+        row_scale=row_scale, obj_scale=obj_scale, obj_const=p.objective.const,
     )
 
 
 # ---------------------------------------------------------------------------
 # cone operations on (k, d, d) stacks, one per PSD block size
-
-
-@lru_cache(maxsize=None)
-def _triangle(dim: int):
-    """Index tables of the svec layout (upper triangle row by row, off-diagonal
-    entries times sqrt 2): the svec position and scale of every (i, j), and
-    the flat position and scale of every svec entry.  Shared, so read-only."""
-    rows, cols = np.triu_indices(dim)
-    scale = np.where(rows == cols, 1.0, _SQRT2)
-    pos = np.empty((dim, dim), dtype=np.intp)
-    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    tables = (pos, scale[pos], rows * dim + cols, scale)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
 
 
 class _Group:
@@ -488,18 +446,10 @@ def _extract(problem, cone: _Cone, status, xf, xc, y, tau, iters, tol) -> ConicS
     x_h = np.concatenate([xf_h, xc_h])
     y_h = cp.obj_scale * (y / tau / cp.row_scale)
 
-    scal_vals = x_h[cp.scal_col]
-    stacks = [g.unpack(xc_h) for g in cone.groups]
-    eigs = [np.linalg.eigvalsh(s)[:, 0] for s in stacks]
-    block_vals, min_eig = [], 0.0
-    for kind in cp.blk_col:
-        if kind[0] == "orth":
-            block_vals.append(np.array([[xc_h[kind[1] - cp.f]]]))
-            min_eig = min(min_eig, float(block_vals[-1][0, 0]))
-        else:
-            gi, j = cone.order[kind[1]]
-            block_vals.append(stacks[gi][j])
-            min_eig = min(min_eig, float(eigs[gi][j]))
+    values = x_h[cp.col] / cp.scale
+    ones = [blk.start for blk in problem.blocks if blk.dim == 1]
+    eigs = [np.linalg.eigvalsh(g.unpack(xc_h))[:, 0].tolist() for g in cone.groups]
+    min_eig = min([0.0, *values[ones].tolist(), *(e for es in eigs for e in es)])
 
     pobj = cp.obj_scale * float(cp.c[: cp.f] @ xf_h + cp.c[cp.f :] @ xc_h) + cp.obj_const
     dobj = cp.obj_scale * float(cp.b @ (y / tau)) + cp.obj_const
@@ -508,8 +458,7 @@ def _extract(problem, cone: _Cone, status, xf, xc, y, tau, iters, tol) -> ConicS
         status=Status.OPTIMAL,
         objective_value=pobj,
         dual_objective=dobj,
-        scalar_values=scal_vals,
-        block_values=block_vals,
+        values=values,
         eq_duals=y_h[: len(problem.equalities)],
         iterations=iters,
         eq_residual=resid,

@@ -15,6 +15,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+NEAR_TOL = 1e-6  # a candidate this close to the maximum counts as a maximizer
+
 
 class PolynomialError(ValueError):
     pass
@@ -194,7 +196,7 @@ def _polish_roots(deriv: np.ndarray, starts) -> np.ndarray:
     return t
 
 
-def maximize_univariate(p, near_tol: float = 1e-6):
+def maximize_univariate(p):
     """Global maximum of a univariate polynomial over [-1, 1].
 
     Candidate points are the real roots of the derivative (companion-matrix
@@ -203,7 +205,7 @@ def maximize_univariate(p, near_tol: float = 1e-6):
     endpoints.
     Returns ``(t_star, value, maximizers)`` where ``t_star`` is the smallest
     maximizer and ``maximizers`` lists every candidate whose value is within
-    ``near_tol`` of the maximum, sorted ascending.
+    ``NEAR_TOL`` of the maximum, sorted ascending.
 
     Constant polynomials return ``(-1.0, constant, [-1.0])``.  Raises
     PolynomialError on a non-finite coefficient.
@@ -232,7 +234,7 @@ def maximize_univariate(p, near_tol: float = 1e-6):
             merged.append(t)
     values = poly_eval(coeffs, np.array(merged))
     best = float(values.max())
-    maximizers = [t for t, v in zip(merged, values) if v >= best - near_tol]
+    maximizers = [t for t, v in zip(merged, values) if v >= best - NEAR_TOL]
     return maximizers[0], best, maximizers
 
 

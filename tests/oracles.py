@@ -338,3 +338,44 @@ def block_schur(cp, sc, A_cone):
         flat = np.matmul(np.matmul(R.T, mats), R).reshape(m, dim * dim)
         S += flat @ flat.T
     return S
+
+
+# ---------------------------------------------------------------------------
+# compilation of a built conic problem, one variable at a time
+
+
+def compiled_arrays(p):
+    """Row-scaled A and b, c over its largest magnitude, and both scales of
+    a ConicProblem, mapping each variable to its solver column by a loop:
+    free scalars, nonnegative scalars, 1x1 blocks, then the upper triangle of
+    each larger block row by row, off-diagonal entries over sqrt 2."""
+    def position(e):
+        (key,) = e.coeffs
+        return key
+
+    column = {}
+    for v in [v for v in p.scalars if not v.nonneg] + [v for v in p.scalars if v.nonneg]:
+        column[v.index] = (len(column), 1.0)
+    for blk in p.blocks:
+        if blk.dim == 1:
+            column[position(blk.entry(0, 0))] = (len(column), 1.0)
+    for blk in p.blocks:
+        if blk.dim > 1:
+            for i in range(blk.dim):
+                for j in range(i, blk.dim):
+                    scale = 1.0 if i == j else 1.0 / math.sqrt(2.0)
+                    column[position(blk.entry(i, j))] = (len(column), scale)
+
+    m = max(len(p.equalities), 1)
+    A, b, c = np.zeros((m, len(column))), np.zeros(m), np.zeros(len(column))
+    for r, (coeffs, rhs) in enumerate(p.equalities):
+        b[r] = rhs
+        for key, coef in coeffs.items():
+            k, scale = column[key]
+            A[r, k] += coef * scale
+    for key, coef in p.objective.coeffs.items():
+        k, scale = column[key]
+        c[k] += coef * scale
+    row_scale = np.maximum(np.maximum(np.abs(A).max(axis=1), np.abs(b)), 1e-8)
+    obj_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    return A * (1.0 / row_scale)[:, None], b / row_scale, c / obj_scale, row_scale, obj_scale

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from polyce.conic import ConicProblem, LinExpr, SolverError, Status, expr
 from polyce.ipm import compile_problem
+
+import oracles
 
 
 def brute_force_trace1_min_offdiag(samples=2001):
@@ -47,6 +51,19 @@ def test_pinned_offdiagonal_infeasible():
     p.add_equality(X.entry(0, 1) - expr(mu), 0.0)
     p.add_equality(expr(mu), 2.0)
     assert p.solve().status is Status.INFEASIBLE
+
+
+def test_evaluate_names_the_status_of_an_infeasible_solve():
+    p = ConicProblem()
+    X = p.add_psd_block(2)
+    p.add_equality(X.entry(0, 0), 1.0)
+    p.add_equality(X.entry(1, 1), 1.0)
+    p.add_equality(X.entry(0, 1), 2.0)
+    sol = p.solve()
+    assert sol.status is Status.INFEASIBLE
+    for e in (LinExpr(const=3.0), X.entry(0, 1)):
+        with pytest.raises(SolverError, match="status is Infeasible"):
+            sol.evaluate(e)
 
 
 def test_unbounded_direction_detected():
@@ -229,3 +246,40 @@ def test_constant_equality_folding():
     assert p.trivially_infeasible
     assert p.solve().status is Status.INFEASIBLE
 
+
+def _declared_problem(kinds, m, seed):
+    """Scalars and PSD blocks declared in the order of ``kinds`` ("free",
+    "nonneg" or a block dimension), m random equalities over random entries
+    (both triangles of a block), and a random objective."""
+    rng = np.random.default_rng(seed)
+    p = ConicProblem()
+    terms = []
+    for kind in kinds:
+        if kind in ("free", "nonneg"):
+            terms.append(expr(p.add_scalar_var(nonneg=kind == "nonneg")))
+        else:
+            X = p.add_psd_block(kind)
+            terms += [X.entry(i, j) for i in range(kind) for j in range(kind)]
+
+    def random_expr():
+        picks = rng.choice(len(terms), size=int(rng.integers(1, len(terms) + 1)), replace=False)
+        return sum((float(rng.normal()) * terms[k] for k in picks), LinExpr())
+
+    for _ in range(m):
+        p.add_equality(random_expr(), float(rng.normal()))
+    p.set_objective(random_expr() + float(rng.normal()))
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["free", "nonneg", 1, 2, 3, 4]), min_size=1, max_size=8),
+       m=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+@example(kinds=["nonneg", 3, "free", 1, 2, "free", 1], m=0, seed=0)
+@example(kinds=[2, "free", 1, "nonneg", 4, "nonneg", 1, 3], m=4, seed=1)
+def test_compile_matches_the_per_variable_oracle(kinds, m, seed):
+    p = _declared_problem(kinds, m, seed)
+    cp = compile_problem(p)
+    A, b, c, row_scale, obj_scale = oracles.compiled_arrays(p)
+    assert np.array_equal(cp.A.toarray(), A)
+    assert np.array_equal(cp.b, b) and np.array_equal(cp.c, c)
+    assert np.array_equal(cp.row_scale, row_scale) and cp.obj_scale == obj_scale

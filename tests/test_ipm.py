@@ -127,7 +127,7 @@ def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free,
 
 
 def _fingerprint(sol):
-    arrays = [sol.scalar_values, sol.eq_duals, *sol.block_values]
+    arrays = [sol.values, sol.eq_duals]
     return (sol.status, sol.iterations, sol.objective_value.hex(), sol.dual_objective.hex(),
             sol.eq_residual.hex(), sol.min_block_eig.hex(),
             [(a.shape, a.tobytes()) for a in arrays])
