@@ -11,10 +11,11 @@ Each iteration solves, over distributions supported on the current grids,
 
 then, for players whose total deviation gain is binding (>= beta * eps),
 adds the near-maximizers of their deviation gains to the grids and repeats.
-With 0 <= alpha < beta <= 1 the minimum epsilon converges to zero; the
-degenerate alpha = beta = 1 mode (restricted constraints dropped, explicit
-flag) exists to reproduce the known stalling behavior and is documented as
-non-convergent.
+With 0 <= alpha < beta <= 1 the minimum epsilon converges to zero.  The
+degenerate alpha = beta = 1 mode (explicit flag) reproduces the known
+stalling behavior and is documented as non-convergent.  Its restricted rows
+are implied: the deviation t = s gives eps_{i,s} >= g_{i,s}(s) = 0, so
+g_{i,s}(t) <= eps_{i,s} <= sum_s eps_{i,s} <= eps.
 
 One loop serves both game types; each supplies two oracles, the iteration
 solve and an exact :class:`EpsilonReport` whose near-maximizers are the
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import ConicProblem, LinExpr, SolverError, Status, expr
-from .finite_ce import MASS_TOL, EpsilonReport, gain_rows, min_epsilon, solve_lp
+from .finite_ce import MASS_TOL, EpsilonReport, deviation_rows, gain_rows, min_epsilon, solve_lp
 from .games import (
     FiniteGame,
     PolynomialGame,
@@ -72,7 +73,9 @@ _MERGE_TOL = 1e-6  # a strategy this close to a grid point counts as on the grid
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Loop parameters.  Requires 0 <= alpha < beta <= 1 unless the
-    degenerate flag explicitly selects the non-convergent alpha=beta=1 mode."""
+    degenerate flag explicitly selects the non-convergent alpha=beta=1 mode,
+    whose iteration problems keep the (then implied) restricted rows; the
+    flag makes a stalled loop repeat its last record instead of stopping."""
 
     alpha: float = 0.0
     beta: float = 1.0
@@ -154,12 +157,7 @@ def _gain_row(var_idx, coeffs) -> LinExpr:
     return LinExpr({int(k): float(c) for k, c in zip(var_idx, coeffs) if c != 0.0})
 
 
-def build_iteration_sdp(
-    game: PolynomialGame,
-    grids,
-    alpha: float,
-    include_restricted: bool = True,
-):
+def build_iteration_sdp(game: PolynomialGame, grids, alpha: float):
     """Build the per-iteration problem over the given grids.
 
     Returns ``(problem, handles)`` with handles for the cell probabilities
@@ -179,12 +177,11 @@ def build_iteration_sdp(
         rows = player_view(var_idx, i)
         u = player_view(fg.payoffs[i], i)
         # restricted-deviation inequalities over the grid itself
-        if include_restricted:
-            for s in range(len(u)):
-                for t in range(len(u)):
-                    if t != s:
-                        gain = _gain_row(rows[s], u[t] - u[s])
-                        problem.add_leq(gain - alpha * expr(eps), 0.0)
+        for s in range(len(u)):
+            for t in range(len(u)):
+                if t != s:
+                    gain = _gain_row(rows[s], u[t] - u[s])
+                    problem.add_leq(gain - alpha * expr(eps), 0.0)
 
         # continuous deviations: eps_{i,s} - g_{i,s}(t) nonnegative on [-1,1]
         coeffs = conditional_coeffs(game.utilities[i], i, fg.grids)
@@ -204,9 +201,7 @@ def build_iteration_sdp(
 
 
 def _solve_iteration(game, grids, config: AdaptiveConfig):
-    problem, handles = build_iteration_sdp(
-        game, grids, config.alpha, include_restricted=not config.degenerate
-    )
+    problem, handles = build_iteration_sdp(game, grids, config.alpha)
     sol = problem.solve(tol=config.solver_tol)
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"iteration SDP ended with status {sol.status.value}")
@@ -264,10 +259,10 @@ def _adaptive_loop(grids, solve, report, config: AdaptiveConfig) -> IterationTra
 
         if not any(additions):
             stalled = True
-            if not config.degenerate:
-                break
-            pending = tuple(() for _ in grids)
-            continue
+            if config.degenerate:  # repeat the last record until max_iter
+                pending = tuple(() for _ in grids)
+                continue
+            break
         pending = tuple(tuple(a) for a in additions)
         grids = tuple(
             merge_points(list(g) + extra, _MERGE_TOL) if extra else g
@@ -336,7 +331,7 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
     Columns: the cells in C order, eps, then one ev_{i,s} per recommendation
     of each player in turn.  Rows: every deviation to the full set
     (gain <= ev_{i,s}), sum_s ev_{i,s} <= eps, and the restricted deviations
-    within the subsets (gain <= alpha * eps, dropped in degenerate mode)."""
+    within the subsets (gain <= alpha * eps), from :func:`deviation_rows`."""
     shape = tuple(len(g) for g in grids)
     if 0 in shape:
         raise SolverError("empty strategy grid")
@@ -346,13 +341,12 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
         u, rec = _subset_payoffs(fg, grids, i)
         s, t = np.divmod(np.arange(len(rec) * len(u)), len(u))
         full.append(gain_rows(player_view(flat, i), u[rec], u, s, t))
-        restricted.append(full[-1][np.isin(t, rec) & (t != rec[s])])
+        restricted.append(deviation_rows(player_view(flat, i), u[rec]))
     picks = sp.block_diag([np.repeat(np.eye(k), len(g), axis=0) for k, g in zip(shape, fg.grids)])
     sums = sp.block_diag([np.ones((1, k)) for k in shape])
-    blocks = [[sp.vstack(full), None, -picks], [None, -np.ones((len(shape), 1)), sums]]
-    if not config.degenerate:
-        R = sp.vstack(restricted)
-        blocks.append([R, np.full((R.shape[0], 1), -config.alpha), None])
+    R = sp.vstack(restricted)
+    blocks = [[sp.vstack(full), None, -picks], [None, -np.ones((len(shape), 1)), sums],
+              [R, np.full((R.shape[0], 1), -config.alpha), None]]
     n = flat.size
     c = np.zeros(n + 1 + sum(shape))
     c[n] = 1.0

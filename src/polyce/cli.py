@@ -110,12 +110,9 @@ def _trace_table(trace, names) -> str:
 def cmd_adaptive(args) -> int:
     game = _load_game(args.game)
     pts = _parse_grid_points(args.grid)
-    if args.degenerate:
-        config = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True,
-                                eps_stop=args.tol, max_iter=args.max_iter)
-    else:
-        config = AdaptiveConfig(alpha=args.alpha, beta=args.beta,
-                                eps_stop=args.tol, max_iter=args.max_iter)
+    alpha, beta = (1.0, 1.0) if args.degenerate else (args.alpha, args.beta)
+    config = AdaptiveConfig(alpha=alpha, beta=beta, degenerate=args.degenerate,
+                            eps_stop=args.tol, max_iter=args.max_iter)
     trace = run_adaptive(game, [pts] * game.num_players, config)
     print(_trace_table(trace, game.player_names))
     if args.out:
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--tol", type=float, default=1e-6, help="epsilon stopping threshold")
     pa.add_argument("--max-iter", type=int, default=50)
     pa.add_argument("--degenerate", action="store_true",
-                    help="non-convergent alpha=beta=1 mode (restricted constraints dropped)")
+                    help="non-convergent alpha=beta=1 mode (overrides --alpha and --beta)")
     pa.add_argument("--out", help="JSON trace output path")
     pa.set_defaults(func=cmd_adaptive)
 

@@ -3,13 +3,14 @@
 ``ce_lp`` computes a correlated equilibrium of a finite game as one LP:
 nonnegative cells, the simplex row, and one sparse matrix holding one
 deviation inequality per (player, recommendation, deviation) triple, solved
-by HiGHS through ``scipy.optimize.linprog``.  Without an objective the LP
-minimizes the largest cell probability.  ``min_epsilon``
-evaluates any finitely supported distribution against the *continuous* game:
-for every recommendation with positive marginal it maximizes the
-deviation-gain polynomial over [-1,1] by derivative root finding, giving the
-exact minimal epsilon for which the distribution is an approximate
-correlated equilibrium.
+by HiGHS through ``scipy.optimize.linprog``.  ``deviation_rows`` writes one
+player's block of that matrix, and the finite adaptive iteration LP's
+restricted rows.  Without an objective the LP minimizes the largest cell
+probability.  ``min_epsilon`` evaluates any finitely supported distribution
+against the *continuous* game: for every recommendation with positive
+marginal it maximizes the deviation-gain polynomial over [-1,1] by
+derivative root finding, giving the exact minimal epsilon for which the
+distribution is an approximate correlated equilibrium.
 """
 
 from __future__ import annotations
@@ -99,17 +100,13 @@ def gain_rows(cells, u_rec, u_dev, s, t) -> sp.csr_matrix:
     return out
 
 
-def _deviation_rows(fg: FiniteGame) -> sp.csr_matrix:
-    """Every CE inequality sum_{s_-i} p(s, s_-i) (u_i(t, s_-i) - u_i(s, s_-i))
-    <= 0 as one sparse matrix over the cells in C order, one row per
-    (player i, recommendation s, deviation t != s) in that order."""
-    flat = np.arange(int(np.prod(fg.shape)), dtype=np.int32).reshape(fg.shape)
-    blocks = []
-    for i in range(fg.num_players):
-        u = player_view(fg.payoffs[i], i)
-        s, t = np.nonzero(~np.eye(len(u), dtype=bool))
-        blocks.append(gain_rows(player_view(flat, i), u, u, s, t))
-    return sp.vstack(blocks, format="csr")
+def deviation_rows(cells, u) -> sp.csr_matrix:
+    """One player's CE gains sum_o p(cells[s, o]) (u[t, o] - u[s, o]) from
+    recommendation s to strategy t != s, one row per (s, t) in that order,
+    with ``cells`` (column indices) and ``u`` (payoffs) in
+    :func:`player_view` layout."""
+    s, t = np.nonzero(~np.eye(len(u), dtype=bool))
+    return gain_rows(cells, u, u, s, t)
 
 
 def solve_lp(c, A_ub, n_cells: int, tol: float) -> np.ndarray:
@@ -143,7 +140,9 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistrib
     the largest cell probability through one level column t >= every cell.
     """
     n = int(np.prod(fg.shape))
-    A_ub = _deviation_rows(fg)
+    flat = np.arange(n, dtype=np.int32).reshape(fg.shape)
+    A_ub = sp.vstack([deviation_rows(player_view(flat, i), player_view(u, i))
+                      for i, u in enumerate(fg.payoffs)], format="csr")
     c = np.zeros(n)
     if objective is None:
         A_ub = sp.bmat([[A_ub, None], [sp.eye(n), sp.csr_matrix(-np.ones((n, 1)))]], "csr")

@@ -81,13 +81,17 @@ class FiniteGame:
         for g in self.grids:
             if g.size == 0:
                 raise GameFormatError("empty strategy grid")
+            if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
+                raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
             if np.any(np.diff(g) <= 0):
                 raise GameFormatError("grid points must be strictly increasing")
-            if g[0] < -1 - _COORD_TOL or g[-1] > 1 + _COORD_TOL:
-                raise GameFormatError("grid points must lie in [-1, 1]")
+        if len(self.payoffs) != len(shape):
+            raise GameFormatError(f"{len(self.payoffs)} payoff tensors for {len(shape)} players")
         for p in self.payoffs:
             if p.shape != shape:
                 raise GameFormatError(f"payoff tensor shape {p.shape} != grid shape {shape}")
+            if not np.all(np.isfinite(p)):
+                raise GameFormatError("payoffs must be finite numbers")
 
     @property
     def num_players(self) -> int:
@@ -112,10 +116,11 @@ class SupportedDistribution:
         shape = tuple(len(g) for g in self.grids)
         if self.probs.shape != shape:
             raise GameFormatError(f"probs shape {self.probs.shape} != grid shape {shape}")
-        if np.any(self.probs < 0):
-            raise GameFormatError("negative probability entry")
+        if not np.all(self.probs >= 0):  # rejects nan too
+            raise GameFormatError(
+                f"probabilities must be nonnegative numbers, got {self.probs.min()}")
         total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise GameFormatError(f"probabilities sum to {total}, not 1")
 
     @staticmethod

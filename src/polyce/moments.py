@@ -177,37 +177,36 @@ def payoff_expr(game: PolynomialGame, player: int, moments) -> LinExpr:
     return out
 
 
-def _optimize_payoff(game, order, direction, tol):
-    """Maximize direction . expected-payoff vector over the relaxation;
-    returns the payoff vector at the optimum."""
+def _support_points(game, order, directions, tol):
+    """For each direction, the expected-payoff vector that maximizes
+    direction . payoff over the relaxation.  The relaxation is built once and
+    only its objective changes between solves, which is sound because
+    ``ConicProblem.solve`` is a pure function of the built data."""
     problem, moments, _ = build_relaxation(game, order)
-    obj = LinExpr()
-    for i, w in enumerate(direction):
-        if w:
-            obj = obj + (-float(w)) * payoff_expr(game, i, moments)
-    problem.set_objective(obj)
-    sol = problem.solve(tol=tol)
-    if sol.status is not Status.OPTIMAL:
-        raise SolverError(
-            f"relaxation solve failed ({sol.status.value}); relaxations of a "
-            "nonempty equilibrium set are never infeasible, check the order"
-        )
-    return np.array(
-        [sol.evaluate(payoff_expr(game, i, moments)) for i in range(game.num_players)]
-    )
+    payoffs = [payoff_expr(game, i, moments) for i in range(game.num_players)]
+    points = []
+    for direction in directions:
+        obj = LinExpr()
+        for w, payoff in zip(direction, payoffs):
+            if w:
+                obj = obj + (-float(w)) * payoff
+        problem.set_objective(obj)
+        sol = problem.solve(tol=tol)
+        if sol.status is not Status.OPTIMAL:
+            raise SolverError(
+                f"relaxation solve failed ({sol.status.value}); relaxations of a "
+                "nonempty equilibrium set are never infeasible, check the order"
+            )
+        points.append(np.array([sol.evaluate(payoff) for payoff in payoffs]))
+    return points
 
 
 def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = 1e-8) -> PayoffBox:
     """Valid outer bounds on every correlated-equilibrium payoff vector."""
-    bounds = []
-    n = game.num_players
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        hi = _optimize_payoff(game, order, e, tol)[i]
-        lo = _optimize_payoff(game, order, -e, tol)[i]
-        bounds.append((float(min(lo, hi)), float(max(lo, hi))))
-    return PayoffBox(tuple(bounds))
+    axes = np.eye(game.num_players)
+    points = _support_points(game, order, [sign * e for e in axes for sign in (1.0, -1.0)], tol)
+    hi, lo = np.diagonal(points[0::2]), np.diagonal(points[1::2])
+    return PayoffBox(tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(lo, hi)))
 
 
 def payoff_region_sketch(
@@ -226,7 +225,7 @@ def payoff_region_sketch(
     else:
         rng = np.random.default_rng(seed)
         dirs = [v / np.linalg.norm(v) for v in rng.normal(size=(directions, n))]
-    return [(d, _optimize_payoff(game, order, d, tol)) for d in dirs]
+    return list(zip(dirs, _support_points(game, order, dirs, tol)))
 
 
 # ---------------------------------------------------------------------------

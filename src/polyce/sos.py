@@ -53,19 +53,16 @@ class MomentVector:
     num_vars: int
     order: int
     values: dict[tuple[int, ...], float]
-    probability: bool = True
 
     def __post_init__(self):
-        zero = (0,) * self.num_vars
         for e in self.values:
             if len(e) != self.num_vars:
                 raise ValueError(f"exponent {e} has wrong arity")
             if sum(e) > self.order:
                 raise ValueError(f"exponent {e} exceeds order {self.order}")
-        if self.probability:
-            mu0 = self.values.get(zero)
-            if mu0 is None or abs(mu0 - 1.0) > 1e-9:
-                raise ValueError(f"probability moment vector needs mu_0 = 1, got {mu0}")
+        mu0 = self.values.get((0,) * self.num_vars)
+        if mu0 is None or not abs(mu0 - 1.0) <= 1e-9:  # rejects nan too
+            raise ValueError(f"probability moment vector needs mu_0 = 1, got {mu0}")
 
     @staticmethod
     def from_measure(measure, num_vars: int, order: int) -> "MomentVector":
@@ -235,10 +232,6 @@ def moment_feasibility_constraint(
 
 # ---------------------------------------------------------------------------
 # certificate extraction and verification
-
-
-def certificate_from_solution(solution, qs: PsdBlock, qt: PsdBlock, degree: int) -> SosCertificate:
-    return SosCertificate(solution.value(qs), solution.value(qt), degree)
 
 
 def reconstruct_target(cert: SosCertificate) -> np.ndarray:

@@ -200,6 +200,53 @@ def dense_finite_iteration_value(fg, subsets, alpha, degenerate=False):
     return float(res.fun)
 
 
+def dense_iteration_value(game, grids, alpha, degenerate):
+    """Optimal eps of the adaptive loop's iteration problem on a polynomial
+    game over the point ``grids``, from a dense LP whose deviations are 2001
+    equispaced points of [-1, 1] plus the grid points, written out cell by
+    cell with term-by-term utility values: gains within the grids
+    <= alpha * eps (dropped when degenerate), every gain to a deviation
+    point <= ev[i, s], and sum_s ev[i, s] <= eps.  Solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    cells = list(itertools.product(*(range(len(g)) for g in grids)))
+    evs = [(i, s) for i in range(len(grids)) for s in range(len(grids[i]))]
+    n = len(cells)
+    width = n + 1 + len(evs)
+    rows = []
+    for i, u in enumerate(game.utilities):
+        devs = np.concatenate([np.linspace(-1.0, 1.0, 2001), grids[i]])
+        for s in range(len(grids[i])):
+            gain = np.zeros((len(devs), width))
+            for k, cell in enumerate(cells):
+                if cell[i] == s:
+                    point = [float(g[j]) for g, j in zip(grids, cell)]
+                    dev = list(point)
+                    dev[i] = devs
+                    gain[:, k] = poly_value(u, dev) - poly_value(u, point)
+            if not degenerate:
+                restricted = gain[2001:][np.arange(len(grids[i])) != s]
+                restricted[:, n] = -alpha
+                rows.append(restricted)
+            gain[:, n + 1 + evs.index((i, s))] = -1.0
+            rows.append(gain)
+        total = np.zeros((1, width))
+        total[0, n] = -1.0
+        total[0, [n + 1 + k for k, (j, _) in enumerate(evs) if j == i]] = 1.0
+        rows.append(total)
+    A_ub = np.vstack(rows)
+    c = np.zeros(width)
+    c[n] = 1.0
+    A_eq = np.zeros((1, width))
+    A_eq[0, :n] = 1.0
+    res = linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=[1.0],
+        bounds=[(0, None)] * n + [(None, None)] * (1 + len(evs)), method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def atom_localizing_matrices(atoms, weights, r):
     """Moment matrix of half-order r, then the localizing matrix of
     half-order r-1 for each weight 1 - x_v^2, of the measure

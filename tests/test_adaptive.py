@@ -15,9 +15,9 @@ from polyce.adaptive import (
 )
 from polyce.conic import SolverError, Status
 from polyce.finite_ce import min_epsilon
-from polyce.games import FiniteGame, SupportedDistribution, random_polynomial_game
+from polyce.games import FiniteGame, GameFormatError, SupportedDistribution, random_polynomial_game
 
-from oracles import dense_finite_iteration_value, max_departure_gain
+from oracles import dense_finite_iteration_value, dense_iteration_value, max_departure_gain
 
 
 def test_config_validation():
@@ -40,6 +40,27 @@ def test_maximizer_examples_match_trace_values():
 
 # ---------------------------------------------------------------------------
 # single-iteration problems
+
+
+@pytest.mark.parametrize("mode", [(0.0, False), (0.5, False), (1.0, True)])
+@pytest.mark.parametrize("seed", range(12))
+def test_iteration_sdp_matches_dense_lp_oracle(seed, mode):
+    # in mode (1, True) the SDP keeps its restricted rows at alpha = 1 and
+    # the oracle drops them: equal optima show that those rows are implied
+    rng = np.random.default_rng(seed)
+    game = random_polynomial_game(2, 4, seed)
+    grids = [rng.uniform(-1.0, 1.0, size=rng.integers(1, 4)) for _ in range(2)]
+    alpha, degenerate = mode
+    problem, _ = build_iteration_sdp(game, grids, alpha)
+    sol = problem.solve()
+    assert sol.status is Status.OPTIMAL
+    expected = dense_iteration_value(game, grids, alpha, degenerate)
+    assert sol.objective_value == pytest.approx(expected, abs=1e-5)
+
+
+def test_nan_initial_point_is_a_format_error(quad_game):
+    with pytest.raises(GameFormatError, match=r"grid points must be numbers in \[-1, 1\], got \[nan\]"):
+        run_adaptive(quad_game, [[float("nan")], [0.0]])
 
 
 def test_iteration_sdp_from_corner(emb_game):

@@ -17,7 +17,7 @@ from polyce.finite_ce import (
     min_epsilon,
     static_discretization,
 )
-from polyce.games import FiniteGame, PolynomialGame, SupportedDistribution
+from polyce.games import FiniteGame, GameFormatError, PolynomialGame, SupportedDistribution
 from polyce.polynomials import MultiPoly
 
 from oracles import (
@@ -126,6 +126,11 @@ def test_ce_lp_minmax_on_21x21():
     dist = ce_lp(fg)
     assert max_single_deviation_gain(fg, dist) <= 1e-7
     assert float(dist.probs.max()) == pytest.approx(dense_ce_minmax_level(fg), abs=1e-7)
+
+
+def test_ce_lp_on_nan_payoff_is_a_format_error():
+    with pytest.raises(GameFormatError, match="payoffs must be finite"):
+        ce_lp(FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2))))
 
 
 def test_import_leaves_scipy_optimize_unloaded():

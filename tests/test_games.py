@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyce.finite_ce import max_ce_violation
 from polyce.games import (
+    FiniteGame,
     GameFormatError,
     SupportedDistribution,
     deviation_gain_poly,
@@ -230,6 +231,23 @@ def test_distribution_validation():
         SupportedDistribution((np.array([0.0]),), np.array([0.5]))
     with pytest.raises(GameFormatError, match="negative"):
         SupportedDistribution((np.array([0.0, 1.0]),), np.array([1.5, -0.5]))
+
+
+def test_distribution_rejects_nan_probability():
+    g = np.array([-1.0, 1.0])
+    probs = np.array([[0.5, np.nan], [0.25, 0.25]])
+    with pytest.raises(GameFormatError, match="nonnegative numbers, got nan"):
+        SupportedDistribution((g, g), probs)
+
+
+@pytest.mark.parametrize("grids, payoffs, message", [
+    ([[-1.0, np.nan], [-1.0, 1.0]], [np.eye(2), np.eye(2)], r"grid points must be numbers .*nan"),
+    ([[-1.0, 1.0], [-1.0, 1.0]], [np.eye(2), [[1.0, np.nan], [0.0, 1.0]]], "payoffs must be finite"),
+    ([[-1.0, 1.0], [-1.0, 1.0]], [np.eye(2)], "1 payoff tensors for 2 players"),
+])
+def test_finite_game_rejects_non_finite_or_missing_data(grids, payoffs, message):
+    with pytest.raises(GameFormatError, match=message):
+        FiniteGame(tuple(np.array(g) for g in grids), tuple(np.array(p) for p in payoffs))
 
 
 def test_distribution_roundtrip_and_merge():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyce import moments
 from polyce.adaptive import run_adaptive
 from polyce.games import (
     PolynomialGame,
@@ -168,6 +169,17 @@ def test_region_nesting_via_support_functions(quad_game):
     high = payoff_region_sketch(quad_game, RelaxationOrder.auto(quad_game, 2), 8)
     for (d_lo, p_lo), (_, p_hi) in zip(low, high):
         assert float(d_lo @ p_lo) >= float(d_lo @ p_hi) - 1e-5
+
+
+def test_payoff_queries_build_the_relaxation_once(quad_game, monkeypatch):
+    builds = []
+    real = moments.build_relaxation
+    monkeypatch.setattr(moments, "build_relaxation", lambda *a: builds.append(a) or real(*a))
+    order = RelaxationOrder.auto(quad_game, 0)
+    payoff_bounds(quad_game, order)
+    assert len(builds) == 1
+    payoff_region_sketch(quad_game, order, 3)
+    assert len(builds) == 2
 
 
 def test_region_requires_three_directions(quad_game):

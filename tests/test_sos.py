@@ -9,7 +9,6 @@ from polyce.sos import (
     DECISION_SLACK,
     MomentVector,
     SosCertificate,
-    certificate_from_solution,
     interval_degrees,
     interval_nonneg_constraint,
     localizing_entries,
@@ -266,6 +265,11 @@ def test_moment_vector_validation():
         MomentVector(2, 2, {(0,): 1.0})
 
 
+def test_moment_vector_rejects_nan_mass():
+    with pytest.raises(ValueError, match="mu_0 = 1, got nan"):
+        MomentVector(1, 2, {(0,): float("nan"), (1,): 0.0, (2,): 0.0})
+
+
 def test_verify_rejects_perturbed_gram():
     ok, cert = prove_interval_nonneg([1.0, 1.0])
     assert ok
@@ -347,6 +351,6 @@ def test_certificate_extraction_from_handles():
     p.set_objective(tr)
     sol = p.solve()
     assert sol.status is Status.OPTIMAL
-    cert = certificate_from_solution(sol, qs, qt, 1)
+    cert = SosCertificate(sol.value(qs), sol.value(qt), 1)
     good, resid = verify_certificate(cert, [1.0, 0.5])
     assert good and resid <= 1e-7
