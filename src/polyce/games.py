@@ -68,6 +68,11 @@ class PolynomialGame:
         return len(self.utilities)
 
 
+def _check_points(g: np.ndarray) -> None:
+    if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
+        raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
+
+
 @dataclass(frozen=True)
 class FiniteGame:
     """Per-player strictly increasing strategy grids in [-1,1] and one dense
@@ -81,8 +86,7 @@ class FiniteGame:
         for g in self.grids:
             if g.size == 0:
                 raise GameFormatError("empty strategy grid")
-            if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
-                raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
+            _check_points(g)
             if np.any(np.diff(g) <= 0):
                 raise GameFormatError("grid points must be strictly increasing")
         if len(self.payoffs) != len(shape):
@@ -114,6 +118,8 @@ class SupportedDistribution:
 
     def __post_init__(self):
         shape = tuple(len(g) for g in self.grids)
+        for g in self.grids:
+            _check_points(g)
         if self.probs.shape != shape:
             raise GameFormatError(f"probs shape {self.probs.shape} != grid shape {shape}")
         if not np.all(self.probs >= 0):  # rejects nan too

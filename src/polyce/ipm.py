@@ -19,12 +19,15 @@ stack, reached through one gather (svec -> d x d) and one scatter
 (d x d -> svec) index per stack, so each cone kernel runs once per block
 size.  A stacked kernel does per matrix the arithmetic of a per-block loop
 (the same LAPACK and BLAS calls on the same layouts), and the Schur
-complement adds its block terms in block order, so every solve is
-bit-identical to one through the per-block kernels that the tests keep as
-an oracle.  Intended for desk-scale problems (PSD blocks up to ~60x60, a few
-thousand equalities).  A problem without a cone has no interior to follow:
-``ConicProblem.solve`` rejects it, and linear programs go to HiGHS instead
-(``finite_ce.solve_lp``).
+complement adds its block terms in block order.  The loop's sparse products
+(A x, A' y and the orthant Schur term) are bincounts over index arrays made
+once per solve, which add each sum's terms in scipy's csr_matvec and
+csr_matmat order.  So every solve is bit-identical to one through the
+per-block kernels and scipy.sparse that the tests keep as an oracle, which
+matters because a one-ulp change moves iteration counts.  Intended for
+desk-scale problems (PSD blocks up to ~60x60, a few thousand equalities).
+A problem without a cone has no interior to follow: ``ConicProblem.solve``
+rejects it, and linear programs go to HiGHS instead (``finite_ce.solve_lp``).
 """
 
 from __future__ import annotations
@@ -249,12 +252,39 @@ def _finite(parts) -> bool:
     return all(np.isfinite(v).all() for v in parts)
 
 
-def _schur(cone: _Cone, sc: _Scaling, A_orth: sp.csr_matrix, blk_mats: list) -> np.ndarray:
-    """A T A' from the orthant part and from the (k, m, d, d) stacks of
-    constraint matrices per group; block terms are added in block order."""
+def _sums(bins: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """The terms of each of n bins added one at a time from 0, in array order
+    (a bincount, cast since it returns integers when there are no terms)."""
+    return np.bincount(bins, terms, minlength=n).astype(float, copy=False)
+
+
+def _matvec(A: sp.csr_matrix):
+    """v -> A v, each row adding its products in stored order from 0, as
+    scipy's csr_matvec does."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return lambda v: _sums(rows, A.data * v[A.indices], A.shape[0])
+
+
+def _orth_pairs(A_orth: sp.csr_matrix) -> tuple:
+    """(i*m + j, a_ik, k, a_jk) for every pair of rows i, j that share orthant
+    column k, ordered by i, then by k ascending: the order in which scipy's
+    csr_matmat adds the terms of A_orth W A_orth' once it has sorted A_orth."""
+    A = A_orth.sorted_indices()
+    AT = A.T.tocsr()  # row k lists the entries of column k
+    m, cols = A.shape[0], np.diff(AT.indptr)[A.indices]
+    entry = np.repeat(np.arange(A.nnz), cols)
+    pos = np.repeat(AT.indptr[A.indices] - np.cumsum(cols) + cols, cols) + np.arange(entry.size)
+    i = np.repeat(np.arange(m), np.diff(A.indptr))[entry]
+    return i * m + AT.indices[pos], A.data[entry], A.indices[entry], AT.data[pos]
+
+
+def _schur(cone: _Cone, sc: _Scaling, pairs: tuple, blk_mats: list) -> np.ndarray:
+    """A T A' from the orthant ``pairs`` (``_orth_pairs``) and from the
+    (k, m, d, d) stacks of constraint matrices per group; block terms are
+    added in block order."""
     m = cone.cp.m
-    S = (A_orth.multiply(sc.w2[None, :])).dot(A_orth.T).toarray() if cone.q \
-        else np.zeros((m, m))
+    ij, a_ik, k, a_jk = pairs
+    S = _sums(ij, (a_ik * sc.w2[k]) * a_jk, m * m).reshape(m, m)
     scaled = [np.matmul(np.matmul(RT[:, None], Ab), R[:, None])
               for RT, Ab, R in zip(sc.RT, blk_mats, sc.R)]
     for gi, j in cone.order:
@@ -274,10 +304,10 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
     cone = _Cone(cp)
     m, f = cp.m, cp.f
     A_free = cp.A[:, :f].toarray() if f else np.zeros((m, 0))
-    A_cone = cp.A[:, f:].tocsr()
-    A_coneT = A_cone.T.tocsr()
-    A_orth = A_cone[:, : cp.q].tocsr()
-    blk_mats = cone.constraint_stacks(A_cone)
+    A_c = cp.A[:, f:].tocsr()
+    A_cone, A_coneT = _matvec(A_c), _matvec(A_c.T.tocsr())
+    pairs = _orth_pairs(A_c[:, : cp.q].tocsr())
+    blk_mats = cone.constraint_stacks(A_c)
     b, c = cp.b, cp.c
     c_f, c_c = c[:f], c[f:]
     norm_b = 1.0 + np.abs(b).max(initial=0.0)
@@ -294,8 +324,8 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
     it = 0
     best = None  # (metric, xf, xc, y, tau)
     for it in range(1, max_iter + 1):
-        Ax = A_free @ xf + A_cone @ xc
-        ATy_f, ATy_z = A_free.T @ y, A_coneT @ y + z
+        Ax = A_free @ xf + A_cone(xc)
+        ATy_f, ATy_z = A_free.T @ y, A_coneT(y) + z
         rp = Ax - b * tau
         rd_f = ATy_f - c_f * tau
         rd_c = ATy_z - c_c * tau
@@ -329,7 +359,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             sc = _Scaling(cone, xc, z)
         except np.linalg.LinAlgError:
             break
-        S = _schur(cone, sc, A_orth, blk_mats)
+        S = _schur(cone, sc, pairs, blk_mats)
         K2 = np.zeros((m + f, m + f))
         K2[:m, :m] = S + _REG * np.eye(m)
         if f:
@@ -346,7 +376,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             break
 
         Tc = cone.apply_T(sc, c_c)
-        qc = A_cone @ Tc
+        qc = A_cone(Tc)
         ec = float(c_c @ Tc)
         g = np.concatenate([qc - b, c_f])
         wt = sla.lu_solve(lu, np.concatenate([qc + b, c_f]))
@@ -358,7 +388,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             rdrt = cone.from_scaled_primal(sc, d_orth, d_mats)
             # h0 = A_c (R D R' + T rd_c T);  e0 = <c_c, same>
             hvec = rdrt + T_rdc
-            h0 = A_cone @ hvec
+            h0 = A_cone(hvec)
             e0 = float(c_c @ hvec)
             wr = sla.lu_solve(lu, np.concatenate([-rp - h0, -rd_f]))
             rhs4 = -rg - e0 - dk / tau
@@ -366,7 +396,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             dtau = (rhs4 - float(g @ wr)) / denom
             sol = wr + dtau * wt
             dy, dxf = sol[:m], sol[m:]
-            dz = -rd_c - A_coneT @ dy + c_c * dtau
+            dz = -rd_c - A_coneT(dy) + c_c * dtau
             dxc = rdrt - cone.apply_T(sc, dz)
             dkap = (dk - kappa * dtau) / tau
             return dxf, dxc, dy, dz, dtau, dkap

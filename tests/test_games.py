@@ -240,6 +240,12 @@ def test_distribution_rejects_nan_probability():
         SupportedDistribution((g, g), probs)
 
 
+@pytest.mark.parametrize("point", [np.nan, np.inf, 2.0])
+def test_distribution_rejects_points_outside_the_square(point):
+    with pytest.raises(GameFormatError, match="grid points must be numbers in"):
+        SupportedDistribution((np.array([point]), np.array([0.0])), np.ones((1, 1)))
+
+
 @pytest.mark.parametrize("grids, payoffs, message", [
     ([[-1.0, np.nan], [-1.0, 1.0]], [np.eye(2), np.eye(2)], r"grid points must be numbers .*nan"),
     ([[-1.0, 1.0], [-1.0, 1.0]], [np.eye(2), [[1.0, np.nan], [0.0, 1.0]]], "payoffs must be finite"),

@@ -78,6 +78,7 @@ def _all_equal(mine, theirs):
 @example(sizes=[3], counts=[2, 1, 1, 1, 1], nonneg=0, free=0, seed=1)  # q = 0, f = 0
 @example(sizes=[1, 2, 3, 4, 5], counts=[1, 2, 3, 1, 2], nonneg=2, free=2, seed=2)
 @example(sizes=[1], counts=[3, 1, 1, 1, 1], nonneg=0, free=1, seed=3)  # orthant only
+@example(sizes=[2], counts=[1, 1, 1, 1, 1], nonneg=5, free=1, seed=5)  # 5 orthant entries a row
 @settings(max_examples=60, deadline=None)
 def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free, seed):
     # dim-1 blocks join the orthant, so q = 0 only without them and without
@@ -122,8 +123,12 @@ def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free,
                           oracles.block_from_scaled_primal(cp, ref, ref_orth, ref_mats))
 
     A_cone = cp.A[:, cp.f :].tocsr()
-    S = ipm._schur(cone, sc, A_cone[:, : cp.q].tocsr(), cone.constraint_stacks(A_cone))
+    S = ipm._schur(cone, sc, ipm._orth_pairs(A_cone[:, : cp.q].tocsr()), cone.constraint_stacks(A_cone))
     assert np.array_equal(S, oracles.block_schur(cp, ref, A_cone))
+    # the solver's matvecs add in scipy.sparse's order, so they match to the bit
+    y = rng.normal(size=cp.m)
+    assert ipm._matvec(A_cone)(u).tobytes() == (A_cone @ u).tobytes()
+    assert ipm._matvec(A_cone.T.tocsr())(y).tobytes() == (A_cone.T @ y).tobytes()
 
 
 def _fingerprint(sol):
