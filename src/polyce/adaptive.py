@@ -19,7 +19,8 @@ g_{i,s}(t) <= eps_{i,s} <= sum_s eps_{i,s} <= eps.
 
 One loop serves both game types; each supplies two oracles, the iteration
 solve and an exact :class:`EpsilonReport` whose near-maximizers are the
-candidate strategies:
+candidate strategies, assembled by :func:`~polyce.finite_ce.epsilon_report`
+from the gains and the maximizer that the game type supplies:
 
 * polynomial games: t ranges over [-1,1], so the full deviations are interval
   SOS constraints and the iteration is an SDP; the exact epsilon and the
@@ -27,7 +28,8 @@ candidate strategies:
   finds the same tight points as SDP dual decoding and is testable alone;
 * finite games: t ranges over the full strategy set, so the iteration is an
   LP, built as one sparse matrix and solved by HiGHS; the exact epsilon and
-  the near-argmax deviations come from enumerating that set.
+  the near-argmax deviations (t_star the first exact argmax) come from
+  enumerating that set.
 
 Per-recommendation gains are always recomputed exactly from the solved
 distribution before strategies are added, so slack in the eps_{i,s}
@@ -43,11 +45,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import ConicProblem, LinExpr, SolverError, Status, expr
-from .finite_ce import MASS_TOL, EpsilonReport, deviation_rows, gain_rows, min_epsilon, solve_lp
+from .finite_ce import MASS_TOL, EpsilonReport, deviation_rows, epsilon_report, gain_rows, \
+    min_epsilon, solve_lp
 from .games import (
     FiniteGame,
     PolynomialGame,
     SupportedDistribution,
+    _check_points,
     conditional_coeffs,
     gains,
     player_view,
@@ -311,19 +315,11 @@ def _full_set_gains(fg: FiniteGame, dist: SupportedDistribution, i: int) -> np.n
 
 
 def _finite_report(fg: FiniteGame, dist: SupportedDistribution) -> EpsilonReport:
-    per, near = {}, {}
-    totals = np.zeros(fg.num_players)
-    for i in range(fg.num_players):
-        rows = _full_set_gains(fg, dist, i)
-        for s_i, mass, row in zip(dist.grids[i], dist.marginal(i), rows):
-            if mass <= MASS_TOL:
-                continue
-            t = int(np.argmax(row))
-            gain = max(float(row[t]), 0.0)
-            per[(i, float(s_i))] = (gain, float(fg.grids[i][t]))
-            near[(i, float(s_i))] = tuple(fg.grids[i][row >= row.max() - NEAR_TOL].tolist())
-            totals[i] += gain
-    return EpsilonReport(float(totals.max(initial=0.0)), per, near)
+    def maximize(i, row):  # t_star is the first exact argmax
+        t, grid = int(np.argmax(row)), fg.grids[i]
+        return float(grid[t]), float(row[t]), grid[row >= row.max() - NEAR_TOL].tolist()
+
+    return epsilon_report(dist, lambda i: _full_set_gains(fg, dist, i), maximize)
 
 
 def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
@@ -357,11 +353,11 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
 def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig | None = None) -> IterationTrace:
     """Adaptive loop on a finite game: the per-iteration problem is an LP
     solved by HiGHS, and deviations and candidates range over the full
-    finite strategy set.  Each initial point selects its nearest strategy;
-    as on [-1,1], strategies within ``_MERGE_TOL`` of the grid count as on it."""
+    finite strategy set.  Each initial point in [-1,1] selects its nearest
+    strategy; strategies within ``_MERGE_TOL`` of the grid count as on it."""
     config = config or AdaptiveConfig()
     grids = tuple(
-        g[sorted({int(np.argmin(np.abs(g - float(p)))) for p in pts})]
+        g[sorted({int(np.argmin(np.abs(g - p))) for p in _check_points(np.asarray(pts, float))})]
         for g, pts in zip(fg.grids, initial_subsets)
     )
     return _adaptive_loop(

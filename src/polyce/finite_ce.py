@@ -10,7 +10,8 @@ probability.  ``min_epsilon`` evaluates any finitely supported distribution
 against the *continuous* game: for every recommendation with positive
 marginal it maximizes the deviation-gain polynomial over [-1,1] by
 derivative root finding, giving the exact minimal epsilon for which the
-distribution is an approximate correlated equilibrium.
+distribution is an approximate correlated equilibrium; ``epsilon_report``
+assembles it, and the report of a finite game, from per-player gain rows.
 """
 
 from __future__ import annotations
@@ -60,22 +61,30 @@ class EpsilonReport:
         return json.dumps({"epsilon": self.epsilon, "per_recommendation": rows}, indent=2)
 
 
-def min_epsilon(game: PolynomialGame, dist: SupportedDistribution) -> EpsilonReport:
-    """Exact minimal epsilon for which ``dist`` is an approximate correlated
-    equilibrium of ``game`` (deviations range over all of [-1,1])."""
+def epsilon_report(dist: SupportedDistribution, gain_rows, maximize) -> EpsilonReport:
+    """The :class:`EpsilonReport` of ``dist`` from player i's gains
+    ``gain_rows(i)``, one row per point of ``dist.grids[i]``, and
+    ``maximize(i, row) -> (t_star, value, maximizers)``.  Recommendations of
+    mass at most ``MASS_TOL`` are skipped; negative maxima count as 0."""
     per, near = {}, {}
-    totals = np.zeros(game.num_players)
-    for i in range(game.num_players):
-        rows = zip(dist.grids[i], dist.marginal(i), gain_coeffs(game, i, dist))
-        for s_i, mass, g in rows:
+    totals = np.zeros(dist.num_players)
+    for i in range(dist.num_players):
+        for s_i, mass, row in zip(dist.grids[i], dist.marginal(i), gain_rows(i)):
             if mass <= MASS_TOL:
                 continue
-            t_star, value, maximizers = maximize_univariate(g)
+            t_star, value, maximizers = maximize(i, row)
             value = max(value, 0.0)
             per[(i, float(s_i))] = (value, t_star)
             near[(i, float(s_i))] = tuple(maximizers)
             totals[i] += value
     return EpsilonReport(float(totals.max(initial=0.0)), per, near)
+
+
+def min_epsilon(game: PolynomialGame, dist: SupportedDistribution) -> EpsilonReport:
+    """Exact minimal epsilon for which ``dist`` is an approximate correlated
+    equilibrium of ``game`` (deviations range over all of [-1,1])."""
+    return epsilon_report(dist, lambda i: gain_coeffs(game, i, dist),
+                          lambda i, g: maximize_univariate(g))
 
 
 def max_ce_violation(fg: FiniteGame, dist: SupportedDistribution) -> float:

@@ -68,9 +68,10 @@ class PolynomialGame:
         return len(self.utilities)
 
 
-def _check_points(g: np.ndarray) -> None:
+def _check_points(g: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
         raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def _check_point(game: PolynomialGame, point) -> np.ndarray:
         raise GameFormatError(
             f"point has {point.size} coordinates, expected {game.num_players}"
         )
-    if np.any(np.abs(point) > 1 + _COORD_TOL):
+    if not np.all(np.abs(point) <= 1 + _COORD_TOL):  # rejects nan too
         raise GameFormatError(f"point {point.tolist()} outside [-1, 1]^n")
     return point
 
@@ -235,7 +236,7 @@ def eval_utility(game: PolynomialGame, player: int, point) -> float:
 
 def _grid_index(grid: np.ndarray, value: float) -> int:
     idx = int(np.argmin(np.abs(grid - value)))
-    if abs(grid[idx] - value) > GRID_MERGE_TOL:
+    if not abs(grid[idx] - value) <= GRID_MERGE_TOL:  # rejects nan too
         raise GameFormatError(f"strategy {value} not in grid {grid.tolist()}")
     return idx
 

@@ -55,18 +55,15 @@ class RelaxationOrder:
 
     @staticmethod
     def auto(game: PolynomialGame, d: int, r: int | None = None) -> "RelaxationOrder":
-        r_min = max(required_half_order(game, d), 1)
-        if r is None:
-            r = r_min
-        elif r < r_min:
-            raise ValueError(f"r={r} cannot express the order-{d} deviation matrices; need r >= {r_min}")
-        return RelaxationOrder(d, r)
+        order = RelaxationOrder(d, max(required_half_order(game, d), 1) if r is None else r)
+        order.validate_for(game)
+        return order
 
     def validate_for(self, game: PolynomialGame) -> None:
-        if self.r < required_half_order(game, self.d):
-            raise ValueError(
-                f"moment order 2r={2*self.r} too small for d={self.d} on this game"
-            )
+        need = required_half_order(game, self.d)
+        if self.r < need:
+            raise ValueError(f"r={self.r} cannot express the order-{self.d} deviation "
+                             f"matrices; need r >= {need}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class PayoffBox:
 
     def __post_init__(self):
         for lo, hi in self.bounds:
-            if lo > hi + 1e-9:
+            if not lo <= hi + 1e-9:  # rejects nan too
                 raise ValueError(f"bad box [{lo}, {hi}]")
 
     def contains(self, point, tol: float = 0.0) -> bool:
@@ -111,7 +108,7 @@ def _deviation_matrix_entries(game, player, order, moment_of):
     """Upper-triangle entries of the negated moment-weighted deviation-gain
     matrix for one player, the side that must be PSD on [-1,1]: (j,k) entry
     = integral of s_i^{j+k} [u_i(s) - u_i(t, s_-i)] dpi, a polynomial in t
-    whose coefficients are affine in the moments."""
+    whose coefficients are affine in the moments that ``moment_of`` returns."""
     u = game.utilities[player]
     t_deg = u.degree_in(player)
     dim = order.d + 1
@@ -119,7 +116,7 @@ def _deviation_matrix_entries(game, player, order, moment_of):
     for j in range(dim):
         for k in range(j, dim):
             power = j + k
-            coeffs = [LinExpr() for _ in range(t_deg + 1)]
+            coeffs = [0.0] * (t_deg + 1)
             for exp, coef in u.terms.items():
                 # - coef * t^{exp_i} * mu[(power) e_i + exp_{-i}]
                 shifted = tuple(power if v == player else e for v, e in enumerate(exp))
@@ -136,38 +133,29 @@ INTERIOR_SLACK = 1e-7
 
 def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
     """Moment variables + validity constraints + per-player deviation-matrix
-    NSD-on-interval constraints.  Returns ``(problem, moments, handles)``
-    where ``moments`` maps exponent tuples to scalar variables.
+    NSD-on-interval constraints.  Returns ``(problem, moments)`` where
+    ``moments`` maps exponent tuples to scalar variables.
 
-    ``INTERIOR_SLACK`` (1e-7) relaxes every matrix constraint to -slack*I.  The exact
-    relaxation often has empty interior (sliver equilibrium sets, boundary
-    supports), which cripples interior-point accuracy; the slack enlarges
-    the feasible set slightly, which is the *sound* direction for an outer
-    approximation.
+    ``INTERIOR_SLACK`` (1e-7) relaxes every matrix constraint to -slack*I:
+    the validity matrices through ``diag_shift``, the deviation matrices by
+    adding it to the constant coefficient of each diagonal entry, as
+    :func:`deviation_margin` adds its lam.  The exact relaxation often has
+    empty interior (sliver equilibrium sets, boundary supports), which
+    cripples interior-point accuracy; the slack enlarges the feasible set
+    slightly, which is the *sound* direction for an outer approximation.
     """
     order.validate_for(game)
     n = game.num_players
     problem = ConicProblem()
-    exps = grlex_monomials(n, 2 * order.r)
-    moments = {e: problem.add_scalar_var() for e in exps}
-
-    def moment_of(e) -> LinExpr:
-        return expr(moments[tuple(e)])
-
-    validity = moment_feasibility_constraint(
-        problem, {e: expr(v) for e, v in moments.items()}, n, 2 * order.r,
-        diag_shift=INTERIOR_SLACK,
-    )
-    deviation_blocks = []
+    moments = {e: problem.add_scalar_var() for e in grlex_monomials(n, 2 * order.r)}
+    moment_feasibility_constraint(problem, {e: expr(v) for e, v in moments.items()}, n,
+                                  2 * order.r, diag_shift=INTERIOR_SLACK)
     for i in range(n):
-        entries, t_deg = _deviation_matrix_entries(game, i, order, moment_of)
-        deviation_blocks.append(
-            matrix_psd_on_interval_constraint(
-                problem, entries, order.d + 1, t_deg, diag_shift=INTERIOR_SLACK
-            )
-        )
-    handles = {"validity": validity, "deviation": deviation_blocks}
-    return problem, moments, handles
+        entries, t_deg = _deviation_matrix_entries(game, i, order, lambda e: expr(moments[e]))
+        for j in range(order.d + 1):
+            entries[j][j][0] = entries[j][j][0] + INTERIOR_SLACK
+        matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
+    return problem, moments
 
 
 def payoff_expr(game: PolynomialGame, player: int, moments) -> LinExpr:
@@ -182,7 +170,7 @@ def _support_points(game, order, directions, tol):
     direction . payoff over the relaxation.  The relaxation is built once and
     only its objective changes between solves, which is sound because
     ``ConicProblem.solve`` is a pure function of the built data."""
-    problem, moments, _ = build_relaxation(game, order)
+    problem, moments = build_relaxation(game, order)
     payoffs = [payoff_expr(game, i, moments) for i in range(game.num_players)]
     points = []
     for direction in directions:
@@ -252,13 +240,10 @@ def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVec
     for i in range(game.num_players):
         problem = ConicProblem()
         lam = problem.add_scalar_var()
-        entries, t_deg = _deviation_matrix_entries(
-            game, i, order, lambda e: LinExpr(const=mv[tuple(e)])
-        )
-        dim = order.d + 1
-        for j in range(dim):
+        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__)
+        for j in range(order.d + 1):
             entries[j][j][0] = entries[j][j][0] + expr(lam)
-        matrix_psd_on_interval_constraint(problem, entries, dim, t_deg)
+        matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
         problem.set_objective(expr(lam))
         sol = problem.solve(tol=1e-8)
         if sol.status is not Status.OPTIMAL:
@@ -294,15 +279,12 @@ def separating_test_polynomial(game: PolynomialGame, order: RelaxationOrder, mv:
     ts = np.linspace(-1.0, 1.0, 401)
     best = None
     for i in range(game.num_players):
-        entries, t_deg = _deviation_matrix_entries(
-            game, i, order, lambda e: LinExpr(const=mv[tuple(e)])
-        )
+        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__)
         dim = order.d + 1
         polys = np.zeros((dim, dim, t_deg + 1))
         for j in range(dim):
             for k in range(j, dim):
-                polys[j, k] = [-c.const for c in entries[j][k]]  # back to the gains
-                polys[k, j] = polys[j, k]
+                polys[j, k] = polys[k, j] = [-c for c in entries[j][k]]  # back to the gains
         powers = ts[:, None] ** np.arange(t_deg + 1)[None, :]
         mats = np.einsum("jkd,td->tjk", polys, powers)
         eigs, vecs = np.linalg.eigh(mats)

@@ -55,10 +55,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(num_vars: int) -> "MultiPoly":
-        return MultiPoly(num_vars, {})
-
-    @staticmethod
     def constant(num_vars: int, c: float) -> "MultiPoly":
         return MultiPoly(num_vars, {(0,) * num_vars: c})
 

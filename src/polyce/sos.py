@@ -63,6 +63,9 @@ class MomentVector:
         mu0 = self.values.get((0,) * self.num_vars)
         if mu0 is None or not abs(mu0 - 1.0) <= 1e-9:  # rejects nan too
             raise ValueError(f"probability moment vector needs mu_0 = 1, got {mu0}")
+        for e, v in self.values.items():
+            if not np.isfinite(v):
+                raise ValueError(f"moment {e} is {v}, not a finite number")
 
     @staticmethod
     def from_measure(measure, num_vars: int, order: int) -> "MomentVector":
@@ -133,8 +136,7 @@ def interval_nonneg_constraint(
 
 
 def matrix_psd_on_interval_constraint(
-    problem: ConicProblem, entries, size: int, t_degree: int,
-    diag_shift: float = 0.0,
+    problem: ConicProblem, entries, size: int, t_degree: int
 ) -> tuple[PsdBlock, PsdBlock]:
     """Constrain a symmetric ``size`` x ``size`` matrix of univariate
     polynomials in t (affine coefficients, only the upper triangle of
@@ -142,9 +144,9 @@ def matrix_psd_on_interval_constraint(
 
     Encodes x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S over the basis
     {x_a t^j : j <= ceil(D/2)} and T correspondingly reduced, matching every
-    x_a x_b t^k coefficient.  A positive ``diag_shift`` certifies
-    M(t) + shift*I instead, which restores a strict interior on problems
-    whose exact feasible set has none.
+    x_a x_b t^k coefficient.  To certify M(t) + c*I instead, add c to the
+    constant coefficient of each diagonal entry, as
+    :func:`polyce.moments.build_relaxation` does with its interior slack.
     """
     m, D = int(size), int(t_degree)
     if D < 0:
@@ -174,8 +176,7 @@ def matrix_psd_on_interval_constraint(
                 lhs = pair_sum(QS, hS, a, b, k)
                 lhs = lhs + pair_sum(QT, hT, a, b, k) - pair_sum(QT, hT, a, b, k - 2)
                 target = coeffs[k] if k < len(coeffs) else LinExpr()
-                rhs = diag_shift if (a == b and k == 0) else 0.0
-                problem.add_equality(lhs - target, rhs)
+                problem.add_equality(lhs - target)
     return QS, QT
 
 

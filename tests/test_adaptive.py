@@ -196,6 +196,11 @@ def test_stalled_degenerate_loop_does_not_solve_again(table3, emb_game, monkeypa
         run_adaptive(emb_game, [[], []], cfg)
 
 
+def test_finite_nan_initial_point_is_a_format_error(table3):
+    with pytest.raises(GameFormatError, match=r"grid points must be numbers in \[-1, 1\], got \[nan\]"):
+        run_adaptive_finite(table3, [[float("nan")], [float("nan")]])
+
+
 @pytest.mark.parametrize("subsets", [[[], []], [[0.0], []]])
 def test_finite_empty_initial_subset_is_a_solver_error(subsets):
     fg = FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.eye(2), np.eye(2)))

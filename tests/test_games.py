@@ -46,6 +46,11 @@ def test_eval_rejects_bad_points(quad_game):
         eval_utility(quad_game, 0, (1.5, 0.0))
 
 
+def test_eval_rejects_a_nan_coordinate(quad_game):
+    with pytest.raises(GameFormatError, match="outside"):
+        eval_utility(quad_game, 0, (float("nan"), 0.0))
+
+
 def test_deviation_gain_point_mass_origin(quad_game):
     # substituting y=0 into u_x and subtracting u_x(0,0) leaves 0.596t^2+1.36t
     dist = SupportedDistribution.point_mass((0.0, 0.0))
@@ -64,6 +69,12 @@ def test_deviation_gain_unknown_strategy(quad_game):
     dist = SupportedDistribution.point_mass((0.0, 0.0))
     with pytest.raises(GameFormatError, match="not in grid"):
         deviation_gain_poly(quad_game, 0, dist, 0.5)
+
+
+def test_deviation_gain_rejects_a_nan_strategy(quad_game):
+    dist = SupportedDistribution.point_mass((0.0, 0.0))
+    with pytest.raises(GameFormatError, match="not in grid"):
+        deviation_gain_poly(quad_game, 0, dist, float("nan"))
 
 
 @given(st.integers(0, 10_000))

@@ -135,3 +135,45 @@ def test_scan_flags_a_dead_parameter():
 def test_no_dead_parameters():
     assert dead_parameters([p.read_text() for p in PACKAGE],
                            [p.read_text() for p in CALLERS]) == []
+
+
+def unread_public_definitions(definers: list[str], readers: list[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods of
+    those classes (as ``Class.method``), of the ``definers`` sources whose
+    name no source in ``readers`` reads, imports, takes as an attribute or
+    holds as a string constant; the benchmark binds the functions it wraps
+    by string."""
+    defined = []  # (label, name)
+    for source in definers:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [label for label, name in defined if not name.startswith("_") and name not in read]
+
+
+def test_scan_flags_an_unread_public_definition():
+    module = ("def f():\n    pass\ndef g():\n    pass\ndef _h():\n    pass\n"
+              "class K:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n")
+    assert unread_public_definitions([module], [module]) == ["f", "g", "K", "K.m", "K.n"]
+    reader = "from mod import f\nimport mod\nmod.K().m()\nWRAPPED = [(mod, 'g')]\n"
+    assert unread_public_definitions([module], [reader]) == ["K.n"]
+
+
+def test_no_unread_public_definitions():
+    assert unread_public_definitions([p.read_text() for p in PACKAGE],
+                                     [p.read_text() for p in CALLERS]) == []

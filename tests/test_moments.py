@@ -54,6 +54,12 @@ def test_payoff_box_validation():
     assert PayoffBox(((0.2, 0.8), (-1.9, -1.2))).nests_inside(box, tol=1e-9)
 
 
+@pytest.mark.parametrize("bounds", [((float("nan"), 1.0),), ((0.0, float("nan")),)])
+def test_payoff_box_rejects_nan(bounds):
+    with pytest.raises(ValueError, match="bad box"):
+        PayoffBox(bounds)
+
+
 def test_second_order_relaxation_is_a_point(quad_game):
     box = payoff_bounds(quad_game, RelaxationOrder.auto(quad_game, 2))
     for i in range(2):
@@ -180,6 +186,27 @@ def test_payoff_queries_build_the_relaxation_once(quad_game, monkeypatch):
     assert len(builds) == 1
     payoff_region_sketch(quad_game, order, 3)
     assert len(builds) == 2
+
+
+def test_three_player_region_sketch():
+    # three players take random unit directions, drawn from the seed
+    game = random_polynomial_game(3, 2, 9)
+    order = RelaxationOrder.auto(game, 0)
+    sketch = payoff_region_sketch(game, order, 5, seed=1)
+    again = payoff_region_sketch(game, order, 5, seed=1)
+    other = payoff_region_sketch(game, order, 5, seed=2)
+    dirs = np.array([d for d, _ in sketch])
+    points = np.array([p for _, p in sketch])
+    assert np.array_equal(dirs, [d for d, _ in again])
+    assert np.array_equal(points, [p for _, p in again])
+    assert not np.allclose(dirs, [d for d, _ in other])
+    assert not np.allclose(points, [p for _, p in other])
+    assert np.linalg.norm(dirs, axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+    box = payoff_bounds(game, order)
+    assert all(box.contains(p, tol=1e-6) for p in points)
+    # each point is the support point of its own direction
+    for d, p in sketch:
+        assert float(d @ p) >= float((points @ d).max()) - 1e-6
 
 
 def test_region_requires_three_directions(quad_game):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,16 @@ def test_moment_vector_validation():
 def test_moment_vector_rejects_nan_mass():
     with pytest.raises(ValueError, match="mu_0 = 1, got nan"):
         MomentVector(1, 2, {(0,): float("nan"), (1,): 0.0, (2,): 0.0})
+
+
+@pytest.mark.parametrize("n, bad", [(1, (2,)), (2, (1, 1))])
+def test_moment_vector_rejects_non_finite_moments(n, bad):
+    for value in (float("nan"), float("inf")):
+        values = {e: 0.0 for e in grlex_monomials(n, 2)}
+        values[(0,) * n] = 1.0
+        values[bad] = value
+        with pytest.raises(ValueError, match=re.escape(f"moment {bad} is {value}, not a finite")):
+            MomentVector(n, 2, values)
 
 
 def test_verify_rejects_perturbed_gram():
