@@ -51,6 +51,7 @@ from .games import (
     FiniteGame,
     PolynomialGame,
     SupportedDistribution,
+    _check_arity,
     _check_points,
     conditional_coeffs,
     gains,
@@ -358,7 +359,7 @@ def run_adaptive_finite(fg: FiniteGame, initial_subsets, config: AdaptiveConfig 
     config = config or AdaptiveConfig()
     grids = tuple(
         g[sorted({int(np.argmin(np.abs(g - p))) for p in _check_points(np.asarray(pts, float))})]
-        for g, pts in zip(fg.grids, initial_subsets)
+        for g, pts in zip(fg.grids, _check_arity(fg.num_players, initial_subsets))
     )
     return _adaptive_loop(
         grids,

@@ -155,8 +155,6 @@ def cmd_audit(args) -> int:
     if isinstance(doc, dict) and "final_distribution" in doc:  # adaptive trace
         doc = doc["final_distribution"]
     dist = parse_distribution(json.dumps(doc))
-    if dist.num_players != game.num_players:
-        raise GameFormatError("distribution arity does not match the game")
     report = min_epsilon(game, dist)
     _write_or_print(report.to_json(), args.out)
     return EXIT_OK

@@ -68,6 +68,12 @@ class PolynomialGame:
         return len(self.utilities)
 
 
+def _check_arity(num_players: int, grids):
+    if len(grids) != num_players:
+        raise GameFormatError(f"one grid per player required, got {len(grids)} for {num_players}")
+    return grids
+
+
 def _check_points(g: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
         raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
@@ -248,9 +254,10 @@ def gain_coeffs(game: PolynomialGame, player: int, dist: SupportedDistribution) 
         g(t) = sum over s_{-i} of pi(s_i, s_{-i}) * [u_i(t, s_{-i}) - u_i(s)]
 
     for s_i = ``dist.grids[player][s]``."""
-    coeffs = conditional_coeffs(game.utilities[player], player, dist.grids)
+    grids = _check_arity(game.num_players, dist.grids)
+    coeffs = conditional_coeffs(game.utilities[player], player, grids)
     dev = player_view(coeffs, player)
-    rec = player_view(_horner(coeffs, player, dist.grids[player]), player)
+    rec = player_view(_horner(coeffs, player, grids[player]), player)
     probs = player_view(dist.probs, player)
     out = gains(probs, dev, np.zeros_like(rec))
     out[:, :1] = gains(probs, dev[:1], rec)  # u_i(s) is constant in t
@@ -270,9 +277,7 @@ def deviation_gain_poly(
 
 def sample_game(game: PolynomialGame, grids) -> FiniteGame:
     """Restrict utilities to a product of finite grids (the sampled game)."""
-    grids = tuple(merge_points(g) for g in grids)
-    if len(grids) != game.num_players:
-        raise GameFormatError("one grid per player required")
+    grids = _check_arity(game.num_players, tuple(merge_points(g) for g in grids))
     for g in grids:
         if g.size == 0:
             raise GameFormatError("empty strategy grid")
@@ -282,6 +287,7 @@ def sample_game(game: PolynomialGame, grids) -> FiniteGame:
 
 def expected_utilities(game: PolynomialGame, dist: SupportedDistribution) -> np.ndarray:
     """Expected utility per player under a finitely supported distribution."""
+    _check_arity(game.num_players, dist.grids)
     return np.array([
         float(np.sum(dist.probs * _sample(u, i, dist.grids)))
         for i, u in enumerate(game.utilities)

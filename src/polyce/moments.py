@@ -263,8 +263,6 @@ def check_moment_membership(
         raise ValueError("moment vector arity does not match the game")
     if mv.order < 2 * order.r:
         raise ValueError(f"moment vector order {mv.order} < required {2 * order.r}")
-    if abs(mv[(0,) * mv.num_vars] - 1.0) > slack:
-        return False
     if moment_validity_margin(mv, order.r) < -slack:
         return False
     return deviation_margin(game, order, mv) <= slack

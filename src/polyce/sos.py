@@ -7,7 +7,10 @@ written by one function:
   (:func:`matrix_psd_on_interval_constraint`), via the biform identity
   x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S, T SOS.  One polynomial p >= 0
   on [-1,1], p = s + (1-x^2) t with s, t SOS, is its 1x1 case
-  (:func:`interval_nonneg_constraint`).  For a concrete p scaled to unit
+  (:func:`interval_nonneg_constraint`).  One table, :func:`interval_terms`,
+  lists the Gram terms of every coefficient of that identity; the conic
+  writer, :func:`reconstruct_target` and the residual absorption of
+  :func:`prove_interval_nonneg` all read it.  For a concrete p scaled to unit
   largest coefficient, :func:`prove_interval_nonneg` decides in two steps:
   it refutes p when root finding shows a point of [-1,1] where p <
   -DECISION_SLACK, and otherwise solves the lower-bound program max delta
@@ -31,6 +34,7 @@ that order is frozen across modules.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,50 +84,60 @@ class MomentVector:
 @dataclass
 class SosCertificate:
     """Gram-matrix witness that a univariate polynomial is nonnegative on
-    [-1,1]: target = s(x) + (1-x^2) t(x) with s, t read off the Grams by
-    antidiagonal sums."""
+    [-1,1]: target = s(x) + (1-x^2) t(x), read off the Grams by :func:`interval_terms`."""
 
     gram_s: np.ndarray
-    gram_t: np.ndarray | None
+    gram_t: np.ndarray
     degree: int
+
+    def __post_init__(self):
+        for name, g in (("gram_s", self.gram_s), ("gram_t", self.gram_t)):
+            if np.ndim(g) != 2 or not 0 < len(g) == len(g[0]) or not np.isfinite(g).all():
+                raise ValueError(f"{name} must be a non-empty square matrix of finite numbers")
 
     def to_json(self) -> str:
         doc = {
             "degree": self.degree,
             "gram_s": [float(v) for v in self.gram_s.ravel()],
             "gram_s_dim": self.gram_s.shape[0],
-            "gram_t": None if self.gram_t is None else [float(v) for v in self.gram_t.ravel()],
-            "gram_t_dim": None if self.gram_t is None else self.gram_t.shape[0],
+            "gram_t": [float(v) for v in self.gram_t.ravel()],
+            "gram_t_dim": self.gram_t.shape[0],
         }
         return json.dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "SosCertificate":
         doc = json.loads(text)
-        ds = doc["gram_s_dim"]
-        gram_s = np.array(doc["gram_s"]).reshape(ds, ds)
-        gram_t = None
-        if doc["gram_t"] is not None:
-            dt = doc["gram_t_dim"]
-            gram_t = np.array(doc["gram_t"]).reshape(dt, dt)
+        ds, dt = doc["gram_s_dim"], doc["gram_t_dim"]
+        gram_s = np.array(doc["gram_s"], dtype=float).reshape(ds, ds)
+        gram_t = np.array(doc["gram_t"], dtype=float).reshape(dt, dt)  # null reads as nan
         return SosCertificate(gram_s, gram_t, doc["degree"])
-
-
-def antidiagonal_sums(gram: np.ndarray) -> np.ndarray:
-    """Coefficients of the polynomial x'Qx over the basis (1, x, ..., x^d)."""
-    d = gram.shape[0] - 1
-    out = np.zeros(2 * d + 1)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            out[i + j] += gram[i, j]
-    return out
 
 
 def interval_degrees(degree: int) -> tuple[int, int]:
     """Half-degrees (hs, ht) of the s and t Grams for a degree-``degree`` target."""
-    hs = (degree + 1) // 2
-    ht = max((degree - 1) // 2, 0)
-    return hs, ht
+    return (degree + 1) // 2, max((degree - 1) // 2, 0)
+
+
+@lru_cache(maxsize=None)
+def interval_terms(size: int, hs: int, ht: int):
+    """The identity x'M(t)x = S(x,t) + (1-t^2) T(x,t) for a symmetric
+    ``size`` x ``size`` M, with S over the basis {x_a t^p : p <= hs} (Gram
+    index a*(hs+1) + p) and T over p <= ht.  For each upper-triangle entry
+    of M in row order, ``(a, b, rows)``: rows[k] lists the terms ``(gram,
+    i, j, coef)``, gram 0 for S and 1 for T, whose sum of coef * G[i, j] is
+    the t^k coefficient of M_ab.  For a == b only i <= j is listed, and an
+    off-diagonal Gram entry carries weight 2 for its mirror."""
+    out = []
+    for a, b in itertools.combinations_with_replacement(range(size), 2):
+        rows = [[] for _ in range(max(2 * hs, 2 * ht + 2) + 1)]
+        for gram, h, shift, sign in ((0, hs, 0, 1.0), (1, ht, 0, 1.0), (1, ht, 2, -1.0)):
+            for p in range(h + 1):
+                for q in range(p if a == b else 0, h + 1):
+                    coef = sign if a != b or p == q else 2.0 * sign
+                    rows[p + q + shift].append((gram, a * (h + 1) + p, b * (h + 1) + q, coef))
+        out.append((a, b, tuple(map(tuple, rows))))
+    return tuple(out)
 
 
 def interval_nonneg_constraint(
@@ -144,40 +158,24 @@ def matrix_psd_on_interval_constraint(
 
     Encodes x'M(t)x = S(x,t) + (1-t^2) T(x,t) with S over the basis
     {x_a t^j : j <= ceil(D/2)} and T correspondingly reduced, matching every
-    x_a x_b t^k coefficient.  To certify M(t) + c*I instead, add c to the
-    constant coefficient of each diagonal entry, as
-    :func:`polyce.moments.build_relaxation` does with its interior slack.
+    x_a x_b t^k coefficient as :func:`interval_terms` lists it.  To certify
+    M(t) + c*I instead, add c to the constant coefficient of each diagonal
+    entry, as :func:`polyce.moments.build_relaxation` does with its interior
+    slack.
     """
     m, D = int(size), int(t_degree)
     if D < 0:
         raise SolverError("t_degree must be nonnegative")
     hS, hT = interval_degrees(D)
-    QS = problem.add_psd_block(m * (hS + 1))
-    QT = problem.add_psd_block(m * (hT + 1))
-
-    def pair_sum(Q: PsdBlock, h: int, a: int, b: int, k: int) -> LinExpr:
-        # sum over p+q=k of Q[(a,p),(b,q)]; for a == b the ordered double
-        # count folds into the usual 1/2 antidiagonal weights over p <= q
-        out = LinExpr()
-        last = min(h, k) if a != b else min(h, k // 2)
-        for p in range(max(0, k - h), last + 1):
-            i, j = a * (h + 1) + p, b * (h + 1) + k - p
-            mult = 1.0 if (a != b or i == j) else 2.0
-            out = out + mult * Q.entry(i, j)
-        return out
-
-    top = max(2 * hS, 2 * hT + 2)
-    for a in range(m):
-        for b in range(a, m):
-            coeffs = [LinExpr.of(c) for c in entries[a][b]]
-            if len(coeffs) - 1 > D:
-                raise SolverError(f"entry ({a},{b}) has degree above {D}")
-            for k in range(top + 1):
-                lhs = pair_sum(QS, hS, a, b, k)
-                lhs = lhs + pair_sum(QT, hT, a, b, k) - pair_sum(QT, hT, a, b, k - 2)
-                target = coeffs[k] if k < len(coeffs) else LinExpr()
-                problem.add_equality(lhs - target)
-    return QS, QT
+    Q = (problem.add_psd_block(m * (hS + 1)), problem.add_psd_block(m * (hT + 1)))
+    for a, b, rows in interval_terms(m, hS, hT):
+        coeffs = entries[a][b]
+        if len(coeffs) - 1 > D:
+            raise SolverError(f"entry ({a},{b}) has degree above {D}")
+        for k, terms in enumerate(rows):
+            lhs = sum((coef * Q[g].entry(i, j) for g, i, j, coef in terms), LinExpr())
+            problem.add_equality(lhs - (coeffs[k] if k < len(coeffs) else 0.0))
+    return Q
 
 
 @lru_cache(maxsize=None)
@@ -236,17 +234,11 @@ def moment_feasibility_constraint(
 
 
 def reconstruct_target(cert: SosCertificate) -> np.ndarray:
-    """Coefficients of s(x) + (1-x^2) t(x) read off the certificate."""
-    s = antidiagonal_sums(cert.gram_s)
-    if cert.gram_t is None:
-        return s
-    t = antidiagonal_sums(cert.gram_t)
-    weighted = np.convolve([1.0, 0.0, -1.0], t)
-    n = max(s.size, weighted.size)
-    out = np.zeros(n)
-    out[: s.size] += s
-    out[: weighted.size] += weighted
-    return out
+    """Coefficients of s(x) + (1-x^2) t(x) read off the symmetric parts of
+    the Grams, the matrices :func:`verify_certificate` tests for PSD."""
+    grams = tuple((G + G.T) / 2 for G in (cert.gram_s, cert.gram_t))
+    (_, _, rows), = interval_terms(1, len(cert.gram_s) - 1, len(cert.gram_t) - 1)
+    return np.array([sum(coef * grams[g][i, j] for g, i, j, coef in terms) for terms in rows])
 
 
 def verify_certificate(cert: SosCertificate, target_coeffs) -> tuple[bool, float]:
@@ -259,8 +251,6 @@ def verify_certificate(cert: SosCertificate, target_coeffs) -> tuple[bool, float
     target = np.atleast_1d(np.asarray(target_coeffs, dtype=float))
     scale = max(1.0, float(np.abs(target).max(initial=0.0)))
     for gram in (cert.gram_s, cert.gram_t):
-        if gram is None or gram.size == 0:
-            continue
         if float(np.linalg.eigvalsh((gram + gram.T) / 2)[0]) < -1e-7 * scale:
             return False, float("inf")
     residual = float(np.abs(npoly.polysub(reconstruct_target(cert), target)).max())
@@ -270,19 +260,18 @@ def verify_certificate(cert: SosCertificate, target_coeffs) -> tuple[bool, float
 
 
 def _absorb_residual(cert: SosCertificate, target: np.ndarray) -> SosCertificate:
-    """Spread the coefficient residual of a certificate uniformly over the
-    matching antidiagonals of the s-Gram, so reconstruction is exact to
-    rounding.  The eigenvalue perturbation is bounded by the residual."""
+    """Spread each coefficient's residual uniformly over its s-Gram cells in
+    :func:`interval_terms`, so reconstruction is exact to rounding.  The
+    eigenvalue perturbation is bounded by the residual."""
     delta = npoly.polysub(reconstruct_target(cert), target)  # trailing zeros trimmed
     gram = cert.gram_s.copy()
     d = gram.shape[0] - 1
+    (_, _, rows), = interval_terms(1, d, len(cert.gram_t) - 1)
     for k in range(min(delta.size, 2 * d + 1)):
-        cells = [(i, k - i) for i in range(max(0, k - d), min(d, k) + 1)]
-        if not cells:
-            continue
-        per = delta[k] / len(cells)
-        for i, j in cells:
-            gram[i, j] -= per
+        cells = [(i, j, coef) for g, i, j, coef in rows[k] if g == 0]
+        per = delta[k] / sum(coef for _, _, coef in cells)  # coef counts a cell and its mirror
+        for i, j, _ in cells:
+            gram[(i, j), (j, i)] -= per  # one cell when i == j
     return SosCertificate(gram, cert.gram_t, cert.degree)
 
 

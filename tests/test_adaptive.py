@@ -201,6 +201,12 @@ def test_finite_nan_initial_point_is_a_format_error(table3):
         run_adaptive_finite(table3, [[float("nan")], [float("nan")]])
 
 
+@pytest.mark.parametrize("subsets", [[[-1.0]], [[-1.0], [-1.0], [0.0]]])
+def test_finite_initial_subsets_need_one_per_player(table3, subsets):
+    with pytest.raises(GameFormatError, match="one grid per player required"):
+        run_adaptive_finite(table3, subsets)
+
+
 @pytest.mark.parametrize("subsets", [[[], []], [[0.0], []]])
 def test_finite_empty_initial_subset_is_a_solver_error(subsets):
     fg = FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.eye(2), np.eye(2)))

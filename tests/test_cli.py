@@ -93,6 +93,8 @@ def test_malformed_game_file_exits_1(tmp_path, capsys):
     ("audit", None, "5"),
     ("audit", None, '{"final_distribution": {"grids": [[0], [0]], "probs": [[true]]}}'),
     ("audit", None, '{"grids": [[2.0], [0.0]], "probs": [[1.0]]}'),
+    ("audit", None, '{"grids": [[0.5]], "probs": [1.0]}'),
+    ("audit", None, '{"grids": [[0.5], [0.5], [0.5]], "probs": [[[1.0]]]}'),
     ("static", '{"players": ["x"], "utilities": [[1]]}', None),
     ("static", '{"players": ["x"], "utilities": [{"terms": [{"exp": [true], "coef": 1}]}]}', None),
 ])

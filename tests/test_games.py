@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyce.finite_ce import max_ce_violation
+from polyce.finite_ce import max_ce_violation, min_epsilon
 from polyce.games import (
     FiniteGame,
     GameFormatError,
@@ -14,8 +14,10 @@ from polyce.games import (
     deviation_gain_poly,
     eval_utility,
     expected_utilities,
+    gain_coeffs,
     parse_distribution,
     parse_game,
+    player_names,
     random_polynomial_game,
     sample_game,
     serialize_distribution,
@@ -292,6 +294,20 @@ def test_expected_utilities(quad_game):
     u = expected_utilities(quad_game, dist)
     assert u[0] == pytest.approx(2.988)
     assert u[1] == pytest.approx(-1.510)
+
+
+@pytest.mark.parametrize("point", [(0.5,), (0.5, 0.5, 0.5)])
+def test_distribution_of_the_wrong_arity_is_a_format_error(quad_game, point):
+    dist = SupportedDistribution.point_mass(point)
+    for call in (lambda: min_epsilon(quad_game, dist), lambda: gain_coeffs(quad_game, 0, dist),
+                 lambda: expected_utilities(quad_game, dist)):
+        with pytest.raises(GameFormatError, match="one grid per player required"):
+            call()
+
+
+def test_player_names_past_the_defaults():
+    assert player_names(3) == ("x", "y", "z")
+    assert player_names(4) == ("s0", "s1", "s2", "s3")
 
 
 def test_random_game_deterministic_and_bounded_degree():

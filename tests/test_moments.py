@@ -20,7 +20,7 @@ from polyce.moments import (
     required_half_order,
     separating_test_polynomial,
 )
-from polyce.polynomials import MultiPoly
+from polyce.polynomials import MultiPoly, grlex_monomials
 from polyce.sos import MomentVector
 
 UNIQUE_PAYOFF = (
@@ -118,6 +118,16 @@ def test_membership_input_validation(quad_game):
         check_moment_membership(quad_game, order, _point_moments((1.0,), 2 * order.r))
     with pytest.raises(ValueError, match="order"):
         check_moment_membership(quad_game, order, _point_moments((1.0, 1.0), 2))
+
+
+def test_membership_refutes_an_invalid_moment_vector(quad_game):
+    # mu_20 = 1.5 is no second moment of a measure on [-1,1]^2: the
+    # localizing matrix of 1 - s_0^2 is [1 - 1.5]
+    values = dict.fromkeys(grlex_monomials(2, 2), 0.0)
+    values[(0, 0)], values[(2, 0)] = 1.0, 1.5
+    mv = MomentVector(2, 2, values)
+    assert moment_validity_margin(mv, 1) == pytest.approx(-0.5)
+    assert not check_moment_membership(quad_game, RelaxationOrder(d=0, r=1), mv)
 
 
 def test_moment_validity_margin_flags_bad_vectors():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from polyce.sos import (
     SosCertificate,
     interval_degrees,
     interval_nonneg_constraint,
+    interval_terms,
     localizing_entries,
     matrix_psd_on_interval_constraint,
     moment_feasibility_constraint,
@@ -43,6 +45,24 @@ def test_interval_degree_split():
     assert interval_degrees(2) == (1, 0)
     assert interval_degrees(3) == (2, 1)
     assert interval_degrees(4) == (2, 1)
+
+
+@pytest.mark.parametrize("size, hs, ht", [(1, 0, 0), (1, 2, 1), (1, 1, 2), (2, 1, 0), (3, 2, 2)])
+def test_interval_terms_match_the_gram_identity(size, hs, ht):
+    # for random symmetric Grams, the table's coefficients of M_ab evaluate
+    # to Z_s(t)' S Z_s(t) + (1-t^2) Z_t(t)' T Z_t(t), Z_h(t) the basis
+    # x_a t^p (p <= h) as a size(h+1) x size matrix
+    rng = np.random.default_rng(size + 3 * hs + 7 * ht)
+    grams = [rng.normal(size=(size * (h + 1),) * 2) for h in (hs, ht)]
+    grams = [g + g.T for g in grams]
+    table = interval_terms(size, hs, ht)
+    assert [(a, b) for a, b, _ in table] == [(a, b) for a in range(size) for b in range(a, size)]
+    for t in (-1.0, -0.3, 0.4, 0.9):
+        Z = [np.kron(np.eye(size), t ** np.arange(h + 1)[:, None]) for h in (hs, ht)]
+        M = Z[0].T @ grams[0] @ Z[0] + (1 - t * t) * Z[1].T @ grams[1] @ Z[1]
+        for a, b, rows in table:
+            coeffs = [sum(c * grams[g][i, j] for g, i, j, c in terms) for terms in rows]
+            assert poly_eval(coeffs, t) == pytest.approx(M[a, b], abs=1e-9)
 
 
 def test_interval_weight_polynomial():
@@ -295,6 +315,11 @@ def test_verify_zero_certificate():
     cert = SosCertificate(np.zeros((1, 1)), np.zeros((1, 1)), 0)
     good, resid = verify_certificate(cert, [0.0])
     assert good and resid == 0.0
+    # the zero polynomial trims to no coefficients and is still certified
+    ok, cert = prove_interval_nonneg([0.0])
+    assert ok
+    good, resid = verify_certificate(cert, [0.0])
+    assert good and resid <= 1e-7
 
 
 def test_certificate_json_roundtrip():
@@ -303,6 +328,36 @@ def test_certificate_json_roundtrip():
     assert np.allclose(back.gram_s, cert.gram_s)
     assert np.allclose(back.gram_t, cert.gram_t)
     assert back.degree == cert.degree
+
+
+def test_verify_rejects_a_non_symmetric_gram_whose_upper_triangle_fits():
+    # (x - 0.01)^2 - 1e-5 is negative at x = 0.01 but nonnegative on the
+    # 101-point grid; the upper triangle of gram_s alone reconstructs it,
+    # while the symmetric part diag(9e-5, 1), which passes the PSD test,
+    # has no x term
+    cert = SosCertificate(np.array([[9e-5, -0.01], [0.01, 1.0]]), np.zeros((1, 1)), 2)
+    good, resid = verify_certificate(cert, [9e-5, -0.02, 1.0])
+    assert not good and resid == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("doc", [
+    {"degree": 0, "gram_s": [1.0], "gram_s_dim": 1, "gram_t": [], "gram_t_dim": 0},
+    {"degree": 0, "gram_s": [1.0], "gram_s_dim": 1, "gram_t": None, "gram_t_dim": 1},
+], ids=["empty-gram-t", "null-gram-t"])
+def test_certificate_json_needs_non_empty_numeric_grams(doc):
+    with pytest.raises(ValueError, match="gram_t"):
+        SosCertificate.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("gram_s, gram_t, name", [
+    (np.ones((1, 1)), np.zeros((0, 0)), "gram_t"),
+    (np.ones((1, 2)), np.zeros((1, 1)), "gram_s"),
+    (np.ones(1), np.zeros((1, 1)), "gram_s"),
+    (np.ones((1, 1)), np.full((1, 1), np.inf), "gram_t"),
+])
+def test_certificate_needs_square_non_empty_finite_grams(gram_s, gram_t, name):
+    with pytest.raises(ValueError, match=name):
+        SosCertificate(gram_s, gram_t, 0)
 
 
 def test_soundness_on_random_feasible_polynomials():
