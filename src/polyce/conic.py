@@ -14,8 +14,9 @@ keys and ``ConicSolution.values`` use this numbering.
 
 ``solve`` hands the built problem to the interior-point method in
 :mod:`polyce.ipm` and returns a :class:`ConicSolution` with primal values,
-equality multipliers, and a status in {Optimal, Infeasible, Unbounded,
-NumericalFailure}.
+equality multipliers, a status in {Optimal, Infeasible, Unbounded,
+NumericalFailure} and the reason the iteration ended.  ``solve_many`` solves
+the same constraints under several objectives in one batched IPM run.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ class ConicProblem:
         self._check_expr(e)
         self.objective = e
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> "ConicSolution":
+    def _solver(self, tol: float):
+        """The IPM module, once the problem and ``tol`` pass its checks."""
         if not (0 < tol <= 1e-2):
             raise SolverError("tol must lie in (0, 1e-2]")
         # the IPM needs a cone; linear programs go to finite_ce.solve_lp
@@ -208,7 +210,19 @@ class ConicProblem:
             raise SolverError("problem has no variables in a cone")
         from . import ipm
 
-        return ipm.solve(self, tol=tol, max_iter=max_iter)
+        return ipm
+
+    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> "ConicSolution":
+        return self._solver(tol).solve(self, tol=tol, max_iter=max_iter)
+
+    def solve_many(self, objectives, tol: float = 1e-8, max_iter: int = 200) -> list:
+        """One solution per objective, as ``solve`` would give after
+        ``set_objective``; the objectives share one compile and one IPM run."""
+        objectives = [LinExpr.of(e) for e in objectives]
+        for e in objectives:
+            self._check_expr(e)
+        ipm = self._solver(tol)
+        return ipm.solve_many(self, objectives, tol=tol, max_iter=max_iter) if objectives else []
 
 
 @dataclass
@@ -223,6 +237,10 @@ class ConicSolution:
     iterations: int = 0
     eq_residual: float = float("nan")
     min_block_eig: float = float("nan")
+    # why the iteration ended: optimal, infeasible, unbounded, max_iter or
+    # breakdown, prefixed "rescued_" (for the four non-optimal endings) when
+    # the best iterate met the looser rescue tolerance and was returned
+    reason: str = ""
 
     def _require_optimal(self, what: str) -> None:
         if self.status is not Status.OPTIMAL:

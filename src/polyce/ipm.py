@@ -24,22 +24,34 @@ complement adds its block terms in block order.  The loop's sparse products
 once per solve, which add each sum's terms in scipy's csr_matvec and
 csr_matmat order.  So every solve is bit-identical to one through the
 per-block kernels and scipy.sparse that the tests keep as an oracle, which
-matters because a one-ulp change moves iteration counts.  Intended for
-desk-scale problems (PSD blocks up to ~60x60, a few thousand equalities).
-A problem without a cone has no interior to follow: ``ConicProblem.solve``
-rejects it, and linear programs go to HiGHS instead (``finite_ce.solve_lp``).
+matters because a one-ulp change moves iteration counts.
+
+``solve_many`` solves one problem under several objectives in lockstep, and
+``solve`` is its batch of one.  Iterates carry a leading batch axis, one row
+per member still running; a member leaves when it ends, and keeps its own
+tau, kappa, mu, sigma, step lengths, centrality backtracking, best iterate
+and termination tests (the scalar ones in Python floats).  Each member's
+Schur complement, K2 and LU factors (LAPACK getrf) are made in turn.  The
+batched forms repeat the unbatched arithmetic per row (NumPy 2.2's
+``np.vecdot`` and ``np.matvec``, bincount bins offset per row, matmul and
+LAPACK on stacks; ``einsum``, ``.sum`` and ``x @ A.T`` round differently), so
+a member ends as its solve alone would, and a breakdown ends only its own.
+Intended for desk-scale problems (PSD blocks up to ~60x60, a few thousand
+equalities).  A problem without a cone has no interior to follow:
+``ConicProblem.solve`` rejects it, and linear programs go to HiGHS instead
+(``finite_ce.solve_lp``).
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .conic import ConicProblem, ConicSolution, Status, _triangle
+from .conic import ConicProblem, ConicSolution, LinExpr, Status, _triangle
 
 _REG = 1e-10  # static regularization of the KKT system
 _STEP_FRAC = 0.98
@@ -82,7 +94,6 @@ def compile_problem(p: ConicProblem) -> Compiled:
     for blk in psd:
         svec_scale = _triangle(blk.dim)[3]
         scale[blk.start : blk.start + svec_scale.size] = svec_scale
-    inv_scale = 1.0 / scale
 
     m = len(p.equalities)
     keys = np.fromiter((k for coeffs, _ in p.equalities for k in coeffs), dtype=np.intp)
@@ -92,25 +103,28 @@ def compile_problem(p: ConicProblem) -> Compiled:
     b[:m] = [rhs for _, rhs in p.equalities]
     if m == 0:
         m = 1  # dummy all-zero row keeps the HSD machinery uniform
-    A = sp.csr_matrix((vals * inv_scale[keys], (rows, col[keys])), shape=(m, p.num_vars))
-
-    c = np.zeros(p.num_vars)
-    keys = np.fromiter(p.objective.coeffs, dtype=np.intp)
-    c[col[keys]] += np.fromiter(p.objective.coeffs.values(), dtype=float) * inv_scale[keys]
+    A = sp.csr_matrix((vals * (1.0 / scale)[keys], (rows, col[keys])), shape=(m, p.num_vars))
 
     row_scale = np.maximum(np.abs(A).max(axis=1).toarray().ravel(), np.abs(b))
     row_scale = np.maximum(row_scale, 1e-8)
     A = sp.diags(1.0 / row_scale) @ A
     b = b / row_scale
-    obj_scale = max(1.0, np.abs(c).max() if c.size else 1.0)
-    c = c / obj_scale
-
+    c, obj_scale, obj_const = _cost(p.objective, col, scale)
     return Compiled(
         m=m, f=f, q=q, block_dims=[blk.dim for blk in psd],
         block_offsets=[int(col[blk.start]) - f - q for blk in psd],
         cone_dim=p.num_vars - f, A=A.tocsr(), b=b, c=c, col=col, scale=scale,
-        row_scale=row_scale, obj_scale=obj_scale, obj_const=p.objective.const,
+        row_scale=row_scale, obj_scale=obj_scale, obj_const=obj_const,
     )
+
+
+def _cost(e: LinExpr, col: np.ndarray, scale: np.ndarray) -> tuple:
+    """Objective ``e`` in solver columns: (c / obj_scale, obj_scale, const)."""
+    c = np.zeros(col.size)
+    keys = np.fromiter(e.coeffs, dtype=np.intp)
+    c[col[keys]] += np.fromiter(e.coeffs.values(), dtype=float) * (1.0 / scale)[keys]
+    obj_scale = max(1.0, np.abs(c).max() if c.size else 1.0)
+    return c / obj_scale, obj_scale, e.const
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +142,36 @@ class _Group:
         self.scatter = starts[:, None] + np.arange(self.scale.size)  # svec -> cone position
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
-        return v[..., self.gather] / self.scale_dd
+        return v.take(self.gather, axis=-1) / self.scale_dd
 
     def pack(self, mats: np.ndarray, out: np.ndarray) -> None:
-        out[self.scatter] = mats.reshape(len(self.blocks), -1)[:, self.flat] * self.scale
+        out[..., self.scatter] = mats.reshape(mats.shape[:-2] + (-1,))[..., self.flat] * self.scale
 
 
 class _Scaling:
     """NT scaling: w on the orthant and, per group, the stacks R, R^{-1} and
-    lam with X = R Lam R', Z = R^{-T} Lam R^{-1} (the transposes are views)."""
+    lam with X = R Lam R', Z = R^{-T} Lam R^{-1} (the transposes are views),
+    each with the leading batch axes of x and z."""
 
     def __init__(self, cone: _Cone, x: np.ndarray, z: np.ndarray):
         q = cone.q
-        self.w2 = x[:q] / z[:q]
+        self.w2 = x[..., :q] / z[..., :q]
         self.w = np.sqrt(self.w2)
-        self.lam_orth = np.sqrt(x[:q] * z[:q])
+        self.lam_orth = np.sqrt(x[..., :q] * z[..., :q])
         self.R, self.Rinv, self.lam = [], [], []
         xz = np.stack([x, z])
         for g in cone.groups:
             Lx, Lz = np.linalg.cholesky(g.unpack(xz))
             U, sv, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Lx)
             sq = np.sqrt(sv)
-            self.R.append(Lx @ Vt.swapaxes(-1, -2) / sq[:, None, :])
-            self.Rinv.append((U.swapaxes(-1, -2) @ Lz.swapaxes(-1, -2)) / sq[:, :, None])
+            self.R.append(Lx @ Vt.swapaxes(-1, -2) / sq[..., None, :])
+            self.Rinv.append((U.swapaxes(-1, -2) @ Lz.swapaxes(-1, -2)) / sq[..., :, None])
             self.lam.append(sv)
         self.RT = [R.swapaxes(-1, -2) for R in self.R]
         self.RinvT = [Ri.swapaxes(-1, -2) for Ri in self.Rinv]
         # diagonal stacks; singular values are finite and >= 0, so the
         # off-diagonal entries are +0.0 as in np.diag
-        self.Lam = [lam[:, :, None] * np.eye(lam.shape[1]) for lam in self.lam]
+        self.Lam = [lam[..., None] * np.eye(lam.shape[-1]) for lam in self.lam]
 
 
 class _Cone:
@@ -186,7 +201,7 @@ class _Cone:
     def apply_T(self, sc: _Scaling, u: np.ndarray) -> np.ndarray:
         """T u T with T = R R' per block; w^2 * u on the orthant."""
         out = np.empty_like(u)
-        out[: self.q] = sc.w2 * u[: self.q]
+        out[..., : self.q] = sc.w2 * u[..., : self.q]
         for g, R, RT in zip(self.groups, sc.R, sc.RT):
             g.pack(R @ (RT @ g.unpack(u) @ R) @ RT, out)
         return out
@@ -194,62 +209,55 @@ class _Cone:
     def scale_down(self, sc: _Scaling, u: np.ndarray, dual: bool) -> tuple:
         """Scaled-space images: R' u R per block for dual vectors, R^{-1} u
         R^{-T} for primal; orthant entries multiplied/divided by w."""
-        orth = u[: self.q] * sc.w if dual else u[: self.q] / sc.w
+        orth = u[..., : self.q] * sc.w if dual else u[..., : self.q] / sc.w
         left, right = (sc.RT, sc.R) if dual else (sc.Rinv, sc.RinvT)
         return orth, [L @ g.unpack(u) @ Rt for g, L, Rt in zip(self.groups, left, right)]
 
     def from_scaled_primal(self, sc: _Scaling, orth: np.ndarray, mats: list) -> np.ndarray:
-        out = np.zeros(self.cp.cone_dim)
-        out[: self.q] = orth * sc.w
+        out = np.zeros(orth.shape[:-1] + (self.cp.cone_dim,))
+        out[..., : self.q] = orth * sc.w
         for g, R, RT, M in zip(self.groups, sc.R, sc.RT, mats):
             g.pack(R @ M @ RT, out)
         return out
 
-    def max_step(self, sc: _Scaling, *dirs: tuple) -> float:
-        """Largest alpha with lam + alpha*dir staying in the cone (scaled
-        space) for each of the scaled directions (orth, mats) given."""
-        alpha = np.inf
-        for orth_dir, _ in dirs:
-            neg = orth_dir < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-sc.lam_orth[neg] / orth_dir[neg])))
+    def max_step(self, sc: _Scaling, *dirs: tuple) -> np.ndarray:
+        """Per batch row, the largest alpha with lam + alpha*dir staying in
+        the cone (scaled space) for each of the scaled directions (orth,
+        mats) given."""
+        steps = [np.where(d < 0, -sc.lam_orth / d, np.inf).min(-1, initial=np.inf) for d, _ in dirs]
         for gi, lam in enumerate(sc.lam):
-            M = np.stack([d[1][gi] for d in dirs]) / np.sqrt(lam[:, :, None] * lam[:, None, :])
-            emin = np.linalg.eigvalsh((M + M.swapaxes(-1, -2)) / 2)[..., 0]
-            emin = emin[emin < 0]
-            if emin.size:
-                alpha = min(alpha, float(np.min(1.0 / -emin)))
-        return alpha
+            M = np.stack([d[1][gi] for d in dirs]) / np.sqrt(lam[..., :, None] * lam[..., None, :])
+            # 1 / -e falls as e does, so the least eigenvalue bounds the step
+            emin = np.linalg.eigvalsh((M + M.swapaxes(-1, -2)) / 2)[..., 0].min(axis=(0, -1))
+            steps.append(np.where(emin < 0, 1.0 / -emin, np.inf))
+        return np.min(steps, axis=0)
 
-    def centrality(self, sc: _Scaling, sd_x: list, sd_z: list, alpha: float) -> list:
+    def centrality(self, sc: _Scaling, sd_x: list, sd_z: list, alpha) -> list:
         """Per block, in block order, the smallest eigenvalue of the
-        symmetrized (Lam + alpha dx)(Lam + alpha dz) in scaled space."""
-        emins = []
+        symmetrized (Lam + alpha dx)(Lam + alpha dz) in scaled space, one per
+        batch row of alpha."""
+        alpha, emins = np.asarray(alpha)[..., None, None, None], []
         for Lam, X, Z in zip(sc.Lam, sd_x, sd_z):
             P = (Lam + alpha * X) @ (Lam + alpha * Z)
-            emins.append(np.linalg.eigvalsh((P + P.swapaxes(-1, -2)) / 2)[:, 0].tolist())
-        return [emins[gi][j] for gi, j in self.order]
+            emins.append(np.linalg.eigvalsh((P + P.swapaxes(-1, -2)) / 2)[..., 0])
+        return [emins[gi][..., j] for gi, j in self.order]
 
     def targets(self, sc: _Scaling, sdx: tuple, sdz: tuple, smu: float) -> tuple:
         """Corrector complementarity targets in scaled space: smu - lam^2
         minus the symmetrized second-order term of the predictor (sdx, sdz),
         through the inverse Lyapunov operator of Lam."""
-        lam_o = sc.lam_orth
+        lam_o, smu = sc.lam_orth, np.asarray(smu)[..., None]
         d_orth = (smu - lam_o**2 - sdx[0] * sdz[0]) / lam_o
         d_mats = []
         for g, lam, Lam, X, Z in zip(self.groups, sc.lam, sc.Lam, sdx[1], sdz[1]):
             corr = (X @ Z + Z @ X) / 2.0
-            N = smu * np.eye(g.dim) - Lam**2 - corr
-            d_mats.append(2.0 * N / (lam[:, :, None] + lam[:, None, :]))
+            N = smu[..., None, None] * np.eye(g.dim) - Lam**2 - corr
+            d_mats.append(2.0 * N / (lam[..., :, None] + lam[..., None, :]))
         return d_orth, d_mats
 
 
 # ---------------------------------------------------------------------------
 # the solver
-
-
-def _finite(parts) -> bool:
-    return all(np.isfinite(v).all() for v in parts)
 
 
 def _sums(bins: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -258,11 +266,13 @@ def _sums(bins: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, terms, minlength=n).astype(float, copy=False)
 
 
-def _matvec(A: sp.csr_matrix):
-    """v -> A v, each row adding its products in stored order from 0, as
-    scipy's csr_matvec does."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return lambda v: _sums(rows, A.data * v[A.indices], A.shape[0])
+def _matvec(A: sp.csr_matrix, batch: int):
+    """v -> A v for each of the at most ``batch`` rows of v, as rows, each
+    adding its products in stored order from 0, as scipy's csr_matvec does."""
+    m, n = A.shape
+    bins = np.repeat(np.arange(m), np.diff(A.indptr)) + m * np.arange(batch)[:, None]
+    return lambda v: _sums(bins[: v.size // n].ravel(), (A.data * v.take(A.indices, axis=-1)).ravel(),
+                           v.size // n * m).reshape(-1, m)
 
 
 def _orth_pairs(A_orth: sp.csr_matrix) -> tuple:
@@ -278,14 +288,25 @@ def _orth_pairs(A_orth: sp.csr_matrix) -> tuple:
     return i * m + AT.indices[pos], A.data[entry], A.indices[entry], AT.data[pos]
 
 
-def _schur(cone: _Cone, sc: _Scaling, pairs: tuple, blk_mats: list) -> np.ndarray:
-    """A T A' from the orthant ``pairs`` (``_orth_pairs``) and from the
-    (k, m, d, d) stacks of constraint matrices per group; block terms are
-    added in block order."""
+def _by_rows(step, *rows) -> list:
+    """``step(*rows)``, redone row by row when a stacked LAPACK kernel
+    raises; a row whose own kernel raises gets a NaN step length."""
+    try:
+        return step(*rows)
+    except np.linalg.LinAlgError:
+        if len(rows[0]) == 1:
+            return [np.full(1, np.nan), *rows[:6]]
+    return [np.concatenate(d) for d in zip(*(_by_rows(step, *(v[i : i + 1] for v in rows))
+                                             for i in range(len(rows[0]))))]
+
+
+def _schur(cone: _Cone, sc: _Scaling, pairs: tuple, blk_mats: list, i: int) -> np.ndarray:
+    """A T A' of batch row ``i`` of the scaling from the orthant ``pairs`` (``_orth_pairs``) and from the (k, m, d, d) stacks of
+    constraint matrices per group; block terms are added in block order."""
     m = cone.cp.m
     ij, a_ik, k, a_jk = pairs
-    S = _sums(ij, (a_ik * sc.w2[k]) * a_jk, m * m).reshape(m, m)
-    scaled = [np.matmul(np.matmul(RT[:, None], Ab), R[:, None])
+    S = _sums(ij, (a_ik * sc.w2[i][k]) * a_jk, m * m).reshape(m, m)
+    scaled = [np.matmul(np.matmul(RT[i][:, None], Ab), R[i][:, None])
               for RT, Ab, R in zip(sc.RT, blk_mats, sc.R)]
     for gi, j in cone.order:
         flat = scaled[gi][j].reshape(m, -1)
@@ -294,92 +315,54 @@ def _schur(cone: _Cone, sc: _Scaling, pairs: tuple, blk_mats: list) -> np.ndarra
 
 
 def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
-    """Solve a built problem by predictor-corrector steps whose centering
-    parameter is sigma = min(1, max(0, mu_aff / mu)), with mu_aff the
-    complementarity the affine predictor step would reach."""
+    """Solve a built problem under its own objective: a batch of one."""
+    return solve_many(problem, [problem.objective], tol, max_iter)[0]
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # non-finite rows end as breakdowns
+def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
+               max_iter: int = 200) -> list[ConicSolution]:
+    """Solve a built problem once per objective, all in lockstep, by
+    predictor-corrector steps whose centering parameter is
+    sigma = min(1, max(0, mu_aff / mu)), with mu_aff the complementarity the
+    affine predictor step would reach."""
     if problem.trivially_infeasible:
-        return ConicSolution(status=Status.INFEASIBLE)
+        return [ConicSolution(status=Status.INFEASIBLE, reason="infeasible") for _ in objectives]
     cp = compile_problem(problem)
+    costs = [_cost(e, cp.col, cp.scale) for e in objectives]
 
     cone = _Cone(cp)
-    m, f = cp.m, cp.f
+    m, f, b, B, nu1 = cp.m, cp.f, cp.b, len(objectives), cone.nu + 1
     A_free = cp.A[:, :f].toarray() if f else np.zeros((m, 0))
     A_c = cp.A[:, f:].tocsr()
-    A_cone, A_coneT = _matvec(A_c), _matvec(A_c.T.tocsr())
+    A_cone, A_coneT = _matvec(A_c, B), _matvec(A_c.T.tocsr(), B)
     pairs = _orth_pairs(A_c[:, : cp.q].tocsr())
     blk_mats = cone.constraint_stacks(A_c)
-    b, c = cp.b, cp.c
-    c_f, c_c = c[:f], c[f:]
     norm_b = 1.0 + np.abs(b).max(initial=0.0)
-    norm_c = 1.0 + np.abs(c).max(initial=0.0)
+    K2 = np.zeros((m + f, m + f))
+    K2[:m, m:], K2[m:, :m], K2[m:, m:] = A_free, A_free.T, -_REG * np.eye(f)
+    reg = _REG * np.eye(m)
 
-    xf = np.zeros(f)
-    xc = cone.identity()
-    y = np.zeros(m)
-    z = cone.identity()
-    tau, kappa = 1.0, 1.0
-    nu1 = cone.nu + 1
+    def kkt_step(xf, xc, y, z, tau, kappa, C, rp, rd_f, rd_c, rg, mu):
+        """Per row, the step length (NaN when the step is not finite) and
+        the step (dxf, dxc, dy, dz, dtau, dkap)."""
+        c_f, c_c = C[:, :f], C[:, f:]
+        sc = _Scaling(cone, xc, z)
+        lus = []
+        for i in range(len(tau)):
+            K2[:m, :m] = S = _schur(cone, sc, pairs, blk_mats, i) + reg
+            if not np.isfinite(S).all():
+                raise np.linalg.LinAlgError("non-finite KKT matrix")
+            lus.append(dgetrf(K2)[:2])  # an exact zero pivot shows as a non-finite step
 
-    status = Status.NUMERICAL_FAILURE
-    it = 0
-    best = None  # (metric, xf, xc, y, tau)
-    for it in range(1, max_iter + 1):
-        Ax = A_free @ xf + A_cone(xc)
-        ATy_f, ATy_z = A_free.T @ y, A_coneT(y) + z
-        rp = Ax - b * tau
-        rd_f = ATy_f - c_f * tau
-        rd_c = ATy_z - c_c * tau
-        rg = float(c_f @ xf + c_c @ xc - b @ y + kappa)
-        mu = (float(xc @ z) + tau * kappa) / nu1
-
-        # -- convergence / certificate tests -------------------------------
-        cx, by = float(c_f @ xf + c_c @ xc), float(b @ y)
-        pobj, dobj = cx / tau, by / tau
-        pres = np.abs(rp).max(initial=0.0) / (tau * norm_b)
-        dres = max(np.abs(rd_f).max(initial=0.0), np.abs(rd_c).max(initial=0.0)) / (tau * norm_c)
-        relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        metric = max(pres, dres, relgap)
-        if np.isfinite(metric) and (best is None or metric < best[0]):
-            best = (metric, xf.copy(), xc.copy(), y.copy(), tau)
-        if pres <= tol and dres <= tol and relgap <= tol:
-            status = Status.OPTIMAL
-            break
-        if not np.isfinite(metric) or mu < 1e-16:
-            break
-        hres = max(np.abs(ATy_f).max(initial=0.0), np.abs(ATy_z).max(initial=0.0))
-        if by > tol and hres / by <= tol * norm_c:
-            status = Status.INFEASIBLE
-            break
-        if -cx > tol and np.abs(Ax).max(initial=0.0) / (-cx) <= tol * norm_b:
-            status = Status.UNBOUNDED
-            break
-
-        # -- NT scaling and KKT factorization ------------------------------
-        try:
-            sc = _Scaling(cone, xc, z)
-        except np.linalg.LinAlgError:
-            break
-        S = _schur(cone, sc, pairs, blk_mats)
-        K2 = np.zeros((m + f, m + f))
-        K2[:m, :m] = S + _REG * np.eye(m)
-        if f:
-            K2[:m, m:] = A_free
-            K2[m:, :m] = A_free.T
-            K2[m:, m:] = -_REG * np.eye(f)
-        try:
-            with warnings.catch_warnings():
-                # exact singularity surfaces as inf/nan directions and is
-                # handled by the breakdown guards below
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu = sla.lu_factor(K2)
-        except (ValueError, sla.LinAlgError):
-            break
+        def lu_solve(rhs):
+            return np.array([dgetrs(lu, piv, r)[0] for (lu, piv), r in zip(lus, rhs)])
 
         Tc = cone.apply_T(sc, c_c)
         qc = A_cone(Tc)
-        ec = float(c_c @ Tc)
-        g = np.concatenate([qc - b, c_f])
-        wt = sla.lu_solve(lu, np.concatenate([qc + b, c_f]))
+        ec = np.vecdot(c_c, Tc)
+        g = np.concatenate([qc - b, c_f], axis=1)
+        wt = lu_solve(np.concatenate([qc + b, c_f], axis=1))
         T_rdc = cone.apply_T(sc, rd_c)
 
         def direction(d_orth, d_mats, dk):
@@ -389,14 +372,14 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             # h0 = A_c (R D R' + T rd_c T);  e0 = <c_c, same>
             hvec = rdrt + T_rdc
             h0 = A_cone(hvec)
-            e0 = float(c_c @ hvec)
-            wr = sla.lu_solve(lu, np.concatenate([-rp - h0, -rd_f]))
+            e0 = np.vecdot(c_c, hvec)
+            wr = lu_solve(np.concatenate([-rp - h0, -rd_f], axis=1))
             rhs4 = -rg - e0 - dk / tau
-            denom = float(g @ wt) - ec - kappa / tau
-            dtau = (rhs4 - float(g @ wr)) / denom
-            sol = wr + dtau * wt
-            dy, dxf = sol[:m], sol[m:]
-            dz = -rd_c - A_coneT(dy) + c_c * dtau
+            denom = np.vecdot(g, wt) - ec - kappa / tau
+            dtau = (rhs4 - np.vecdot(g, wr)) / denom
+            sol = wr + dtau[:, None] * wt
+            dy, dxf = sol[:, :m], sol[:, m:]
+            dz = -rd_c - A_coneT(dy) + c_c * dtau[:, None]
             dxc = rdrt - cone.apply_T(sc, dz)
             dkap = (dk - kappa * dtau) / tau
             return dxf, dxc, dy, dz, dtau, dkap
@@ -405,84 +388,140 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
             """Step length and the scaled directions (primal, dual)."""
             sd_x = cone.scale_down(sc, dxc, dual=False)
             sd_z = cone.scale_down(sc, dz, dual=True)
-            alpha = cone.max_step(sc, sd_x, sd_z)
-            if dtau < 0:
-                alpha = min(alpha, -tau / dtau)
-            if dkap < 0:
-                alpha = min(alpha, -kappa / dkap)
-            alpha = min(1.0, _STEP_FRAC * alpha)
+            caps = zip(cone.max_step(sc, sd_x, sd_z).tolist(), (-tau / dtau).tolist(), dtau.tolist(),
+                       (-kappa / dkap).tolist(), dkap.tolist())  # Python floats, as for one row
+            alpha = np.array([min(1.0, _STEP_FRAC * min([a, *(r for r, d in ((rt, dt), (rk, dk)) if d < 0)]))
+                              for a, rt, dt, rk, dk in caps])
             # keep the iterate in a wide neighborhood of the central path so
             # the terminal point stays near-central (and reproducible) even
             # on problems with fat optimal faces
             for _ in range(12 if centrality else 0):
-                prods = [(tau + alpha * dtau) * (kappa + alpha * dkap)]
-                no = (sc.lam_orth + alpha * sd_x[0]) * (sc.lam_orth + alpha * sd_z[0])
-                prods.extend(no.tolist())
-                prods.extend(cone.centrality(sc, sd_x[1], sd_z[1], alpha))
-                mu_new = (float((xc + alpha * dxc) @ (z + alpha * dz)) + prods[0]) / nu1
-                if min(prods) >= _NEIGHBORHOOD * mu_new:
+                a = alpha[:, None]
+                tk = (tau + alpha * dtau) * (kappa + alpha * dkap)
+                no = (sc.lam_orth + a * sd_x[0]) * (sc.lam_orth + a * sd_z[0])
+                psd = np.min(cone.centrality(sc, sd_x[1], sd_z[1], alpha), axis=0, initial=np.inf)
+                mu_new = (np.vecdot(xc + a * dxc, z + a * dz) + tk) / nu1
+                ok = np.minimum(np.minimum(tk, no.min(1, initial=np.inf)), psd) >= _NEIGHBORHOOD * mu_new
+                if ok.all():
                     break
-                alpha *= 0.7
+                alpha = np.where(ok, alpha, alpha * 0.7)
             return alpha, sd_x, sd_z
 
         # -- predictor and corrector ---------------------------------------
-        # a singular KKT factor surfaces as a non-finite direction or as an
-        # eigensolver failure in the step length; both end the loop as a
-        # breakdown
-        try:
-            aff = direction(-sc.lam_orth, [-Lam for Lam in sc.Lam], -tau * kappa)
-            if not _finite(aff):
+        aff = direction(-sc.lam_orth, [-Lam for Lam in sc.Lam], -tau * kappa)
+        a_aff, sdx, sdz = step_len(aff[1], aff[3], aff[4], aff[5])
+        a = a_aff[:, None]
+        mu_aff = (np.vecdot(xc + a * aff[1], z + a * aff[3])
+                  + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])) / nu1
+        # linear in mu_aff/mu, not Mehrotra's cube: the iterates hug the
+        # central path, so on fat optimal faces the terminal point is
+        # reproducible rather than an artifact of the predictor endgame
+        sigma = np.array([min(1.0, max(0.0, r)) for r in (mu_aff / mu).tolist()])
+
+        d_orth, d_mats = cone.targets(sc, sdx, sdz, sigma * mu)
+        dk = sigma * mu - tau * kappa - aff[4] * aff[5]
+        step = direction(d_orth, d_mats, dk)
+        alpha = step_len(step[1], step[3], step[4], step[5], centrality=True)[0]
+        finite = np.isfinite(np.column_stack([*aff, *step])).all(1)
+        return (np.where(finite, alpha, np.nan), *step)
+
+    C = np.stack([c for c, _, _ in costs])
+    norm_c = (1.0 + np.abs(C).max(axis=1, initial=0.0)).tolist()
+    e = cone.identity()
+    # one row per running member: xf, xc, y, z, tau, kappa, C and its index
+    rows = [np.zeros((B, f)), np.tile(e, (B, 1)), np.zeros((B, m)), np.tile(e, (B, 1)),
+            np.ones(B), np.ones(B), C, np.arange(B)]
+    # per member: best metric and its (xf, xc, y, tau); (reason, iterations, iterate) at its end
+    best_metric, best, ends = [np.inf] * B, [None] * B, [None] * B
+
+    def leave(ended: dict, *extra) -> list:
+        """End the rows ``ended`` (row -> reason): drop them from ``rows``
+        and from the arrays ``extra``, which are returned."""
+        nonlocal rows
+        xf, xc, y, _, tau, _, _, ids = rows
+        for i, why in ended.items():
+            k, iterate = ids[i], (xf[i], xc[i], y[i], tau[i])
+            if why != "optimal" and best_metric[k] <= max(50 * tol, 1e-7):
+                # endgame failure after effective convergence: take the best iterate
+                why, iterate = "rescued_" + why, best[k]
+            ends[k] = (why, it, iterate)
+        keep = ~np.isin(np.arange(ids.size), list(ended))
+        rows = [v[keep] for v in rows]
+        return [v[keep] for v in extra]
+
+    it = 0
+    for it in range(1, max_iter + 1):
+        xf, xc, y, z, tau, kappa, C, ids = rows
+        c_f, c_c, t = C[:, :f], C[:, f:], tau[:, None]
+        Ax = np.matvec(A_free, xf) + A_cone(xc)
+        ATy_f, ATy_z = np.matvec(A_free.T, y), A_coneT(y) + z
+        cx, by = np.vecdot(c_f, xf) + np.vecdot(c_c, xc), np.vecdot(b, y)
+        mu = (np.vecdot(xc, z) + tau * kappa) / nu1
+        residuals = [Ax - b * t, ATy_f - c_f * t, ATy_z - c_c * t, cx - by + kappa, mu]
+
+        # -- convergence / certificate tests, row by row in Python floats ---
+        ended = {}
+        for i, (k, cx_i, by_i, tau_i, mu_i, rp_i, rdf_i, rdc_i, atf_i, atz_i, ax_i) in enumerate(zip(
+                ids.tolist(), cx.tolist(), by.tolist(), tau.tolist(), mu.tolist(),
+                *(np.abs(v).max(1, initial=0.0).tolist() for v in (*residuals[:3], ATy_f, ATy_z, Ax)))):
+            pobj, dobj = cx_i / tau_i, by_i / tau_i
+            pres = rp_i / (tau_i * norm_b)
+            dres = max(rdf_i, rdc_i) / (tau_i * norm_c[k])
+            relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+            metric = max(pres, dres, relgap)
+            if math.isfinite(metric) and metric < best_metric[k]:
+                best_metric[k], best[k] = metric, (xf[i], xc[i], y[i], tau[i])  # never written in place
+            if pres <= tol and dres <= tol and relgap <= tol:
+                ended[i] = "optimal"
+            elif not math.isfinite(metric) or mu_i < 1e-16:
+                ended[i] = "breakdown"
+            elif by_i > tol and max(atf_i, atz_i) / by_i <= tol * norm_c[k]:
+                ended[i] = "infeasible"
+            elif -cx_i > tol and ax_i / (-cx_i) <= tol * norm_b:
+                ended[i] = "unbounded"
+        if ended:
+            residuals = leave(ended, *residuals)
+            if not rows[7].size:
                 break
-            a_aff, sdx, sdz = step_len(aff[1], aff[3], aff[4], aff[5])
-            mu_aff = (
-                float((xc + a_aff * aff[1]) @ (z + a_aff * aff[3]))
-                + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
-            ) / nu1
-            # linear in mu_aff/mu, not Mehrotra's cube: the iterates hug the
-            # central path, so on fat optimal faces the terminal point is
-            # reproducible rather than an artifact of the predictor endgame
-            sigma = min(1.0, max(0.0, mu_aff / mu))
 
-            d_orth, d_mats = cone.targets(sc, sdx, sdz, sigma * mu)
-            dk = sigma * mu - tau * kappa - aff[4] * aff[5]
-            dxf, dxc, dy, dz, dtau, dkap = step = direction(d_orth, d_mats, dk)
-            if not _finite(step):
+        # -- NT scaling, KKT factorization, predictor and corrector --------
+        alpha, *step = _by_rows(kkt_step, *rows[:7], *residuals)
+        a = alpha[:, None]
+        rows[:6] = [v + (a if v.ndim == 2 else alpha) * d for v, d in zip(rows[:6], step)]
+        ended = {i: "breakdown" for i, al in enumerate(alpha.tolist()) if not al >= 1e-10}  # NaN too
+        if ended:
+            leave(ended)
+            if not rows[7].size:
                 break
-            alpha = step_len(dxc, dz, dtau, dkap, centrality=True)[0]
-        except (ValueError, sla.LinAlgError):
-            break
-        if not np.isfinite(alpha) or alpha < 1e-10:
-            break
 
-        xf = xf + alpha * dxf
-        xc = xc + alpha * dxc
-        y = y + alpha * dy
-        z = z + alpha * dz
-        tau += alpha * dtau
-        kappa += alpha * dkap
-
-    if status is not Status.OPTIMAL and best is not None and best[0] <= max(50 * tol, 1e-7):
-        # endgame breakdown after effective convergence: take the best iterate
-        status = Status.OPTIMAL
-        _, xf, xc, y, tau = best
-    return _extract(problem, cone, status, xf, xc, y, tau, it, tol)
+    if rows[7].size:
+        leave(dict.fromkeys(range(rows[7].size), "max_iter"))
+    return [_extract(problem, cone, cost, *end, tol) for cost, end in zip(costs, ends)]
 
 
-def _extract(problem, cone: _Cone, status, xf, xc, y, tau, iters, tol) -> ConicSolution:
+_ENDINGS = {"optimal": Status.OPTIMAL, "infeasible": Status.INFEASIBLE, "unbounded": Status.UNBOUNDED,
+            "max_iter": Status.NUMERICAL_FAILURE, "breakdown": Status.NUMERICAL_FAILURE}
+_STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS if why != "optimal"}}
+
+
+def _extract(problem, cone: _Cone, cost, reason, iters, iterate, tol) -> ConicSolution:
+    status = _STATUS[reason]  # an unknown reason raises
     if status is not Status.OPTIMAL:
-        return ConicSolution(status=status, iterations=iters)
+        return ConicSolution(status=status, iterations=iters, reason=reason)
     cp = cone.cp
+    c, obj_scale, obj_const = cost
+    xf, xc, y, tau = iterate
     xf_h, xc_h = xf / tau, xc / tau
     x_h = np.concatenate([xf_h, xc_h])
-    y_h = cp.obj_scale * (y / tau / cp.row_scale)
+    y_h = obj_scale * (y / tau / cp.row_scale)
 
     values = x_h[cp.col] / cp.scale
     ones = [blk.start for blk in problem.blocks if blk.dim == 1]
     eigs = [np.linalg.eigvalsh(g.unpack(xc_h))[:, 0].tolist() for g in cone.groups]
     min_eig = min([0.0, *values[ones].tolist(), *(e for es in eigs for e in es)])
 
-    pobj = cp.obj_scale * float(cp.c[: cp.f] @ xf_h + cp.c[cp.f :] @ xc_h) + cp.obj_const
-    dobj = cp.obj_scale * float(cp.b @ (y / tau)) + cp.obj_const
+    pobj = obj_scale * float(c[: cp.f] @ xf_h + c[cp.f :] @ xc_h) + obj_const
+    dobj = obj_scale * float(cp.b @ (y / tau)) + obj_const
     resid = float(np.abs(cp.row_scale * (cp.A @ x_h - cp.b)).max(initial=0.0))
     sol = ConicSolution(
         status=Status.OPTIMAL,
@@ -493,6 +532,7 @@ def _extract(problem, cone: _Cone, status, xf, xc, y, tau, iters, tol) -> ConicS
         iterations=iters,
         eq_residual=resid,
         min_block_eig=min_eig,
+        reason=reason,
     )
     scale = 1.0 + np.abs(cp.row_scale * cp.b).max(initial=0.0)
     if resid > max(1e-7, 100 * tol * scale) or min_eig < -max(1e-7, 100 * tol):

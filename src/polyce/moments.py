@@ -168,18 +168,20 @@ def payoff_expr(game: PolynomialGame, player: int, moments) -> LinExpr:
 def _support_points(game, order, directions, tol):
     """For each direction, the expected-payoff vector that maximizes
     direction . payoff over the relaxation.  The relaxation is built once and
-    only its objective changes between solves, which is sound because
-    ``ConicProblem.solve`` is a pure function of the built data."""
+    all directions are solved as one batch (``ConicProblem.solve_many``): one
+    compile and one IPM run, in which each direction's solve ends exactly as
+    it would alone."""
     problem, moments = build_relaxation(game, order)
     payoffs = [payoff_expr(game, i, moments) for i in range(game.num_players)]
-    points = []
+    objectives = []
     for direction in directions:
         obj = LinExpr()
         for w, payoff in zip(direction, payoffs):
             if w:
                 obj = obj + (-float(w)) * payoff
-        problem.set_objective(obj)
-        sol = problem.solve(tol=tol)
+        objectives.append(obj)
+    points = []
+    for sol in problem.solve_many(objectives, tol=tol):
         if sol.status is not Status.OPTIMAL:
             raise SolverError(
                 f"relaxation solve failed ({sol.status.value}); relaxations of a "
@@ -190,7 +192,10 @@ def _support_points(game, order, directions, tol):
 
 
 def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = 1e-8) -> PayoffBox:
-    """Valid outer bounds on every correlated-equilibrium payoff vector."""
+    """Per-player [min, max] expected utility over the relaxation.  Each
+    bound is the IPM's primal value at solver tolerance, not a certified
+    outer bound on the correlated-equilibrium payoffs: the solver's residuals
+    are not yet turned into a guaranteed error."""
     axes = np.eye(game.num_players)
     points = _support_points(game, order, [sign * e for e in axes for sign in (1.0, -1.0)], tol)
     hi, lo = np.diagonal(points[0::2]), np.diagonal(points[1::2])

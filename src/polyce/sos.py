@@ -115,8 +115,10 @@ class SosCertificate:
 
 
 def interval_degrees(degree: int) -> tuple[int, int]:
-    """Half-degrees (hs, ht) of the s and t Grams for a degree-``degree`` target."""
-    return (degree + 1) // 2, max((degree - 1) // 2, 0)
+    """Half-degrees (hs, ht) of the s and t Grams for a degree-``degree``
+    target.  A constant gets the degree-1 layout: with hs = 0 the x^2 term
+    of (1-x^2) t would have no s-Gram cell to absorb its residual."""
+    return max((degree + 1) // 2, 1), max((degree - 1) // 2, 0)
 
 
 @lru_cache(maxsize=None)

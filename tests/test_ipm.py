@@ -1,15 +1,17 @@
-"""The IPM's grouped cone kernels against the per-block oracle, and
-concurrent solves of distinct problems."""
+"""The IPM's grouped cone kernels against the per-block oracle, concurrent
+solves of distinct problems, and batched solves against the solves alone."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyce import ipm
 from polyce.conic import ConicProblem, LinExpr, Status, expr
+from polyce.moments import RelaxationOrder, payoff_bounds, payoff_region_sketch
 
 import oracles
 
@@ -122,20 +124,31 @@ def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free,
     assert np.array_equal(cone.from_scaled_primal(sc, d_orth, d_mats),
                           oracles.block_from_scaled_primal(cp, ref, ref_orth, ref_mats))
 
+    # the Schur complement and the matvecs in the solver's shape: a batch of one
     A_cone = cp.A[:, cp.f :].tocsr()
-    S = ipm._schur(cone, sc, ipm._orth_pairs(A_cone[:, : cp.q].tocsr()), cone.constraint_stacks(A_cone))
+    S = ipm._schur(cone, ipm._Scaling(cone, x[None], z[None]), ipm._orth_pairs(A_cone[:, : cp.q].tocsr()),
+                   cone.constraint_stacks(A_cone), 0)
     assert np.array_equal(S, oracles.block_schur(cp, ref, A_cone))
     # the solver's matvecs add in scipy.sparse's order, so they match to the bit
     y = rng.normal(size=cp.m)
-    assert ipm._matvec(A_cone)(u).tobytes() == (A_cone @ u).tobytes()
-    assert ipm._matvec(A_cone.T.tocsr())(y).tobytes() == (A_cone.T @ y).tobytes()
+    assert ipm._matvec(A_cone, 1)(u[None])[0].tobytes() == (A_cone @ u).tobytes()
+    assert ipm._matvec(A_cone.T.tocsr(), 1)(y[None])[0].tobytes() == (A_cone.T @ y).tobytes()
 
 
 def _fingerprint(sol):
-    arrays = [sol.values, sol.eq_duals]
-    return (sol.status, sol.iterations, sol.objective_value.hex(), sol.dual_objective.hex(),
-            sol.eq_residual.hex(), sol.min_block_eig.hex(),
+    arrays = [a for a in (sol.values, sol.eq_duals) if a is not None]
+    return (sol.status, sol.reason, sol.iterations, sol.objective_value.hex(),
+            sol.dual_objective.hex(), sol.eq_residual.hex(), sol.min_block_eig.hex(),
             [(a.shape, a.tobytes()) for a in arrays])
+
+
+def _alone(problem, objectives, **kw):
+    """Fingerprints of each objective's solve on its own."""
+    out = []
+    for obj in objectives:
+        problem.set_objective(obj)
+        out.append(_fingerprint(problem.solve(**kw)))
+    return out
 
 
 def test_concurrent_solves_match_sequential_solves():
@@ -153,3 +166,88 @@ def test_concurrent_solves_match_sequential_solves():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential * 3
+
+
+def _ray_problem():
+    """A 2x2 PSD block of trace 1 next to an x >= 0 in no equality: min x is
+    optimal, min -x unbounded.  Returns the problem and four objectives."""
+    p = ConicProblem()
+    X = p.add_psd_block(2)
+    x = p.add_nonneg_var()
+    p.add_equality(X.entry(0, 0) + X.entry(1, 1), 1.0)
+    return p, [expr(x), -1.0 * expr(x), X.entry(0, 1), X.entry(0, 0) - X.entry(1, 1) + expr(x)]
+
+
+def test_reasons_name_why_each_solve_ended_in_a_batch_as_alone():
+    ray, objectives = _ray_problem()
+    empty = ConicProblem()
+    Y = empty.add_psd_block(2)
+    empty.add_equality(Y.entry(0, 0) + Y.entry(1, 1), -1.0)  # no PSD matrix has trace -1
+    cases = [
+        (ray, objectives, {}, ["optimal", "unbounded", "optimal", "optimal"]),
+        (ray, objectives[2:], {"max_iter": 2}, ["max_iter", "max_iter"]),
+        # at a tolerance below rounding level the best iterate is taken back
+        (ray, objectives, {"tol": 1e-15}, ["optimal", "unbounded", "rescued_breakdown", "optimal"]),
+        (ray, objectives[2:], {"tol": 1e-15, "max_iter": 8}, ["rescued_max_iter", "rescued_max_iter"]),
+        (empty, [Y.entry(0, 1), Y.entry(0, 0)], {}, ["infeasible", "infeasible"]),
+    ]
+    for problem, objs, kw, reasons in cases:
+        batch = problem.solve_many(objs, **kw)
+        assert [sol.reason for sol in batch] == reasons
+        assert [_fingerprint(sol) for sol in batch] == _alone(problem, objs, **kw)
+    assert [sol.status for sol in ray.solve_many(objectives)] == [
+        Status.OPTIMAL, Status.UNBOUNDED, Status.OPTIMAL, Status.OPTIMAL]
+    assert ray.solve_many(objectives[2:], max_iter=2)[0].status is Status.NUMERICAL_FAILURE
+    assert ray.solve_many(objectives[2:], tol=1e-15, max_iter=8)[0].status is Status.OPTIMAL
+    with pytest.raises(KeyError):  # a reason outside the list is never read as a status
+        ipm._extract(ray, None, None, "converged", 1, None, 1e-8)
+    # a batch of one is the first member's solve alone, and an empty batch is empty
+    assert [_fingerprint(sol) for sol in ray.solve_many(objectives[:1])] == _alone(ray, objectives[:1])
+    assert ray.solve_many([]) == []
+
+
+def test_a_breakdown_ends_only_its_own_member(monkeypatch):
+    ray, objectives = _ray_problem()
+    # a NaN cost gives a non-finite step in its first iteration
+    objs = [objectives[2], float("nan") * objectives[3], objectives[0]]
+    batch = ray.solve_many(objs)
+    assert [(sol.status, sol.reason, sol.iterations) for sol in batch[1:2]] == [
+        (Status.NUMERICAL_FAILURE, "breakdown", 1)]
+    assert [_fingerprint(sol) for sol in batch] == _alone(ray, objs)
+    # when a stacked kernel raises, the step is redone row by row, and a row
+    # whose own kernel raises ends in a breakdown
+    real = ipm._Scaling
+
+    def batch_fails(cone, x, z):
+        if len(x) > 1:
+            raise np.linalg.LinAlgError("stacked kernel failed")
+        return real(cone, x, z)
+
+    def always_fails(cone, x, z):
+        raise np.linalg.LinAlgError("kernel failed")
+
+    monkeypatch.setattr(ipm, "_Scaling", batch_fails)
+    assert [_fingerprint(sol) for sol in ray.solve_many(objectives)] == _alone(ray, objectives)
+    monkeypatch.setattr(ipm, "_Scaling", always_fails)
+    assert [(sol.reason, sol.iterations) for sol in ray.solve_many(objectives[2:])] == [
+        ("breakdown", 1), ("breakdown", 1)]
+
+
+@pytest.mark.parametrize("query, d", [("bounds", 0), ("bounds", 1), ("region", 1)])
+def test_batched_support_points_match_their_solves_alone(quad_game, monkeypatch, query, d):
+    batches = []
+    real = ConicProblem.solve_many
+
+    def spy(self, objectives, **kw):
+        batches.append((self, objectives, kw, real(self, objectives, **kw)))
+        return batches[-1][-1]
+
+    monkeypatch.setattr(ConicProblem, "solve_many", spy)
+    order = RelaxationOrder.auto(quad_game, d)
+    if query == "bounds":
+        payoff_bounds(quad_game, order)
+    else:
+        payoff_region_sketch(quad_game, order, 8)
+    (problem, objectives, kw, sols), = batches
+    assert len(sols) == (4 if query == "bounds" else 8)
+    assert [_fingerprint(sol) for sol in sols] == _alone(problem, objectives, **kw)

@@ -39,8 +39,9 @@ def test_grlex_order_frozen():
 
 
 def test_interval_degree_split():
-    # even D: deg s = D, deg t = D-2; odd D: deg s = D+1, deg t = D-1
-    assert interval_degrees(0) == (0, 0)
+    # even D: deg s = D, deg t = D-2; odd D: deg s = D+1, deg t = D-1; a
+    # constant takes the D = 1 layout, so its x^2 row has an s-Gram cell
+    assert interval_degrees(0) == (1, 0)
     assert interval_degrees(1) == (1, 0)
     assert interval_degrees(2) == (1, 0)
     assert interval_degrees(3) == (2, 1)
@@ -320,6 +321,15 @@ def test_verify_zero_certificate():
     assert ok
     good, resid = verify_certificate(cert, [0.0])
     assert good and resid <= 1e-7
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.5, 1e6])
+def test_constant_certificates_are_exact(c):
+    # the residual of the x^2 row is absorbed into the s-Gram like any other
+    ok, cert = prove_interval_nonneg([c])
+    assert ok
+    good, resid = verify_certificate(cert, [c])
+    assert good and resid <= 1e-15 * max(1.0, abs(c))
 
 
 def test_certificate_json_roundtrip():
