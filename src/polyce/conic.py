@@ -14,9 +14,10 @@ keys and ``ConicSolution.values`` use this numbering.
 
 ``solve`` hands the built problem to the interior-point method in
 :mod:`polyce.ipm` and returns a :class:`ConicSolution` with primal values,
-equality multipliers, a status in {Optimal, Infeasible, Unbounded,
-NumericalFailure} and the reason the iteration ended.  ``solve_many`` solves
-the same constraints under several objectives in one batched IPM run.
+equality multipliers and the reason the solve ended, from which its status
+in {Optimal, Infeasible, Unbounded, NumericalFailure} is read.
+``solve_many`` solves the same constraints under several objectives in one
+batched IPM run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ class Status(enum.Enum):
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
     NUMERICAL_FAILURE = "NumericalFailure"
+
+
+# why a solve ended -> its status: the IPM's five endings, each non-optimal one
+# prefixed "rescued_" when the best iterate met the looser rescue tolerance and
+# was returned, and "inaccurate" for an optimum whose equality residual or
+# smallest block eigenvalue misses the accuracy check
+_ENDINGS = {"optimal": Status.OPTIMAL, "infeasible": Status.INFEASIBLE, "unbounded": Status.UNBOUNDED,
+            "max_iter": Status.NUMERICAL_FAILURE, "breakdown": Status.NUMERICAL_FAILURE}
+_STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS if why != "optimal"},
+           "inaccurate": Status.NUMERICAL_FAILURE}
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +240,7 @@ class ConicProblem:
 class ConicSolution:
     """Primal/dual solution of a built conic problem."""
 
-    status: Status
+    reason: str  # why the solve ended: a key of _STATUS
     objective_value: float = float("nan")
     dual_objective: float = float("nan")
     values: np.ndarray | None = None  # the variable vector
@@ -237,14 +248,14 @@ class ConicSolution:
     iterations: int = 0
     eq_residual: float = float("nan")
     min_block_eig: float = float("nan")
-    # why the iteration ended: optimal, infeasible, unbounded, max_iter or
-    # breakdown, prefixed "rescued_" (for the four non-optimal endings) when
-    # the best iterate met the looser rescue tolerance and was returned
-    reason: str = ""
+
+    @property
+    def status(self) -> Status:
+        return _STATUS[self.reason]  # an unknown reason raises
 
     def _require_optimal(self, what: str) -> None:
         if self.status is not Status.OPTIMAL:
-            raise SolverError(f"no {what}: status is {self.status.value}")
+            raise SolverError(f"no {what}: status is {self.status.value} ({self.reason})")
 
     def value(self, handle):
         self._require_optimal("primal values")

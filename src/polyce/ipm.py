@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .conic import ConicProblem, ConicSolution, LinExpr, Status, _triangle
+from .conic import _STATUS, ConicProblem, ConicSolution, LinExpr, Status, _triangle
 
 _REG = 1e-10  # static regularization of the KKT system
 _STEP_FRAC = 0.98
@@ -327,7 +327,7 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
     sigma = min(1, max(0, mu_aff / mu)), with mu_aff the complementarity the
     affine predictor step would reach."""
     if problem.trivially_infeasible:
-        return [ConicSolution(status=Status.INFEASIBLE, reason="infeasible") for _ in objectives]
+        return [ConicSolution("infeasible") for _ in objectives]
     cp = compile_problem(problem)
     costs = [_cost(e, cp.col, cp.scale) for e in objectives]
 
@@ -499,15 +499,9 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
     return [_extract(problem, cone, cost, *end, tol) for cost, end in zip(costs, ends)]
 
 
-_ENDINGS = {"optimal": Status.OPTIMAL, "infeasible": Status.INFEASIBLE, "unbounded": Status.UNBOUNDED,
-            "max_iter": Status.NUMERICAL_FAILURE, "breakdown": Status.NUMERICAL_FAILURE}
-_STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS if why != "optimal"}}
-
-
 def _extract(problem, cone: _Cone, cost, reason, iters, iterate, tol) -> ConicSolution:
-    status = _STATUS[reason]  # an unknown reason raises
-    if status is not Status.OPTIMAL:
-        return ConicSolution(status=status, iterations=iters, reason=reason)
+    if _STATUS[reason] is not Status.OPTIMAL:  # an unknown reason raises
+        return ConicSolution(reason, iterations=iters)
     cp = cone.cp
     c, obj_scale, obj_const = cost
     xf, xc, y, tau = iterate
@@ -523,8 +517,11 @@ def _extract(problem, cone: _Cone, cost, reason, iters, iterate, tol) -> ConicSo
     pobj = obj_scale * float(c[: cp.f] @ xf_h + c[cp.f :] @ xc_h) + obj_const
     dobj = obj_scale * float(cp.b @ (y / tau)) + obj_const
     resid = float(np.abs(cp.row_scale * (cp.A @ x_h - cp.b)).max(initial=0.0))
-    sol = ConicSolution(
-        status=Status.OPTIMAL,
+    scale = 1.0 + np.abs(cp.row_scale * cp.b).max(initial=0.0)
+    if resid > max(1e-7, 100 * tol * scale) or min_eig < -max(1e-7, 100 * tol):
+        reason = "inaccurate"
+    return ConicSolution(
+        reason,
         objective_value=pobj,
         dual_objective=dobj,
         values=values,
@@ -532,9 +529,4 @@ def _extract(problem, cone: _Cone, cost, reason, iters, iterate, tol) -> ConicSo
         iterations=iters,
         eq_residual=resid,
         min_block_eig=min_eig,
-        reason=reason,
     )
-    scale = 1.0 + np.abs(cp.row_scale * cp.b).max(initial=0.0)
-    if resid > max(1e-7, 100 * tol * scale) or min_eig < -max(1e-7, 100 * tol):
-        sol.status = Status.NUMERICAL_FAILURE
-    return sol

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import ConicProblem, LinExpr, SolverError, Status, expr
+from .conic import ConicProblem, LinExpr, expr
 from .games import PolynomialGame
 from .polynomials import grlex_monomials
 from .sos import MomentVector, localizing_entries, matrix_psd_on_interval_constraint, \
@@ -182,11 +182,6 @@ def _support_points(game, order, directions, tol):
         objectives.append(obj)
     points = []
     for sol in problem.solve_many(objectives, tol=tol):
-        if sol.status is not Status.OPTIMAL:
-            raise SolverError(
-                f"relaxation solve failed ({sol.status.value}); relaxations of a "
-                "nonempty equilibrium set are never infeasible, check the order"
-            )
         points.append(np.array([sol.evaluate(payoff) for payoff in payoffs]))
     return points
 
@@ -250,10 +245,7 @@ def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVec
             entries[j][j][0] = entries[j][j][0] + expr(lam)
         matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
         problem.set_objective(expr(lam))
-        sol = problem.solve(tol=1e-8)
-        if sol.status is not Status.OPTIMAL:
-            raise SolverError(f"deviation margin solve failed: {sol.status.value}")
-        worst = max(worst, float(sol.objective_value))
+        worst = max(worst, problem.solve(tol=1e-8).value(lam))
     return worst
 
 

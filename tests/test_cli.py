@@ -95,6 +95,7 @@ def test_malformed_game_file_exits_1(tmp_path, capsys):
     ("audit", None, '{"grids": [[2.0], [0.0]], "probs": [[1.0]]}'),
     ("audit", None, '{"grids": [[0.5]], "probs": [1.0]}'),
     ("audit", None, '{"grids": [[0.5], [0.5], [0.5]], "probs": [[[1.0]]]}'),
+    ("audit", None, '{"grids": [[0.5], [0.5]]'),  # not JSON
     ("static", '{"players": ["x"], "utilities": [[1]]}', None),
     ("static", '{"players": ["x"], "utilities": [{"terms": [{"exp": [true], "coef": 1}]}]}', None),
 ])
@@ -114,8 +115,10 @@ def test_wrongly_typed_json_exits_1(quad_path, tmp_path, capsys, command, game_t
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_missing_file_exits_1(capsys):
+def test_missing_file_exits_1(quad_path, tmp_path, capsys):
     assert main(["static", "--game", "/nonexistent.json", "--grid", "2"]) == EXIT_INPUT
+    assert main(["audit", "--game", quad_path, "--dist", str(tmp_path / "absent.json")]) == EXIT_INPUT
+    assert "cannot read distribution file" in capsys.readouterr().err
 
 
 def test_adaptive_trace_table_and_json(emb_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The IPM's grouped cone kernels against the per-block oracle, concurrent
-solves of distinct problems, and batched solves against the solves alone."""
+solves of distinct problems, batched solves against the solves alone, and
+how a solve's ending reaches its callers."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,8 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyce import ipm
-from polyce.conic import ConicProblem, LinExpr, Status, expr
-from polyce.moments import RelaxationOrder, payoff_bounds, payoff_region_sketch
+from polyce.adaptive import run_adaptive
+from polyce.conic import ConicProblem, ConicSolution, LinExpr, SolverError, Status, expr
+from polyce.games import SupportedDistribution
+from polyce.moments import RelaxationOrder, check_moment_membership, payoff_bounds, payoff_region_sketch
+from polyce.sos import MomentVector, prove_interval_nonneg
 
 import oracles
 
@@ -204,6 +208,42 @@ def test_reasons_name_why_each_solve_ended_in_a_batch_as_alone():
     # a batch of one is the first member's solve alone, and an empty batch is empty
     assert [_fingerprint(sol) for sol in ray.solve_many(objectives[:1])] == _alone(ray, objectives[:1])
     assert ray.solve_many([]) == []
+
+
+def test_an_inaccurate_optimum_is_a_numerical_failure_that_names_its_reason():
+    p = ConicProblem()
+    X = p.add_psd_block(2)
+    p.add_equality(X.entry(0, 0) + X.entry(1, 1), 1.0)
+    p.set_objective(X.entry(0, 1))
+    cp = ipm.compile_problem(p)
+    cone = ipm._Cone(cp)
+    # the iterate 5*I ends "optimal" but misses trace 1 by 9
+    iterate = (np.zeros(cp.f), 5.0 * cone.identity(), np.zeros(cp.m), 1.0)
+    sol = ipm._extract(p, cone, ipm._cost(p.objective, cp.col, cp.scale), "optimal", 3, iterate, 1e-8)
+    assert (sol.status, sol.reason, sol.eq_residual) == (Status.NUMERICAL_FAILURE, "inaccurate", 9.0)
+    with pytest.raises(SolverError, match=r"status is NumericalFailure \(inaccurate\)"):
+        sol.value(X)
+
+
+@pytest.mark.parametrize("reason", ["max_iter", "breakdown"])
+def test_a_failed_solve_reaches_each_method_as_an_error_that_names_its_reason(quad_game, monkeypatch, reason):
+    def fail(problem, objectives, tol=1e-8, max_iter=200):
+        return [ConicSolution(reason, iterations=max_iter) for _ in objectives]
+
+    monkeypatch.setattr(ipm, "solve_many", fail)
+    order = RelaxationOrder.auto(quad_game, 1)
+    # the moments of the game's equilibrium, which pass the validity test and
+    # so reach the deviation-margin solves
+    equilibrium = MomentVector.from_measure(SupportedDistribution.point_mass((1.0, 1.0)), 2, 2 * order.r)
+    calls = [
+        lambda: run_adaptive(quad_game, [[0.0], [0.0]]),
+        lambda: payoff_bounds(quad_game, order),
+        lambda: check_moment_membership(quad_game, order, equilibrium),
+        lambda: prove_interval_nonneg([1.0, 0.0, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(SolverError, match=rf"status is NumericalFailure \({reason}\)"):
+            call()
 
 
 def test_a_breakdown_ends_only_its_own_member(monkeypatch):

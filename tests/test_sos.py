@@ -323,6 +323,14 @@ def test_verify_zero_certificate():
     assert good and resid <= 1e-7
 
 
+def test_verify_rejects_an_indefinite_gram_that_reconstructs_the_target():
+    # s = 1 - x^2 and t = -1 give s + (1-x^2) t = 0 exactly, and the zero
+    # target passes the grid check: only the PSD test can reject this
+    cert = SosCertificate(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[-1.0]]), 2)
+    assert not np.any(reconstruct_target(cert))
+    assert verify_certificate(cert, [0.0]) == (False, float("inf"))
+
+
 @pytest.mark.parametrize("c", [0.0, 1.0, 2.5, 1e6])
 def test_constant_certificates_are_exact(c):
     # the residual of the x^2 row is absorbed into the s-Gram like any other
