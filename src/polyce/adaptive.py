@@ -12,7 +12,7 @@ Each iteration solves, over distributions supported on the current grids,
 then, for players whose total deviation gain is binding (>= beta * eps),
 adds the near-maximizers of their deviation gains to the grids and repeats.
 With 0 <= alpha < beta <= 1 the minimum epsilon converges to zero.  The
-degenerate alpha = beta = 1 mode (explicit flag) reproduces the known
+degenerate alpha = beta = 1 mode reproduces the known
 stalling behavior and is documented as non-convergent.  Its restricted rows
 are implied: the deviation t = s gives eps_{i,s} >= g_{i,s}(s) = 0, so
 g_{i,s}(t) <= eps_{i,s} <= sum_s eps_{i,s} <= eps.
@@ -58,18 +58,8 @@ from .games import (
     player_view,
     sample_game,
 )
-from .polynomials import NEAR_TOL, maximize_univariate, merge_points
+from .polynomials import NEAR_TOL, merge_points
 from .sos import interval_nonneg_constraint
-
-__all__ = [
-    "AdaptiveConfig",
-    "IterationRecord",
-    "IterationTrace",
-    "build_iteration_sdp",
-    "maximize_univariate",
-    "run_adaptive",
-    "run_adaptive_finite",
-]
 
 _BIND_TOL = 1e-6
 _MERGE_TOL = 1e-6  # a strategy this close to a grid point counts as on the grid
@@ -77,24 +67,20 @@ _MERGE_TOL = 1e-6  # a strategy this close to a grid point counts as on the grid
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Loop parameters.  Requires 0 <= alpha < beta <= 1 unless the
-    degenerate flag explicitly selects the non-convergent alpha=beta=1 mode,
-    whose iteration problems keep the (then implied) restricted rows; the
-    flag makes a stalled loop repeat its last record instead of stopping."""
+    """Loop parameters.  Requires 0 <= alpha < beta <= 1, or alpha = beta = 1
+    for the non-convergent degenerate mode, whose iteration problems keep the
+    (then implied) restricted rows and whose stalled loop repeats its last
+    record instead of stopping."""
 
     alpha: float = 0.0
     beta: float = 1.0
     eps_stop: float = 1e-6
     max_iter: int = 50
-    degenerate: bool = False
     solver_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.degenerate:
-            if not (self.alpha == self.beta == 1.0):
-                raise ValueError("degenerate mode means alpha = beta = 1")
-        elif not (0.0 <= self.alpha < self.beta <= 1.0):
-            raise ValueError("need 0 <= alpha < beta <= 1 (or the degenerate flag)")
+        if not (0.0 <= self.alpha < self.beta <= 1.0 or self.alpha == self.beta == 1.0):
+            raise ValueError("need 0 <= alpha < beta <= 1, or alpha = beta = 1")
         if not 0 < self.eps_stop < np.inf or self.max_iter < 1:
             raise ValueError("eps_stop must be positive and finite, and max_iter >= 1")
 
@@ -262,7 +248,7 @@ def _adaptive_loop(grids, solve, report, config: AdaptiveConfig) -> IterationTra
 
         if not any(additions):
             stalled = True
-            if config.degenerate:  # repeat the last record until max_iter
+            if config.alpha == config.beta:  # degenerate: repeat the last record until max_iter
                 pending = tuple(() for _ in grids)
                 continue
             break

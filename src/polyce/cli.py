@@ -38,12 +38,11 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 
 
-def _load_game(path: str):
+def _read(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise GameFormatError(f"cannot read game file {path}: {exc}") from exc
-    return parse_game(text)
+        raise GameFormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -53,23 +52,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text)
 
 
-def _parse_grid_sizes(spec: str) -> list[int]:
-    sizes = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        sizes.append(int(part))
-    if not sizes or any(s < 1 for s in sizes):
-        raise GameFormatError(f"bad grid size list: {spec!r}")
-    return sizes
-
-
-def _parse_grid_points(spec: str) -> list[float]:
-    pts = [float(p) for p in spec.split(",") if p.strip()]
-    if not pts or not all(abs(p) <= 1 for p in pts):  # rejects nan too
-        raise GameFormatError(f"initial grid points must lie in [-1,1]: {spec!r}")
-    return pts
+def _parse_list(spec: str, kind) -> list:
+    """A comma-separated list of ``kind`` values; empty items are skipped."""
+    items = [kind(part) for part in spec.split(",") if part.strip()]
+    if not items:
+        raise GameFormatError(f"empty list: {spec!r}")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +65,10 @@ def _parse_grid_points(spec: str) -> list[float]:
 
 
 def cmd_static(args) -> int:
-    game = _load_game(args.game)
-    sizes = _parse_grid_sizes(args.grid)
+    game = parse_game(_read(args.game, "game"))
+    sizes = _parse_list(args.grid, int)
+    if min(sizes) < 1:
+        raise GameFormatError(f"grid sizes must be positive: {args.grid!r}")
     n = game.num_players
     rows = ["d,epsilon," + ",".join(f"u{i+1}" for i in range(n))]
     for d in sizes:
@@ -108,11 +98,10 @@ def _trace_table(trace, names) -> str:
 
 
 def cmd_adaptive(args) -> int:
-    game = _load_game(args.game)
-    pts = _parse_grid_points(args.grid)
+    game = parse_game(_read(args.game, "game"))
+    pts = _parse_list(args.grid, float)
     alpha, beta = (1.0, 1.0) if args.degenerate else (args.alpha, args.beta)
-    config = AdaptiveConfig(alpha=alpha, beta=beta, degenerate=args.degenerate,
-                            eps_stop=args.tol, max_iter=args.max_iter)
+    config = AdaptiveConfig(alpha=alpha, beta=beta, eps_stop=args.tol, max_iter=args.max_iter)
     trace = run_adaptive(game, [pts] * game.num_players, config)
     print(_trace_table(trace, game.player_names))
     if args.out:
@@ -121,7 +110,7 @@ def cmd_adaptive(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    game = _load_game(args.game)
+    game = parse_game(_read(args.game, "game"))
     order = RelaxationOrder.auto(game, args.d, args.r)
     box = payoff_bounds(game, order, tol=args.tol)
     _write_or_print(box.to_json(game.player_names), args.out)
@@ -143,15 +132,8 @@ def cmd_randgame(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    game = _load_game(args.game)
-    try:
-        text = Path(args.dist).read_text()
-    except OSError as exc:
-        raise GameFormatError(f"cannot read distribution file: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"distribution file is not JSON: {exc}") from exc
+    game = parse_game(_read(args.game, "game"))
+    doc = json.loads(_read(args.dist, "distribution"))
     if isinstance(doc, dict) and "final_distribution" in doc:  # adaptive trace
         doc = doc["final_distribution"]
     dist = parse_distribution(json.dumps(doc))

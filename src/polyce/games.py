@@ -406,7 +406,7 @@ def parse_distribution(text: str) -> SupportedDistribution:
         idx = [_grid_index(grids[-1], v) for v in g]
         np.add.at(np.moveaxis(folded, axis, 0), idx, np.moveaxis(out, axis, 0))
         out = folded
-    return SupportedDistribution.from_solver(grids, out)
+    return SupportedDistribution(tuple(grids), out)
 
 
 # ---------------------------------------------------------------------------

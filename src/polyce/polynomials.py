@@ -193,7 +193,8 @@ def _polish_roots(deriv: np.ndarray, starts) -> np.ndarray:
 
 
 def maximize_univariate(p):
-    """Global maximum of a univariate polynomial over [-1, 1].
+    """Global maximum over [-1, 1] of the univariate polynomial with
+    ascending coefficients ``p``.
 
     Candidate points are the real roots of the derivative (companion-matrix
     eigenvalues, via ``numpy.polynomial.polyroots``) and a 17-point net,
@@ -206,10 +207,7 @@ def maximize_univariate(p):
     Constant polynomials return ``(-1.0, constant, [-1.0])``.  Raises
     PolynomialError on a non-finite coefficient.
     """
-    if isinstance(p, MultiPoly):
-        coeffs = p.univariate_coeffs()
-    else:
-        coeffs = np.atleast_1d(np.asarray(p, dtype=float))
+    coeffs = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.isfinite(coeffs).all():
         raise PolynomialError("non-finite coefficient")
     coeffs = _trim_negligible(coeffs)
@@ -222,12 +220,7 @@ def maximize_univariate(p):
     real = roots.real[(abs(roots.imag) < 1e-7) & (abs(roots.real) <= 1.0 + 1e-9)]
     # the 17-point net is a coarse safety net against any missed critical point
     starts = np.concatenate([np.clip(real, -1.0, 1.0), np.linspace(-1.0, 1.0, 17)])
-    candidates = [-1.0, 1.0, *_polish_roots(deriv, starts).tolist()]
-
-    merged: list[float] = []
-    for t in sorted(candidates):
-        if not merged or t - merged[-1] > 1e-9:
-            merged.append(t)
+    merged = merge_points([-1.0, 1.0, *_polish_roots(deriv, starts).tolist()]).tolist()
     values = poly_eval(coeffs, np.array(merged))
     best = float(values.max())
     maximizers = [t for t, v in zip(merged, values) if v >= best - NEAR_TOL]

@@ -65,7 +65,7 @@ def test_criterion_2_three_iteration_convergence(quad_game):
 
 
 def test_criterion_3_degenerate_mode_fixtures(table3, emb_game):
-    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True, max_iter=5)
+    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, max_iter=5)
 
     finite = run_adaptive_finite(table3, [[-1.0], [-1.0]], cfg)
     assert len(finite.records) == 5

@@ -9,7 +9,6 @@ from polyce import adaptive
 from polyce.adaptive import (
     AdaptiveConfig,
     build_iteration_sdp,
-    maximize_univariate,
     run_adaptive,
     run_adaptive_finite,
 )
@@ -23,19 +22,11 @@ from oracles import dense_finite_iteration_value, dense_iteration_value, max_dep
 def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
         AdaptiveConfig(alpha=0.5, beta=0.5)
-    with pytest.raises(ValueError, match="degenerate"):
-        AdaptiveConfig(alpha=0.0, beta=1.0, degenerate=True)
-    AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True)
+    AdaptiveConfig(alpha=1.0, beta=1.0)
     with pytest.raises(ValueError, match="eps_stop"):
         AdaptiveConfig(eps_stop=0.0)
     with pytest.raises(ValueError, match="eps_stop"):
         AdaptiveConfig(eps_stop=float("nan"))
-
-
-def test_maximizer_examples_match_trace_values():
-    assert maximize_univariate([0.0, 1.0])[:2] == (1.0, 1.0)
-    assert maximize_univariate([2.0, 0.0, -2.0])[:2] == (0.0, 2.0)
-    assert maximize_univariate([0.0, 6.0, -2.0])[:2] == (1.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +135,7 @@ def test_adaptive_grows_on_gains_that_sum_past_eps_stop():
 
 
 def test_adaptive_degenerate_mode_stalls(emb_game):
-    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True, max_iter=5)
+    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, max_iter=5)
     trace = run_adaptive(emb_game, [[-1.0], [-1.0]], cfg)
     assert trace.status == "stalled"
     assert len(trace.records) == 5
@@ -168,7 +159,7 @@ def test_trace_json_layout(emb_game):
 
 
 def test_finite_degenerate_mode_gets_stuck(table3):
-    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True, max_iter=5)
+    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, max_iter=5)
     trace = run_adaptive_finite(table3, [[-1.0], [-1.0]], cfg)
     assert trace.status == "stalled"
     assert all(e == pytest.approx(1.0, abs=1e-6) for e in trace.epsilons())
@@ -179,7 +170,7 @@ def test_finite_degenerate_mode_gets_stuck(table3):
 def test_stalled_degenerate_loop_does_not_solve_again(table3, emb_game, monkeypatch):
     # records 2-4 of the criterion-3 fixtures repeat record 1 on the same
     # grids, so only the first two iterations solve
-    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, degenerate=True, max_iter=5)
+    cfg = AdaptiveConfig(alpha=1.0, beta=1.0, max_iter=5)
     for name, run, game in (("_solve_finite_iteration", run_adaptive_finite, table3),
                             ("_solve_iteration", run_adaptive, emb_game)):
         solves = []
@@ -243,7 +234,7 @@ def test_finite_iteration_lp_matches_dense_oracle(seed, shape, mode):
     fg = FiniteGame(grids, tuple(rng.integers(0, 8, size=tuple(shape)).astype(float) for _ in shape))
     subsets = [sorted(rng.choice(k, size=rng.integers(1, k + 1), replace=False)) for k in shape]
     alpha, degenerate = mode
-    config = AdaptiveConfig(alpha=alpha, beta=1.0, degenerate=degenerate, max_iter=1)
+    config = AdaptiveConfig(alpha=alpha, beta=1.0, max_iter=1)
     trace = run_adaptive_finite(fg, [g[idx] for g, idx in zip(grids, subsets)], config)
     expected = dense_finite_iteration_value(fg, subsets, alpha, degenerate)
     assert trace.records[0].epsilon == pytest.approx(expected, abs=1e-7)

@@ -96,6 +96,8 @@ def test_malformed_game_file_exits_1(tmp_path, capsys):
     ("audit", None, '{"grids": [[0.5]], "probs": [1.0]}'),
     ("audit", None, '{"grids": [[0.5], [0.5], [0.5]], "probs": [[[1.0]]]}'),
     ("audit", None, '{"grids": [[0.5], [0.5]]'),  # not JSON
+    ("audit", None, '{"grids": [[1.0], [1.0]], "probs": [[0.6]]}'),
+    ("audit", None, '{"grids": [[0.0, 0.5], [0.0]], "probs": [[1.0000009], [-9e-7]]}'),
     ("static", '{"players": ["x"], "utilities": [[1]]}', None),
     ("static", '{"players": ["x"], "utilities": [{"terms": [{"exp": [true], "coef": 1}]}]}', None),
 ])
@@ -208,6 +210,12 @@ def test_bad_flags_exit_1(quad_path):
     assert main(["adaptive", "--game", quad_path, "--grid", "2.0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "nan"]) == EXIT_INPUT
     assert main(["nonsense"]) == EXIT_INPUT
+
+
+def test_grid_points_get_the_library_range_check(quad_path):
+    # the library allows a coordinate 1e-12 past the interval, and so does the CLI
+    assert main(["adaptive", "--game", quad_path, "--grid", "1.0000000000001",
+                 "--max-iter", "1"]) == EXIT_OK
 
 
 def test_randgame_games_converge_under_adaptive(tmp_path):

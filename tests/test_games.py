@@ -233,6 +233,9 @@ def test_parse_game_rejects_wrong_json_types(text, message):
     ('{"grids": [[0]], "probs": ["1"]}', "finite numbers"),
     ('{"grids": [[0], [1]], "probs": [[1, 2], 3]}', "not a rectangular array"),
     ('{"grids": [[0], [1]], "probs": [1]}', "shape does not match"),
+    # the probabilities are taken as written: no rescaling, no clipping
+    ('{"grids": [[1.0], [1.0]], "probs": [[0.6]]}', "sum to 0.6, not 1"),
+    ('{"grids": [[0.0, 0.5], [0.0]], "probs": [[1.0000009], [-9e-7]]}', "nonnegative"),
 ])
 def test_parse_distribution_rejects_wrong_json_types(text, message):
     with pytest.raises(GameFormatError, match=message):
