@@ -11,13 +11,10 @@ written by one function:
   lists the Gram terms of every coefficient of that identity; the conic
   writer, :func:`reconstruct_target` and the residual absorption of
   :func:`prove_interval_nonneg` all read it.  For a concrete p scaled to unit
-  largest coefficient, :func:`prove_interval_nonneg` decides in two steps:
-  it refutes p when root finding shows a point of [-1,1] where p <
-  -DECISION_SLACK, and otherwise solves the lower-bound program max delta
-  s.t. p - delta = s + (1-x^2) t and accepts p when delta* >=
-  -DECISION_SLACK (5e-8, below the PSD tolerance of
-  :func:`verify_certificate`, 1e-7 times the largest coefficient of p when
-  that exceeds 1);
+  largest coefficient, :func:`prove_interval_nonneg` needs no solver: it
+  refutes p when root finding shows a point of [-1,1] where p <
+  -DECISION_SLACK, and otherwise reads s and t off the roots of p
+  (Markov-Lukacs) and returns them once :func:`verify_certificate` accepts;
 * truncated moments on [-1,1]^n are feasible
   (:func:`moment_feasibility_constraint`): the moment matrix and one
   localizing matrix per variable for the weight (1 - s_i^2) are PSD.  One
@@ -37,17 +34,24 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .conic import ConicProblem, LinExpr, PsdBlock, SolverError, expr
+from .conic import ConicProblem, LinExpr, PsdBlock, SolverError
 from .polynomials import PolynomialError, grlex_monomials, maximize_univariate, poly_eval
 
 # prove_interval_nonneg refutes p when p/max|p_k| < -DECISION_SLACK at a root-found
-# point of [-1,1], and otherwise when the SDP's min of p/max|p_k| is below it
+# point of [-1,1]; a least value in [-DECISION_SLACK, 0) is shifted away before the
+# certificate is built, and the shift is absorbed back into its s-Gram
 DECISION_SLACK = 5e-8
+# prove_interval_nonneg factors p/max|p_k| lifted by ROOT_LIFT, which turns the roots
+# where p touches 0 into complex pairs and moves roots at +-1 just off the interval.
+# The absorbed shift, at most ROOT_LIFT + DECISION_SLACK times max|p_k|, stays under
+# the 1e-7 PSD tolerance of verify_certificate
+ROOT_LIFT = 1e-8
+_UP, _DOWN, _W = np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -277,52 +281,79 @@ def _absorb_residual(cert: SosCertificate, target: np.ndarray) -> SosCertificate
     return SosCertificate(gram, cert.gram_t, cert.degree)
 
 
+def _times(f, g):
+    """(s1 + w t1)(s2 + w t2) = (s1 s2 + w^2 t1 t2) + w (s1 t2 + t1 s2), w =
+    1-x^2, for s and t given as lists of polynomials whose squares they sum."""
+    (s1, t1), (s2, t2) = f, g
+
+    def mul(us, vs):
+        return [np.convolve(u, v) for u in us for v in vs]
+
+    return mul(s1, s2) + mul(mul(t1, t2), [_W]), mul(s1, t2) + mul(t1, s2)
+
+
+def _gram(vectors, size: int) -> np.ndarray:
+    """V'V over the coefficient vectors; one longer than ``size`` raises."""
+    v = np.zeros((len(vectors), size))
+    for row, u in zip(v, vectors):
+        row[: u.size] = u
+    return v.T @ v
+
+
 def prove_interval_nonneg(coeffs):
     """Decide whether a concrete polynomial is nonnegative on [-1,1].
 
     Returns ``(True, certificate)`` or ``(False, None)``.  The decision is
-    made on p/c, with c the largest coefficient magnitude of p, because the
-    solver's accuracy is relative to the size of the coefficients.  First,
+    made on p/c, with c the largest coefficient magnitude of p.  First,
     :func:`~polyce.polynomials.maximize_univariate` of -p/c finds the least
-    value of p/c over both endpoints and the polished critical points; below
-    -DECISION_SLACK it refutes p without an SDP.  Its rounding, about
-    deg * 2^-52 times sum|p_k|/c, and the trailing coefficients under 1e-12
-    that it trims are far below 5e-8, so that value is negative exactly.
-    Root finding can miss a minimum, so otherwise the lower-bound program
-    max delta  s.t.  p/c - delta = s + (1-x^2) t  with s, t SOS and delta a
-    free scalar decides.  Its optimum delta* is the minimum of p/c on
-    [-1,1], and both it and its dual have strictly feasible points, so it
-    stays well posed when p touches zero on the interval (an exact match
-    p = s + (1-x^2) t has no interior there).
+    value m of p/c over both endpoints and the polished critical points; m <
+    -DECISION_SLACK refutes p.  Its rounding, about deg * 2^-52 times
+    sum|p_k|/c, and the trailing coefficients under 1e-12 that it trims are
+    far below 5e-8, so that value is negative exactly.
 
-    p counts as nonnegative when delta* >= -DECISION_SLACK (5e-8, ten times
-    the error of delta* at the solver tolerance 1e-9 on polynomials with a
-    root on [-1,1]); otherwise the result is ``(False, None)``.  The
-    certificate is c times the one for p/c, with c*delta* and the rest of
-    the coefficient residual absorbed into the s-Gram, so reconstruction is
-    exact to rounding.  Absorbing a delta* in [-DECISION_SLACK, 0) moves an
-    eigenvalue of the s-Gram by at most c*|delta*|, which is within the PSD
-    tolerance of :func:`verify_certificate` (1e-7 times max(1, c)) for every
-    c.  Raises PolynomialError on a non-finite coefficient and SolverError
-    when the solver does not reach an optimum.
+    Otherwise the certificate is read off the roots of r = p/c - min(0, m) +
+    ROOT_LIFT (Markov-Lukacs): on [-1,1], r = |lead| prod|x - x_j|
+    prod((x-a)^2 + b^2) over its real roots x_j and complex pairs a +- ib,
+    unless some x_j lies in (-1,1) or lead * (-1)^#{x_j >= 1} < 0, which
+    refute p.  Each |x - x_j| is a(1+x) + b(1-x) with a = |x_j - 1|/2 and b
+    = |x_j + 1|/2, and two of them multiply to s + (1-x^2) t with s = a1 a2
+    (1+x)^2 + b1 b2 (1-x)^2 and t = a1 b2 + a2 b1; a leftover one pairs with
+    1 = (1+x)/2 + (1-x)/2.  The real roots get 3 Newton steps first, because
+    a huge root costs the companion matrix its accuracy on the others.  The
+    Grams are V'V over the factors' coefficient vectors, times c|lead|, with
+    c(ROOT_LIFT - min(0, m)) and the rounding residual absorbed into the
+    s-Gram, so reconstruction is exact to rounding.  The certificate is
+    returned only if :func:`verify_certificate` accepts it; otherwise p is
+    refuted.  Raises PolynomialError on a non-finite coefficient.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
     if not np.isfinite(coeffs).all():
         raise PolynomialError("non-finite coefficient")
     if coeffs.size == 0:
         coeffs = np.zeros(1)
-    degree = coeffs.size - 1
     scale = float(np.abs(coeffs).max()) or 1.0
-    if maximize_univariate(-coeffs / scale)[1] > DECISION_SLACK:
+    least = -maximize_univariate(-coeffs / scale)[1]
+    if least < -DECISION_SLACK:
         return False, None  # a point where p/c < -DECISION_SLACK
-    problem = ConicProblem()
-    delta = problem.add_scalar_var()
-    shifted = list(coeffs / scale)
-    shifted[0] = LinExpr.of(shifted[0]) - delta
-    qs, qt = interval_nonneg_constraint(problem, shifted, degree)
-    problem.set_objective(-1.0 * expr(delta))
-    sol = problem.solve(tol=1e-9)
-    if sol.value(delta) < -DECISION_SLACK:
-        return False, None
-    cert = SosCertificate(scale * sol.value(qs), scale * sol.value(qt), degree)
-    return True, _absorb_residual(cert, coeffs)
+    r = coeffs / scale
+    r[0] += ROOT_LIFT - min(0.0, least)
+    roots, deriv = npoly.polyroots(r), npoly.polyder(r)
+    real, pairs = roots.real[roots.imag == 0], roots[roots.imag > 0]
+    with np.errstate(all="ignore"):  # a non-finite step keeps its root
+        for _ in range(3):
+            step = npoly.polyval(real, r) / npoly.polyval(real, deriv)
+            real = np.where(np.isfinite(step), real - step, real)
+    if np.any(np.abs(real) < 1.0) or r[-1] * (-1) ** np.count_nonzero(real >= 1.0) < 0:
+        return False, None  # r changes sign on [-1,1]
+    a, b = np.abs(real - 1.0) / 2, np.abs(real + 1.0) / 2
+    if real.size % 2:
+        a, b = np.append(a, 0.5), np.append(b, 0.5)
+    factors = [([np.array([-z.real, 1.0]), np.array([z.imag])], []) for z in pairs]
+    factors += [([np.sqrt(a[k] * a[k + 1]) * _UP, np.sqrt(b[k] * b[k + 1]) * _DOWN],
+                 [np.sqrt([a[k] * b[k + 1] + a[k + 1] * b[k]])]) for k in range(0, a.size, 2)]
+    s, t = reduce(_times, factors, ([np.ones(1)], []))
+    hs, ht = interval_degrees(coeffs.size - 1)
+    weight = scale * abs(r[-1])
+    cert = SosCertificate(weight * _gram(s, hs + 1), weight * _gram(t, ht + 1), coeffs.size - 1)
+    cert = _absorb_residual(cert, coeffs)
+    return (True, cert) if verify_certificate(cert, coeffs)[0] else (False, None)

@@ -15,7 +15,7 @@ from polyce.adaptive import run_adaptive
 from polyce.conic import ConicProblem, ConicSolution, LinExpr, SolverError, Status, expr
 from polyce.games import SupportedDistribution
 from polyce.moments import RelaxationOrder, check_moment_membership, payoff_bounds, payoff_region_sketch
-from polyce.sos import MomentVector, prove_interval_nonneg
+from polyce.sos import MomentVector
 
 import oracles
 
@@ -239,7 +239,6 @@ def test_a_failed_solve_reaches_each_method_as_an_error_that_names_its_reason(qu
         lambda: run_adaptive(quad_game, [[0.0], [0.0]]),
         lambda: payoff_bounds(quad_game, order),
         lambda: check_moment_membership(quad_game, order, equilibrium),
-        lambda: prove_interval_nonneg([1.0, 0.0, 1.0]),
     ]
     for call in calls:
         with pytest.raises(SolverError, match=rf"status is NumericalFailure \({reason}\)"):

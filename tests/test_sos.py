@@ -1,9 +1,18 @@
+import functools
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
+from numpy.polynomial import polynomial as npoly
 
+import polyce
 from polyce.conic import ConicProblem, Status, expr
 from polyce.moments import moment_validity_margin
 from polyce import sos
@@ -140,28 +149,106 @@ def test_negative_poly_refuted_by_witness_without_a_solve(monkeypatch):
     [-2e-5, 0.0, 1e3],  # the same times 1e3
     [1.0, 0.0, -1.0 - 4e-8],  # 1 - (1 + 4e-8) x^2, minimum at both endpoints
 ])
-def test_near_zero_minimum_reaches_the_sdp(monkeypatch, coeffs):
+def test_near_zero_minimum_is_certified_without_a_solve(monkeypatch, coeffs):
     scale = max(abs(c) for c in coeffs)
     least = -maximize_univariate(-np.array(coeffs) / scale)[1]
     assert -DECISION_SLACK < least < 0.0
-    calls = []
-    solve = ConicProblem.solve
-
-    def spy(self, *args, **kwargs):
-        calls.append(self)
-        return solve(self, *args, **kwargs)
-
-    monkeypatch.setattr(ConicProblem, "solve", spy)
+    monkeypatch.setattr(ConicProblem, "solve", _no_solve)
     ok, cert = prove_interval_nonneg(coeffs)
-    assert len(calls) == 1
-    assert ok and verify_certificate(cert, coeffs)[0]  # the SDP accepts within the slack
+    assert ok and verify_certificate(cert, coeffs)[0]  # accepted within the slack
 
 
-def test_sdp_refutes_what_root_finding_misses(monkeypatch):
-    # root finding is only a sufficient test; the SDP keeps its own refutation
+def test_verification_refutes_what_root_finding_misses(monkeypatch):
+    # root finding is only a sufficient test; the roots and the certificate
+    # check keep their own refutation
+    monkeypatch.setattr(ConicProblem, "solve", _no_solve)
     monkeypatch.setattr(sos, "maximize_univariate", lambda p: (-1.0, 0.0, [-1.0]))
-    for coeffs in ([-2.0, 1.0], [1.0, 0.0, -1.1]):
+    for coeffs in ([-2.0, 1.0], [1.0, 0.0, -1.1], [-0.25, 0.0, 1.0], [0.1, -1.0, 0.0, 1.0]):
         assert prove_interval_nonneg(coeffs) == (False, None)
+
+
+def _clustered_products(seed=0, count=100):
+    """Products of 5-10 factors that are nonnegative on [-1,1], of degree
+    9-19: double roots clustered within 1e-3 of one point of [-1,1], roots at
+    -1 or 1, real roots outside [-1,1] and complex pairs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        center = rng.uniform(-1.0, 1.0)
+        factors = []
+        for _ in range(rng.integers(5, 11)):
+            kind = rng.integers(4)
+            if kind == 0:
+                a = np.clip(center + rng.uniform(-1e-3, 1e-3), -1.0, 1.0)
+                factors.append([a * a, -2.0 * a, 1.0])
+            elif kind == 1:
+                factors.append([1.0, rng.choice([-1.0, 1.0])])
+            elif kind == 2:
+                root = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0)
+                factors.append(np.sign(-root) * np.array([-root, 1.0]))
+            else:
+                a, b = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 0.5)
+                factors.append([a * a + b * b, -2.0 * a, 1.0])
+        p = functools.reduce(np.convolve, factors)
+        if 9 <= p.size - 1 <= 19:
+            out.append(p)
+    return out
+
+
+def _certified(monkeypatch, targets):
+    monkeypatch.setattr(ConicProblem, "solve", _no_solve)
+    for p in targets:
+        ok, cert = prove_interval_nonneg(p)
+        assert ok, p
+        assert verify_certificate(cert, p)[0], p
+
+
+def test_clustered_double_roots_are_certified_without_a_solve(monkeypatch):
+    _certified(monkeypatch, _clustered_products())
+
+
+@pytest.mark.parametrize("k", range(4, 17))
+def test_a_huge_root_keeps_the_root_near_the_boundary_accurate(monkeypatch, k):
+    # (1 +- x)(1 +- eps x), eps = 10^-k: the root -+1/eps costs the companion
+    # matrix its accuracy on the root near -+1, which the Newton steps restore
+    _certified(monkeypatch, [np.convolve([1.0, s1], [1.0, s2 * 10.0 ** -k])
+                             for s1, s2 in itertools.product((1.0, -1.0), repeat=2)])
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_chebyshev_touching_polynomials_are_certified_without_a_solve(monkeypatch, n):
+    # T_n^2 and 1 - T_n^2 touch 0 at n and n+1 points of [-1,1], 1 +- T_n at
+    # about n/2 of them, the endpoints included
+    T = chebyshev.cheb2poly([0.0] * n + [1.0])
+    polys = (npoly.polymul(T, T), npoly.polysub([1.0], npoly.polymul(T, T)),
+             npoly.polyadd([1.0], T), npoly.polysub([1.0], T))
+    _certified(monkeypatch, [c * p for p in polys for c in (1e-3, 1.0, 1e3)])
+
+
+def test_clustered_certificates_agree_across_blas_thread_counts():
+    # a certificate is a proof to be stored and re-checked, so its bytes must
+    # not depend on how many threads the BLAS runs
+    code = (
+        "import hashlib\n"
+        "from test_sos import _clustered_products\n"
+        "from polyce.sos import prove_interval_nonneg\n"
+        "for p in _clustered_products():\n"
+        "    ok, cert = prove_interval_nonneg(p)\n"
+        "    grams = cert.gram_s.tobytes() + cert.gram_t.tobytes() if ok else b''\n"
+        "    print(ok, hashlib.sha256(grams).hexdigest())\n"
+    )
+    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), str(Path(__file__).parent),
+                            os.environ.get("PYTHONPATH", "")])
+    runs = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert out.returncode == 0, out.stderr
+        runs.append(out.stdout.splitlines())
+    assert len(runs[0]) == 100
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
