@@ -12,9 +12,10 @@ written by one function:
   writer, :func:`reconstruct_target` and the residual absorption of
   :func:`prove_interval_nonneg` all read it.  For a concrete p scaled to unit
   largest coefficient, :func:`prove_interval_nonneg` needs no solver: it
-  refutes p when root finding shows a point of [-1,1] where p <
-  -DECISION_SLACK, and otherwise reads s and t off the roots of p
-  (Markov-Lukacs) and returns them once :func:`verify_certificate` accepts;
+  reads s and t off the roots of p + ROOT_LIFT (Markov-Lukacs) and returns
+  them once :func:`verify_certificate` accepts; where those roots change
+  sign it refutes p at a point of [-1,1] where p < -DECISION_SLACK, and only
+  when they show none does the least value of p settle it;
 * truncated moments on [-1,1]^n are feasible
   (:func:`moment_feasibility_constraint`): the moment matrix and one
   localizing matrix per variable for the weight (1 - s_i^2) are PSD.  One
@@ -40,16 +41,16 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .conic import ConicProblem, LinExpr, PsdBlock, SolverError
-from .polynomials import PolynomialError, grlex_monomials, maximize_univariate, poly_eval
+from .polynomials import PolynomialError, _trim_negligible, grlex_monomials, maximize_univariate, poly_eval
 
-# prove_interval_nonneg refutes p when p/max|p_k| < -DECISION_SLACK at a root-found
-# point of [-1,1]; a least value in [-DECISION_SLACK, 0) is shifted away before the
-# certificate is built, and the shift is absorbed back into its s-Gram
+# prove_interval_nonneg refutes p when p/max|p_k| < -DECISION_SLACK at a point of
+# [-1,1] that the roots of p/max|p_k| + ROOT_LIFT or, failing those, maximize_univariate
+# find; a least value in [-DECISION_SLACK, 0) is lifted away before factoring again
 DECISION_SLACK = 5e-8
 # prove_interval_nonneg factors p/max|p_k| lifted by ROOT_LIFT, which turns the roots
 # where p touches 0 into complex pairs and moves roots at +-1 just off the interval.
-# The absorbed shift, at most ROOT_LIFT + DECISION_SLACK times max|p_k|, stays under
-# the 1e-7 PSD tolerance of verify_certificate
+# The lift absorbed into the s-Gram, at most ROOT_LIFT + DECISION_SLACK times max|p_k|,
+# stays under the 1e-7 PSD tolerance of verify_certificate
 ROOT_LIFT = 1e-8
 _UP, _DOWN, _W = np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0, -1.0])
 
@@ -281,17 +282,6 @@ def _absorb_residual(cert: SosCertificate, target: np.ndarray) -> SosCertificate
     return SosCertificate(gram, cert.gram_t, cert.degree)
 
 
-def _times(f, g):
-    """(s1 + w t1)(s2 + w t2) = (s1 s2 + w^2 t1 t2) + w (s1 t2 + t1 s2), w =
-    1-x^2, for s and t given as lists of polynomials whose squares they sum."""
-    (s1, t1), (s2, t2) = f, g
-
-    def mul(us, vs):
-        return [np.convolve(u, v) for u in us for v in vs]
-
-    return mul(s1, s2) + mul(mul(t1, t2), [_W]), mul(s1, t2) + mul(t1, s2)
-
-
 def _gram(vectors, size: int) -> np.ndarray:
     """V'V over the coefficient vectors; one longer than ``size`` raises."""
     v = np.zeros((len(vectors), size))
@@ -300,31 +290,71 @@ def _gram(vectors, size: int) -> np.ndarray:
     return v.T @ v
 
 
+def _compact(vectors):
+    """The same sum of squares in at most as many vectors as the longest one
+    has coefficients: the rows sqrt(lambda) u of the positive eigenpairs of
+    its Gram.  A list that short already is returned as it is."""
+    size = max((u.size for u in vectors), default=0)
+    if len(vectors) <= size:
+        return vectors
+    lam, vecs = np.linalg.eigh(_gram(vectors, size))
+    return [np.sqrt(lam[k]) * vecs[:, k] for k in range(size) if lam[k] > 0.0]
+
+
+def _times(f, g):
+    """(s1 + w t1)(s2 + w t2) = (s1 s2 + w^2 t1 t2) + w (s1 t2 + t1 s2), w =
+    1-x^2, for s and t given as lists of polynomials whose squares they sum."""
+    (s1, t1), (s2, t2) = f, g
+
+    def mul(us, vs):
+        return [np.convolve(u, v) for u in us for v in vs]
+
+    return _compact(mul(s1, s2) + mul(mul(t1, t2), [_W])), _compact(mul(s1, t2) + mul(t1, s2))
+
+
+def _roots(p, lift: float):
+    """Factor r = p + lift, less the trailing coefficients under 1e-12 max|r_k|
+    (maximize_univariate trims them too; the certificate absorbs them).
+    Returns r's leading coefficient, its real roots after 3 Newton steps, its
+    roots a + ib with b > 0, and whether r changes sign on [-1,1]: a real root
+    in (-1,1), or lead * (-1)^#{real roots >= 1} < 0."""
+    r = _trim_negligible(npoly.polyadd(p, [lift]))
+    roots, deriv = npoly.polyroots(r), npoly.polyder(r)
+    real, pairs = roots.real[roots.imag == 0], roots[roots.imag > 0]
+    with np.errstate(all="ignore"):  # a non-finite step keeps its root
+        for _ in range(3):
+            step = npoly.polyval(real, r) / npoly.polyval(real, deriv)
+            real = np.where(np.isfinite(step), real - step, real)
+    changes = np.any(np.abs(real) < 1.0) or r[-1] * (-1) ** np.count_nonzero(real >= 1.0) < 0
+    return r[-1], real, pairs, changes
+
+
 def prove_interval_nonneg(coeffs):
     """Decide whether a concrete polynomial is nonnegative on [-1,1].
 
     Returns ``(True, certificate)`` or ``(False, None)``.  The decision is
-    made on p/c, with c the largest coefficient magnitude of p.  First,
-    :func:`~polyce.polynomials.maximize_univariate` of -p/c finds the least
-    value m of p/c over both endpoints and the polished critical points; m <
-    -DECISION_SLACK refutes p.  Its rounding, about deg * 2^-52 times
-    sum|p_k|/c, and the trailing coefficients under 1e-12 that it trims are
-    far below 5e-8, so that value is negative exactly.
-
-    Otherwise the certificate is read off the roots of r = p/c - min(0, m) +
-    ROOT_LIFT (Markov-Lukacs): on [-1,1], r = |lead| prod|x - x_j|
+    made on p/c, with c the largest coefficient magnitude of p, from the roots
+    of r = p/c + ROOT_LIFT (Markov-Lukacs): on [-1,1], r = |lead| prod|x - x_j|
     prod((x-a)^2 + b^2) over its real roots x_j and complex pairs a +- ib,
-    unless some x_j lies in (-1,1) or lead * (-1)^#{x_j >= 1} < 0, which
-    refute p.  Each |x - x_j| is a(1+x) + b(1-x) with a = |x_j - 1|/2 and b
-    = |x_j + 1|/2, and two of them multiply to s + (1-x^2) t with s = a1 a2
-    (1+x)^2 + b1 b2 (1-x)^2 and t = a1 b2 + a2 b1; a leftover one pairs with
-    1 = (1+x)/2 + (1-x)/2.  The real roots get 3 Newton steps first, because
-    a huge root costs the companion matrix its accuracy on the others.  The
-    Grams are V'V over the factors' coefficient vectors, times c|lead|, with
-    c(ROOT_LIFT - min(0, m)) and the rounding residual absorbed into the
-    s-Gram, so reconstruction is exact to rounding.  The certificate is
-    returned only if :func:`verify_certificate` accepts it; otherwise p is
-    refuted.  Raises PolynomialError on a non-finite coefficient.
+    unless r changes sign there.  Each |x - x_j| is a(1+x) + b(1-x) with a =
+    |x_j - 1|/2 and b = |x_j + 1|/2, and two of them multiply to s + (1-x^2) t
+    with s = a1 a2 (1+x)^2 + b1 b2 (1-x)^2 and t = a1 b2 + a2 b1; a leftover
+    one pairs with 1 = (1+x)/2 + (1-x)/2.  The real roots get 3 Newton steps,
+    because a huge root costs the companion matrix its accuracy on the others.
+    The Grams are V'V over the factors' coefficient vectors, times c|lead|,
+    with the lift and the rounding residual absorbed into the s-Gram.  The
+    certificate is returned only if :func:`verify_certificate` accepts it.
+
+    If r changes sign, p/c is evaluated at +-1, at the real roots in (-1,1)
+    and between consecutive ones; a value below -DECISION_SLACK refutes p.
+    Only if none is does :func:`~polyce.polynomials.maximize_univariate` of
+    -p/c find the least value m of p/c: m < -DECISION_SLACK refutes p, and
+    otherwise r is lifted by -m more and refuted if it still changes sign.
+    This decides p as taking m first would: a certificate from the first
+    roots means p/c > -ROOT_LIFT > -DECISION_SLACK on [-1,1], and a refuting
+    value lies at or above m.  Rounding moves a value by about deg * 2^-52
+    sum|p_k|/c, far below 5e-8, so p is negative there exactly.  Raises
+    PolynomialError on a non-finite coefficient.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
     if not np.isfinite(coeffs).all():
@@ -332,19 +362,19 @@ def prove_interval_nonneg(coeffs):
     if coeffs.size == 0:
         coeffs = np.zeros(1)
     scale = float(np.abs(coeffs).max()) or 1.0
-    least = -maximize_univariate(-coeffs / scale)[1]
-    if least < -DECISION_SLACK:
-        return False, None  # a point where p/c < -DECISION_SLACK
-    r = coeffs / scale
-    r[0] += ROOT_LIFT - min(0.0, least)
-    roots, deriv = npoly.polyroots(r), npoly.polyder(r)
-    real, pairs = roots.real[roots.imag == 0], roots[roots.imag > 0]
-    with np.errstate(all="ignore"):  # a non-finite step keeps its root
-        for _ in range(3):
-            step = npoly.polyval(real, r) / npoly.polyval(real, deriv)
-            real = np.where(np.isfinite(step), real - step, real)
-    if np.any(np.abs(real) < 1.0) or r[-1] * (-1) ** np.count_nonzero(real >= 1.0) < 0:
-        return False, None  # r changes sign on [-1,1]
+    p = coeffs / scale
+    lead, real, pairs, changes = _roots(p, ROOT_LIFT)
+    if changes:
+        inner = np.sort(real[np.abs(real) < 1.0])
+        points = np.concatenate(([-1.0, 1.0], inner, (inner[1:] + inner[:-1]) / 2))
+        if poly_eval(p, points).min() < -DECISION_SLACK:
+            return False, None  # a point where p/c < -DECISION_SLACK
+        least = -maximize_univariate(-p)[1]
+        if least < -DECISION_SLACK:
+            return False, None
+        lead, real, pairs, changes = _roots(p, ROOT_LIFT - min(0.0, least))
+        if changes:
+            return False, None
     a, b = np.abs(real - 1.0) / 2, np.abs(real + 1.0) / 2
     if real.size % 2:
         a, b = np.append(a, 0.5), np.append(b, 0.5)
@@ -353,7 +383,7 @@ def prove_interval_nonneg(coeffs):
                  [np.sqrt([a[k] * b[k + 1] + a[k + 1] * b[k]])]) for k in range(0, a.size, 2)]
     s, t = reduce(_times, factors, ([np.ones(1)], []))
     hs, ht = interval_degrees(coeffs.size - 1)
-    weight = scale * abs(r[-1])
+    weight = scale * abs(lead)
     cert = SosCertificate(weight * _gram(s, hs + 1), weight * _gram(t, ht + 1), coeffs.size - 1)
     cert = _absorb_residual(cert, coeffs)
     return (True, cert) if verify_certificate(cert, coeffs)[0] else (False, None)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 from numpy.polynomial import polynomial as npoly
 
@@ -94,16 +96,20 @@ def test_interval_affine_witness():
     assert good and resid <= 1e-8
 
 
-def test_interval_boundary_roots_certified():
-    # nonnegative polynomials with a root on [-1,1] have no strictly feasible
-    # exact decomposition; every one of them must still be certified
+def _boundary_targets():
     targets = [np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0, -1.0])]
     for a in np.linspace(-1.0, 1.0, 9):
         sq = np.array([a * a, -2.0 * a, 1.0])
         targets.append(sq)
         for factor in ([1.0, 1.0], [1.0, -1.0], [1.0, 0.0, -1.0]):
             targets.append(np.convolve(factor, sq))
-    for target in targets:
+    return targets
+
+
+def test_interval_boundary_roots_certified():
+    # nonnegative polynomials with a root on [-1,1] have no strictly feasible
+    # exact decomposition; every one of them must still be certified
+    for target in _boundary_targets():
         ok, cert = prove_interval_nonneg(target)
         assert ok, target
         good, resid = verify_certificate(cert, target)
@@ -249,6 +255,106 @@ def test_clustered_certificates_agree_across_blas_thread_counts():
         runs.append(out.stdout.splitlines())
     assert len(runs[0]) == 100
     assert runs[0] == runs[1]
+
+
+def _many_factor_products():
+    """T_n^2 for n = 12..30, (1+x^2)^20 and a product of 19 linear factors
+    whose roots lie outside [-1,1]."""
+    polys = []
+    for n in range(12, 31):
+        T = chebyshev.cheb2poly([0.0] * n + [1.0])
+        polys.append(npoly.polymul(T, T))
+    polys.append(functools.reduce(np.convolve, [[1.0, 0.0, 1.0]] * 20))
+    rng = np.random.default_rng(19)
+    roots = rng.choice([-1.0, 1.0], 19) * rng.uniform(1.0, 3.0, 19)
+    polys.append(functools.reduce(np.convolve, [np.sign(-x) * np.array([-x, 1.0]) for x in roots]))
+    return polys
+
+
+def test_many_factors_keep_their_square_lists_short(monkeypatch):
+    # a list of squares stays no longer than its vectors, so T_30^2 is proved
+    # in milliseconds instead of running out of memory
+    times = sos._times
+
+    def spy(f, g):
+        out = times(f, g)
+        for vectors in out:
+            assert len(vectors) <= max((u.size for u in vectors), default=0)
+        return out
+
+    monkeypatch.setattr(sos, "_times", spy)
+    _certified(monkeypatch, _many_factor_products())
+
+
+def _bulk_sets():
+    """The criterion-6 constructions and negatives of test_acceptance.py and
+    the boundary targets: the sos-bulk benchmark jobs of seed 0."""
+    rng = np.random.default_rng(2024)
+    constructions, negatives = [], []
+    for _ in range(200):
+        a = rng.normal(size=int(rng.integers(1, 4)))
+        b = rng.normal(size=int(rng.integers(1, 3)))
+        target = np.zeros(7)
+        target[: 2 * a.size - 1] += np.convolve(a, a)
+        target[: 2 * b.size + 1] += np.convolve([1.0, 0.0, -1.0], np.convolve(b, b))
+        constructions.append(target)
+    grid = np.linspace(-1.0, 1.0, 1001)
+    while len(negatives) < 200:
+        coeffs = rng.normal(size=int(rng.integers(2, 8)))
+        if poly_eval(coeffs, grid).min() < -1e-3:
+            negatives.append(coeffs)
+    return constructions + _boundary_targets(), negatives
+
+
+def _count_minimizations(monkeypatch):
+    calls = []
+    maximize = sos.maximize_univariate
+    monkeypatch.setattr(sos, "maximize_univariate", lambda p: calls.append(p) or maximize(p))
+    return calls
+
+
+def test_one_root_pass_decides_the_bulk_sets(monkeypatch):
+    calls = _count_minimizations(monkeypatch)
+    nonneg, negatives = _bulk_sets()
+    assert all(prove_interval_nonneg(p)[0] for p in nonneg)
+    assert not any(prove_interval_nonneg(p)[0] for p in negatives)
+    assert calls == []
+
+
+@pytest.mark.parametrize("coeffs, ok, minimizations", [
+    ([-1e-7, 0.0, 1.0], False, 0),  # refuted by the value at x = 0, between the roots
+    ([-3e-8, 0.0, 1.0], True, 1),  # only the least value tells that it is within the slack
+])
+def test_minimization_settles_only_the_band_below_zero(monkeypatch, coeffs, ok, minimizations):
+    calls = _count_minimizations(monkeypatch)
+    assert prove_interval_nonneg(coeffs)[0] is ok
+    assert len(calls) == minimizations
+
+
+def _near_touching(draw):
+    # (x - a)^2 q + delta with q > 0 on [-1,1], so that p/c dips to about delta/c
+    a = draw(st.floats(-1.0, 1.0))
+    u = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+    q = np.convolve(u, u)
+    q[0] += draw(st.floats(0.1, 2.0))
+    delta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -7.0))
+    return npoly.polyadd(npoly.polymul([a * a, -2.0 * a, 1.0], q), [delta])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=11).map(np.array),
+    st.composite(_near_touching)(),
+))
+# a negligible top coefficient puts a root near 1e165: the roots of p without it decide
+@example(np.array([-1e-7, -3.97168870e-160, 2.0, 2.35401894e-165]))
+@example(np.array([-1e-7, 0.0, 2.0, 2.35401894e-165]))  # least value exactly -DECISION_SLACK
+def test_decisions_are_those_of_the_least_value(p):
+    scale = float(np.abs(p).max()) or 1.0
+    least = -maximize_univariate(-p / scale)[1]
+    ok, cert = prove_interval_nonneg(p)
+    assert ok == (least >= -DECISION_SLACK)
+    assert not ok or verify_certificate(cert, p)[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
