@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import ConicProblem, LinExpr, SolverError, expr
+from .conic import ConicProblem, LinExpr, expr
 from .finite_ce import MASS_TOL, EpsilonReport, deviation_rows, epsilon_report, gain_rows, \
     min_epsilon, solve_lp
 from .games import (
@@ -87,9 +87,9 @@ class AdaptiveConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of the trace.  ``new_strategies[i]`` lists the points that
-    were added to player i's grid to *form* this iteration (the initial grid
-    at k=0), matching the usual trace-table layout."""
+    """One row of the trace (per-recommendation gains stay in the loop's
+    :class:`EpsilonReport`).  ``new_strategies[i]`` lists the points added to
+    player i's grid to *form* this iteration (the initial grid at k=0)."""
 
     k: int
     grids: tuple[np.ndarray, ...]
@@ -97,7 +97,6 @@ class IterationRecord:
     epsilon: float
     epsilon_exact: float
     distribution: SupportedDistribution
-    per_recommendation: dict[tuple[int, float], tuple[float, float]]
 
 
 @dataclass
@@ -154,9 +153,6 @@ def build_iteration_sdp(game: PolynomialGame, grids, alpha: float):
     Returns ``(problem, handles)`` with handles for the cell probabilities
     (``pi``) and the objective variable (``eps``).
     """
-    grids = tuple(np.asarray(g, dtype=float) for g in grids)
-    if any(g.size == 0 for g in grids):
-        raise SolverError("empty strategy grid")
     fg = sample_game(game, grids)
     problem = ConicProblem()
     pi = {cell: problem.add_nonneg_var() for cell in np.ndindex(fg.shape)}
@@ -184,7 +180,7 @@ def build_iteration_sdp(game: PolynomialGame, grids, alpha: float):
             player_sum = player_sum + expr(ev)
             coeff_exprs = [expr(ev) - _gain_row(rows[s], dev[0] - u[s])]
             coeff_exprs += [-1.0 * _gain_row(rows[s], dev[k]) for k in range(1, deg + 1)]
-            interval_nonneg_constraint(problem, coeff_exprs, max(deg, 1))
+            interval_nonneg_constraint(problem, coeff_exprs, deg)
         problem.add_leq(player_sum - expr(eps), 0.0)
 
     problem.set_objective(expr(eps))
@@ -223,7 +219,6 @@ def _adaptive_loop(grids, solve, report, config: AdaptiveConfig) -> IterationTra
                 epsilon=eps_k,
                 epsilon_exact=exact.epsilon,
                 distribution=dist,
-                per_recommendation=dict(exact.per_recommendation),
             )
         )
         if eps_k <= config.eps_stop:
@@ -314,8 +309,6 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
     (gain <= ev_{i,s}), sum_s ev_{i,s} <= eps, and the restricted deviations
     within the subsets (gain <= alpha * eps), from :func:`deviation_rows`."""
     shape = tuple(len(g) for g in grids)
-    if 0 in shape:
-        raise SolverError("empty strategy grid")
     flat = np.arange(int(np.prod(shape))).reshape(shape)
     full, restricted = [], []
     for i in range(fg.num_players):

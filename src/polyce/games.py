@@ -75,6 +75,9 @@ def _check_arity(num_players: int, grids):
 
 
 def _check_points(g: np.ndarray) -> np.ndarray:
+    """The one test of a strategy grid: nonempty, every point in [-1, 1]."""
+    if g.size == 0:
+        raise GameFormatError("empty strategy grid")
     if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
         raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
     return g
@@ -91,8 +94,6 @@ class FiniteGame:
     def __post_init__(self):
         shape = self.shape
         for g in self.grids:
-            if g.size == 0:
-                raise GameFormatError("empty strategy grid")
             _check_points(g)
             if np.any(np.diff(g) <= 0):
                 raise GameFormatError("grid points must be strictly increasing")
@@ -278,9 +279,6 @@ def deviation_gain_poly(
 def sample_game(game: PolynomialGame, grids) -> FiniteGame:
     """Restrict utilities to a product of finite grids (the sampled game)."""
     grids = _check_arity(game.num_players, tuple(merge_points(g) for g in grids))
-    for g in grids:
-        if g.size == 0:
-            raise GameFormatError("empty strategy grid")
     payoffs = tuple(_sample(u, i, grids) for i, u in enumerate(game.utilities))
     return FiniteGame(grids, payoffs)
 

@@ -72,15 +72,13 @@ class Compiled:
     cone_dim: int               # q + total svec length
     A: sp.csr_matrix            # m x (f + cone_dim)
     b: np.ndarray
-    c: np.ndarray
     col: np.ndarray             # builder variable -> column
     scale: np.ndarray           # builder variable -> svec scale (1 or sqrt 2)
     row_scale: np.ndarray
-    obj_scale: float
-    obj_const: float
 
 
 def compile_problem(p: ConicProblem) -> Compiled:
+    """The constraints of ``p`` in solver columns; objectives go through :func:`_cost`."""
     # groups 0-3: free scalars, nonnegative scalars, 1x1 blocks, larger blocks
     group = np.full(p.num_vars, 3)
     group[[v.index for v in p.scalars]] = [int(v.nonneg) for v in p.scalars]
@@ -109,12 +107,11 @@ def compile_problem(p: ConicProblem) -> Compiled:
     row_scale = np.maximum(row_scale, 1e-8)
     A = sp.diags(1.0 / row_scale) @ A
     b = b / row_scale
-    c, obj_scale, obj_const = _cost(p.objective, col, scale)
     return Compiled(
         m=m, f=f, q=q, block_dims=[blk.dim for blk in psd],
         block_offsets=[int(col[blk.start]) - f - q for blk in psd],
-        cone_dim=p.num_vars - f, A=A.tocsr(), b=b, c=c, col=col, scale=scale,
-        row_scale=row_scale, obj_scale=obj_scale, obj_const=obj_const,
+        cone_dim=p.num_vars - f, A=A.tocsr(), b=b, col=col, scale=scale,
+        row_scale=row_scale,
     )
 
 

@@ -104,11 +104,11 @@ class PayoffBox:
 # building the relaxation
 
 
-def _deviation_matrix_entries(game, player, order, moment_of):
-    """Upper-triangle entries of the negated moment-weighted deviation-gain
-    matrix for one player, the side that must be PSD on [-1,1]: (j,k) entry
-    = integral of s_i^{j+k} [u_i(s) - u_i(t, s_-i)] dpi, a polynomial in t
-    whose coefficients are affine in the moments that ``moment_of`` returns."""
+def _deviation_matrix_entries(game, player, order, moment_of, shift=0.0):
+    """Upper triangle of one player's negated moment-weighted deviation-gain
+    matrix plus shift*I, the side that must be PSD on [-1,1]: entry (j,k) is
+    the integral of s_i^{j+k} [u_i(s) - u_i(t, s_-i)] dpi, a polynomial in t
+    affine in the ``moment_of`` values, then ``shift`` on each diagonal constant."""
     u = game.utilities[player]
     t_deg = u.degree_in(player)
     dim = order.d + 1
@@ -124,6 +124,8 @@ def _deviation_matrix_entries(game, player, order, moment_of):
                 # + coef * mu[exp + power e_i]
                 bumped = tuple(e + power if v == player else e for v, e in enumerate(exp))
                 coeffs[0] = coeffs[0] + coef * moment_of(bumped)
+            if j == k:
+                coeffs[0] = coeffs[0] + shift
             entries[j][k] = coeffs
     return entries, t_deg
 
@@ -137,10 +139,10 @@ def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
     ``moments`` maps exponent tuples to scalar variables.
 
     ``INTERIOR_SLACK`` (1e-7) relaxes every matrix constraint to -slack*I:
-    the validity matrices through ``diag_shift``, the deviation matrices by
-    adding it to the constant coefficient of each diagonal entry, as
-    :func:`deviation_margin` adds its lam.  The exact relaxation often has
-    empty interior (sliver equilibrium sets, boundary supports), which
+    the validity matrices through ``diag_shift``, the deviation matrices
+    through the ``shift`` of :func:`_deviation_matrix_entries`, which
+    :func:`deviation_margin` sets to its lam.  The exact relaxation often
+    has empty interior (sliver equilibrium sets, boundary supports), which
     cripples interior-point accuracy; the slack enlarges the feasible set
     slightly, which is the *sound* direction for an outer approximation.
     """
@@ -151,9 +153,7 @@ def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
     moment_feasibility_constraint(problem, {e: expr(v) for e, v in moments.items()}, n,
                                   2 * order.r, diag_shift=INTERIOR_SLACK)
     for i in range(n):
-        entries, t_deg = _deviation_matrix_entries(game, i, order, lambda e: expr(moments[e]))
-        for j in range(order.d + 1):
-            entries[j][j][0] = entries[j][j][0] + INTERIOR_SLACK
+        entries, t_deg = _deviation_matrix_entries(game, i, order, lambda e: expr(moments[e]), INTERIOR_SLACK)
         matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
     return problem, moments
 
@@ -233,20 +233,16 @@ def moment_validity_margin(mv: MomentVector, r: int) -> float:
 
 
 def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector) -> float:
-    """Smallest lam such that the deviation matrices shifted by -lam*I are
-    negative semidefinite on [-1,1]; a correlated equilibrium has margin
-    <= 0 (up to numerics)."""
-    worst = -np.inf
+    """Smallest lam, one SDP over every player's matrix, such that the deviation
+    matrices shifted by -lam*I are negative semidefinite on [-1,1]; a
+    correlated equilibrium has margin <= 0 (up to numerics)."""
+    problem = ConicProblem()
+    lam = problem.add_scalar_var()
     for i in range(game.num_players):
-        problem = ConicProblem()
-        lam = problem.add_scalar_var()
-        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__)
-        for j in range(order.d + 1):
-            entries[j][j][0] = entries[j][j][0] + expr(lam)
+        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__, expr(lam))
         matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
-        problem.set_objective(expr(lam))
-        worst = max(worst, problem.solve(tol=1e-8).value(lam))
-    return worst
+    problem.set_objective(expr(lam))
+    return problem.solve(tol=1e-8).value(lam)
 
 
 def check_moment_membership(

@@ -167,8 +167,8 @@ def matrix_psd_on_interval_constraint(
     {x_a t^j : j <= ceil(D/2)} and T correspondingly reduced, matching every
     x_a x_b t^k coefficient as :func:`interval_terms` lists it.  To certify
     M(t) + c*I instead, add c to the constant coefficient of each diagonal
-    entry, as :func:`polyce.moments.build_relaxation` does with its interior
-    slack.
+    entry, as the ``shift`` of :func:`polyce.moments._deviation_matrix_entries`
+    does.
     """
     m, D = int(size), int(t_degree)
     if D < 0:

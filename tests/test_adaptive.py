@@ -12,7 +12,7 @@ from polyce.adaptive import (
     run_adaptive,
     run_adaptive_finite,
 )
-from polyce.conic import SolverError, Status
+from polyce.conic import Status
 from polyce.finite_ce import min_epsilon
 from polyce.games import FiniteGame, GameFormatError, SupportedDistribution, random_polynomial_game
 
@@ -47,6 +47,12 @@ def test_iteration_sdp_matches_dense_lp_oracle(seed, mode):
     assert sol.status is Status.OPTIMAL
     expected = dense_iteration_value(game, grids, alpha, degenerate)
     assert sol.objective_value == pytest.approx(expected, abs=1e-5)
+
+
+@pytest.mark.parametrize("grids", [[[], []], [[0.0], []]])
+def test_empty_iteration_grid_is_a_format_error(quad_game, grids):
+    with pytest.raises(GameFormatError, match="empty strategy grid"):
+        build_iteration_sdp(quad_game, grids, 0.0)
 
 
 def test_nan_initial_point_is_a_format_error(quad_game):
@@ -183,7 +189,7 @@ def test_stalled_degenerate_loop_does_not_solve_again(table3, emb_game, monkeypa
             assert rec.new_strategies == ((), ())
             assert rec.epsilon == trace.records[1].epsilon
             assert rec.distribution is trace.records[1].distribution
-    with pytest.raises(SolverError, match="empty strategy grid"):
+    with pytest.raises(GameFormatError, match="empty strategy grid"):
         run_adaptive(emb_game, [[], []], cfg)
 
 
@@ -199,9 +205,9 @@ def test_finite_initial_subsets_need_one_per_player(table3, subsets):
 
 
 @pytest.mark.parametrize("subsets", [[[], []], [[0.0], []]])
-def test_finite_empty_initial_subset_is_a_solver_error(subsets):
+def test_finite_empty_initial_subset_is_a_format_error(subsets):
     fg = FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.eye(2), np.eye(2)))
-    with pytest.raises(SolverError, match="empty strategy grid"):
+    with pytest.raises(GameFormatError, match="empty strategy grid"):
         run_adaptive_finite(fg, subsets)
 
 

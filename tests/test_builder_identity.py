@@ -3,7 +3,8 @@
 The interior-point method's iteration counts move with last-bit changes of
 the problem data, so a builder refactor must leave ``compile_problem``'s
 output byte-identical unless it means to change it.  Each digest covers the
-CSR arrays of ``A`` (data, indices, indptr), ``b``, ``c`` and ``row_scale``.
+CSR arrays of ``A`` (data, indices, indptr), ``b``, the cost ``c`` from
+``ipm._cost`` and ``row_scale``.
 Compilation is plain numpy/scipy index arithmetic without BLAS, so the bytes
 are stable for pinned numpy and scipy versions: the digests were taken with
 the versions in ``PINNED_VERSIONS`` (the ones CI installs), and the test
@@ -22,7 +23,7 @@ PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 from polyce.adaptive import build_iteration_sdp
 from polyce.conic import ConicProblem, LinExpr, expr
 from polyce.demo_games import quadratic_demo_game
-from polyce.ipm import compile_problem
+from polyce.ipm import _cost, compile_problem
 from polyce.moments import RelaxationOrder, build_relaxation
 from polyce.polynomials import grlex_monomials
 from polyce.sos import (
@@ -78,8 +79,9 @@ PINNED = [
 
 def _digest(problem) -> str:
     cp = compile_problem(problem)
+    c = _cost(problem.objective, cp.col, cp.scale)[0]
     h = hashlib.sha256()
-    for arr in (cp.A.data, cp.A.indices, cp.A.indptr, cp.b, cp.c, cp.row_scale):
+    for arr in (cp.A.data, cp.A.indices, cp.A.indptr, cp.b, c, cp.row_scale):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from polyce.conic import ConicProblem, LinExpr, SolverError, Status, expr
-from polyce.ipm import compile_problem
+from polyce.ipm import _cost, compile_problem
 
 import oracles
 
@@ -149,6 +149,7 @@ def test_cross_check_against_external_ipm():
         p = _random_bounded_problem(seed + 100)
         mine = p.solve()
         cp = compile_problem(p)
+        c, obj_scale, obj_const = _cost(p.objective, cp.col, cp.scale)
         n = cp.f + cp.cone_dim
         Gl = np.zeros((cp.q, n))
         for i in range(cp.q):
@@ -169,13 +170,13 @@ def test_cross_check_against_external_ipm():
             Gs.append(Gk)
         G = np.vstack([Gl] + Gs)
         ref = cvxopt.solvers.conelp(
-            cvxopt.matrix(cp.c), cvxopt.matrix(G), cvxopt.matrix(np.zeros(G.shape[0])),
+            cvxopt.matrix(c), cvxopt.matrix(G), cvxopt.matrix(np.zeros(G.shape[0])),
             {"l": int(cp.q), "q": [], "s": [int(d) for d in cp.block_dims]},
             cvxopt.matrix(cp.A.toarray()), cvxopt.matrix(cp.b),
         )
         if ref["status"] != "optimal":
             continue
-        ref_obj = ref["primal objective"] * cp.obj_scale + cp.obj_const
+        ref_obj = ref["primal objective"] * obj_scale + obj_const
         assert mine.status is Status.OPTIMAL
         assert mine.objective_value == pytest.approx(ref_obj, abs=1e-5, rel=1e-6)
 
@@ -201,17 +202,18 @@ def _random_bounded_lp(seed, infeasible=False):
 
 def _highs(p):
     cp = compile_problem(p)
+    cost = _cost(p.objective, cp.col, cp.scale)
     bounds = [(None, None)] * cp.f + [(0, None)] * cp.q
-    return cp, linprog(cp.c, A_eq=cp.A, b_eq=cp.b, bounds=bounds, method="highs")
+    return cost, linprog(cost[0], A_eq=cp.A, b_eq=cp.b, bounds=bounds, method="highs")
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_lp_cross_check_against_highs(seed):
     p = _random_bounded_lp(seed)
     mine = p.solve()
-    cp, ref = _highs(p)
+    (_, obj_scale, obj_const), ref = _highs(p)
     assert ref.status == 0 and mine.status is Status.OPTIMAL
-    assert mine.objective_value == pytest.approx(ref.fun * cp.obj_scale + cp.obj_const, rel=1e-6)
+    assert mine.objective_value == pytest.approx(ref.fun * obj_scale + obj_const, rel=1e-6)
     infeasible = _random_bounded_lp(seed, infeasible=True)
     assert infeasible.solve().status is Status.INFEASIBLE
     assert _highs(infeasible)[1].status == 2
@@ -279,7 +281,8 @@ def _declared_problem(kinds, m, seed):
 def test_compile_matches_the_per_variable_oracle(kinds, m, seed):
     p = _declared_problem(kinds, m, seed)
     cp = compile_problem(p)
+    cost, cost_scale, _ = _cost(p.objective, cp.col, cp.scale)
     A, b, c, row_scale, obj_scale = oracles.compiled_arrays(p)
     assert np.array_equal(cp.A.toarray(), A)
-    assert np.array_equal(cp.b, b) and np.array_equal(cp.c, c)
-    assert np.array_equal(cp.row_scale, row_scale) and cp.obj_scale == obj_scale
+    assert np.array_equal(cp.b, b) and np.array_equal(cost, c)
+    assert np.array_equal(cp.row_scale, row_scale) and cost_scale == obj_scale

@@ -164,6 +164,11 @@ def test_sample_game_rejects_empty_grid(quad_game):
         sample_game(quad_game, [[], [0.0]])
 
 
+def test_distribution_rejects_an_empty_grid():
+    with pytest.raises(GameFormatError, match="empty strategy grid"):
+        SupportedDistribution((np.array([0.0]), np.array([])), np.zeros((1, 0)))
+
+
 def test_serialize_parse_roundtrip(quad_game, emb_game):
     for game in (quad_game, emb_game):
         text = serialize_game(game)
@@ -266,6 +271,7 @@ def test_distribution_rejects_points_outside_the_square(point):
     ([[-1.0, np.nan], [-1.0, 1.0]], [np.eye(2), np.eye(2)], r"grid points must be numbers .*nan"),
     ([[-1.0, 1.0], [-1.0, 1.0]], [np.eye(2), [[1.0, np.nan], [0.0, 1.0]]], "payoffs must be finite"),
     ([[-1.0, 1.0], [-1.0, 1.0]], [np.eye(2)], "1 payoff tensors for 2 players"),
+    ([[0.0], []], [np.zeros((1, 0))] * 2, "empty strategy grid"),
 ])
 def test_finite_game_rejects_non_finite_or_missing_data(grids, payoffs, message):
     with pytest.raises(GameFormatError, match=message):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyce import moments
 from polyce.adaptive import run_adaptive
@@ -7,6 +9,7 @@ from polyce.games import (
     PolynomialGame,
     SupportedDistribution,
     eval_utility,
+    gain_coeffs,
     random_polynomial_game,
 )
 from polyce.moments import (
@@ -20,7 +23,7 @@ from polyce.moments import (
     required_half_order,
     separating_test_polynomial,
 )
-from polyce.polynomials import MultiPoly, grlex_monomials
+from polyce.polynomials import MultiPoly, grlex_monomials, maximize_univariate
 from polyce.sos import MomentVector
 
 UNIQUE_PAYOFF = (
@@ -99,6 +102,21 @@ def test_membership_refutes_non_equilibrium(quad_game):
     assert not check_moment_membership(quad_game, order, mv)
     # the deviation margin equals the best deviation gain for point masses
     assert deviation_margin(quad_game, order, mv) == pytest.approx(1.956, abs=1e-5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.integers(1, 4), st.integers(0, 2**16), st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))))
+def test_deviation_margin_is_the_best_gain_over_the_players(case):
+    # for a point mass at d = 0 each player's matrix is minus the gain
+    # polynomial, so the one shared lam is the largest gain of any player
+    degree, seed, point = case
+    game = random_polynomial_game(len(point), degree, seed)
+    order = RelaxationOrder.auto(game, 0)
+    dist = SupportedDistribution.point_mass(point)
+    best = max(maximize_univariate(gain_coeffs(game, i, dist)[0])[1] for i in range(len(point)))
+    mv = MomentVector.from_measure(dist, len(point), 2 * order.r)
+    assert deviation_margin(game, order, mv) == pytest.approx(best, abs=1e-6)
 
 
 def test_membership_on_constant_game_accepts_anything():

@@ -324,6 +324,10 @@ def test_one_root_pass_decides_the_bulk_sets(monkeypatch):
 @pytest.mark.parametrize("coeffs, ok, minimizations", [
     ([-1e-7, 0.0, 1.0], False, 0),  # refuted by the value at x = 0, between the roots
     ([-3e-8, 0.0, 1.0], True, 1),  # only the least value tells that it is within the slack
+    # x^4 - 0.0265 x^3 dips to -5.20e-8 between the interior roots of r, where
+    # the midpoint probe misses it: only the least value refutes it
+    ([0.0, 0.0, 0.0, -0.0265, 1.0], False, 1),
+    ([0.0, 0.0, 0.0, -0.026, 1.0], True, 1),  # least value -4.82e-8, within the slack
 ])
 def test_minimization_settles_only_the_band_below_zero(monkeypatch, coeffs, ok, minimizations):
     calls = _count_minimizations(monkeypatch)
