@@ -75,11 +75,13 @@ def _check_arity(num_players: int, grids):
 
 
 def _check_points(g: np.ndarray) -> np.ndarray:
-    """The one test of a strategy grid: nonempty, every point in [-1, 1]."""
+    """The one test of strategy values, a grid or a profile: nonempty, every
+    point in [-1, 1]."""
     if g.size == 0:
         raise GameFormatError("empty strategy grid")
     if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
-        raise GameFormatError(f"grid points must be numbers in [-1, 1], got {g.tolist()}")
+        raise GameFormatError(
+            f"grid points must be numbers in [-1, 1], got {g.tolist()} (a value outside or not a number)")
     return g
 
 
@@ -230,9 +232,7 @@ def _check_point(game: PolynomialGame, point) -> np.ndarray:
         raise GameFormatError(
             f"point has {point.size} coordinates, expected {game.num_players}"
         )
-    if not np.all(np.abs(point) <= 1 + _COORD_TOL):  # rejects nan too
-        raise GameFormatError(f"point {point.tolist()} outside [-1, 1]^n")
-    return point
+    return _check_points(point)
 
 
 def eval_utility(game: PolynomialGame, player: int, point) -> float:
@@ -390,7 +390,7 @@ def parse_distribution(text: str) -> SupportedDistribution:
         raise GameFormatError("distribution document must have 'grids' and 'probs'")
     grids_doc = doc["grids"] if isinstance(doc["grids"], list) else []
     raw_grids = [_number_tensor(g, "each grid") for g in grids_doc]
-    if not raw_grids or any(g.ndim != 1 or g.size == 0 for g in raw_grids):
+    if not raw_grids or any(g.ndim != 1 for g in raw_grids):
         raise GameFormatError("'grids' must be a nonempty list of nonempty number lists")
     probs = _number_tensor(doc["probs"], "'probs'")
     if probs.shape != tuple(len(g) for g in raw_grids):

@@ -9,9 +9,10 @@ a candidate equilibrium measure:
   one table, :func:`polyce.sos.localizing_entries`;
 * the deviation test: for each player the matrix of moment-weighted
   deviation gains against squared polynomial test functions of degree <= d
-  must be negative semidefinite for every deviation t in [-1,1].  It is
-  built negated, on its PSD side, for the biform interval SOS identity;
-  :func:`separating_test_polynomial` negates it back to gains.
+  must be negative semidefinite for every deviation t in [-1,1].  The
+  relaxation builds it negated, on its PSD side, for the biform interval SOS
+  identity; on a concrete moment vector :func:`_worst_deviation` decides it
+  from the roots of a determinant, with no conic solve.
 
 Growing d (and with it the moment truncation r) yields a nested family of
 outer approximations of the set of correlated-equilibrium moments; their
@@ -24,6 +25,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev, polynomial
 
 from .conic import ConicProblem, LinExpr, expr
 from .games import PolynomialGame
@@ -38,8 +40,7 @@ def required_half_order(game: PolynomialGame, d: int) -> int:
     """Smallest moment half-order r making every deviation-matrix entry
     (degree 2d in the recommendation variable times a utility term)
     expressible in stored moments of total degree <= 2r."""
-    max_deg = max(u.total_degree() for u in game.utilities)
-    return -(-(2 * d + max_deg) // 2)  # ceil
+    return -(-(2 * d + max(u.total_degree() for u in game.utilities)) // 2)  # ceil
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,10 @@ class PayoffBox:
 
 
 def _deviation_matrix_entries(game, player, order, moment_of, shift=0.0):
-    """Upper triangle of one player's negated moment-weighted deviation-gain
-    matrix plus shift*I, the side that must be PSD on [-1,1]: entry (j,k) is
-    the integral of s_i^{j+k} [u_i(s) - u_i(t, s_-i)] dpi, a polynomial in t
-    affine in the ``moment_of`` values, then ``shift`` on each diagonal constant."""
+    """One player's negated moment-weighted deviation-gain matrix plus shift*I,
+    the side that must be PSD on [-1,1]: entry (j,k) = (k,j) is the integral of
+    s_i^{j+k} [u_i(s) - u_i(t, s_-i)] dpi, a polynomial in t affine in the
+    ``moment_of`` values, then ``shift`` on each diagonal constant."""
     u = game.utilities[player]
     t_deg = u.degree_in(player)
     dim = order.d + 1
@@ -126,7 +127,7 @@ def _deviation_matrix_entries(game, player, order, moment_of, shift=0.0):
                 coeffs[0] = coeffs[0] + coef * moment_of(bumped)
             if j == k:
                 coeffs[0] = coeffs[0] + shift
-            entries[j][k] = coeffs
+            entries[j][k] = entries[k][j] = coeffs
     return entries, t_deg
 
 
@@ -140,11 +141,11 @@ def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
 
     ``INTERIOR_SLACK`` (1e-7) relaxes every matrix constraint to -slack*I:
     the validity matrices through ``diag_shift``, the deviation matrices
-    through the ``shift`` of :func:`_deviation_matrix_entries`, which
-    :func:`deviation_margin` sets to its lam.  The exact relaxation often
-    has empty interior (sliver equilibrium sets, boundary supports), which
-    cripples interior-point accuracy; the slack enlarges the feasible set
-    slightly, which is the *sound* direction for an outer approximation.
+    through the ``shift`` of :func:`_deviation_matrix_entries`.  The exact
+    relaxation often has empty interior (sliver equilibrium sets, boundary
+    supports), which cripples interior-point accuracy; the slack enlarges the
+    feasible set slightly, which is the *sound* direction for an outer
+    approximation.
     """
     order.validate_for(game)
     n = game.num_players
@@ -158,13 +159,6 @@ def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
     return problem, moments
 
 
-def payoff_expr(game: PolynomialGame, player: int, moments) -> LinExpr:
-    out = LinExpr()
-    for exp, coef in game.utilities[player].terms.items():
-        out = out + coef * expr(moments[exp])
-    return out
-
-
 def _support_points(game, order, directions, tol):
     """For each direction, the expected-payoff vector that maximizes
     direction . payoff over the relaxation.  The relaxation is built once and
@@ -172,18 +166,12 @@ def _support_points(game, order, directions, tol):
     compile and one IPM run, in which each direction's solve ends exactly as
     it would alone."""
     problem, moments = build_relaxation(game, order)
-    payoffs = [payoff_expr(game, i, moments) for i in range(game.num_players)]
-    objectives = []
-    for direction in directions:
-        obj = LinExpr()
-        for w, payoff in zip(direction, payoffs):
-            if w:
-                obj = obj + (-float(w)) * payoff
-        objectives.append(obj)
-    points = []
-    for sol in problem.solve_many(objectives, tol=tol):
-        points.append(np.array([sol.evaluate(payoff) for payoff in payoffs]))
-    return points
+    payoffs = [sum((coef * expr(moments[exp]) for exp, coef in u.terms.items()), LinExpr())
+               for u in game.utilities]
+    objectives = [sum(((-float(w)) * payoff for w, payoff in zip(direction, payoffs) if w), LinExpr())
+                  for direction in directions]
+    return [np.array([sol.evaluate(payoff) for payoff in payoffs])
+            for sol in problem.solve_many(objectives, tol=tol)]
 
 
 def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = 1e-8) -> PayoffBox:
@@ -232,17 +220,47 @@ def moment_validity_margin(mv: MomentVector, r: int) -> float:
     return worst
 
 
-def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector) -> float:
-    """Smallest lam, one SDP over every player's matrix, such that the deviation
-    matrices shifted by -lam*I are negative semidefinite on [-1,1]; a
-    correlated equilibrium has margin <= 0 (up to numerics)."""
-    problem = ConicProblem()
-    lam = problem.add_scalar_var()
+def _worst_deviation(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector):
+    """The one deviation test on concrete moments: ``(margin, player, t, v)``,
+    the largest eigenvalue of any player's gain matrix G(t) (the negated
+    :func:`_deviation_matrix_entries`) over t in [-1,1], attained by that
+    player at t with unit eigenvector v.
+
+    Per player, a level-set ascent (Boyd & Balakrishnan 1990) raises lam from
+    the best of t = -1, 0, 1 to the best value at the midpoints between -1, 1
+    and the real parts of the roots of det(lam I - G(t)), a polynomial found
+    by Chebyshev interpolation, until none beats lam by a few ulps.  det is
+    taken on the range of G's coefficients: a direction they all annihilate
+    is an eigenvalue 0 at every t and would make det vanish at lam = 0."""
+    best = (-np.inf,)
     for i in range(game.num_players):
-        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__, expr(lam))
-        matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
-    problem.set_objective(expr(lam))
-    return problem.solve(tol=1e-8).value(lam)
+        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__)
+        coeffs = -np.array(entries).transpose(2, 0, 1)
+        basis, sv, _ = np.linalg.svd(np.hstack(coeffs))
+        basis = basis[:, sv > sv[0] * sv.size * np.finfo(float).eps]  # matrix_rank's tolerance
+        reduced, rank = basis.T @ coeffs @ basis, basis.shape[1]
+        few_ulps = 4 * np.finfo(float).eps * np.abs(coeffs).sum()  # the sum bounds |G(t)|
+        ts, lam = np.array([-1.0, 0.0, 1.0]), -np.inf
+        while True:
+            vals, vecs = np.linalg.eigh(polynomial.polyval(ts, coeffs).T)
+            k = int(np.argmax(vals[:, -1]))
+            if not vals[k, -1] > lam + few_ulps:
+                break
+            lam, t, v = float(vals[k, -1]), float(ts[k]), vecs[k, :, -1]
+            det = chebyshev.chebinterpolate(
+                lambda x: np.linalg.det(lam * np.eye(rank) - polynomial.polyval(x, reduced).T), rank * t_deg)
+            roots = chebyshev.chebroots(chebyshev.chebtrim(det)).real
+            cuts = np.sort(np.concatenate(([-1.0], roots[np.abs(roots) < 1.0], [1.0])))
+            ts = (cuts[1:] + cuts[:-1]) / 2
+        if lam > best[0]:
+            best = (lam, i, t, v)
+    return best
+
+
+def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector) -> float:
+    """Largest eigenvalue of any player's deviation-gain matrix over t in
+    [-1,1] (:func:`_worst_deviation`); a correlated equilibrium has margin <= 0."""
+    return _worst_deviation(game, order, mv)[0]
 
 
 def check_moment_membership(
@@ -256,31 +274,12 @@ def check_moment_membership(
         raise ValueError("moment vector arity does not match the game")
     if mv.order < 2 * order.r:
         raise ValueError(f"moment vector order {mv.order} < required {2 * order.r}")
-    if moment_validity_margin(mv, order.r) < -slack:
-        return False
-    return deviation_margin(game, order, mv) <= slack
+    return moment_validity_margin(mv, order.r) >= -slack and deviation_margin(game, order, mv) <= slack
 
 
 def separating_test_polynomial(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector):
-    """Search for a violated deviation test: returns (player, t0, p_coeffs)
-    with the property that the squared test polynomial p certifies a
-    profitable deviation to t0 under any measure with these moments, or None
-    if every deviation matrix is NSD (within 1e-9) on a 401-point scan grid
-    of [-1,1]."""
-    ts = np.linspace(-1.0, 1.0, 401)
-    best = None
-    for i in range(game.num_players):
-        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__)
-        dim = order.d + 1
-        polys = np.zeros((dim, dim, t_deg + 1))
-        for j in range(dim):
-            for k in range(j, dim):
-                polys[j, k] = polys[k, j] = [-c for c in entries[j][k]]  # back to the gains
-        powers = ts[:, None] ** np.arange(t_deg + 1)[None, :]
-        mats = np.einsum("jkd,td->tjk", polys, powers)
-        eigs, vecs = np.linalg.eigh(mats)
-        worst = int(np.argmax(eigs[:, -1]))
-        val = float(eigs[worst, -1])
-        if val > 1e-9 and (best is None or val > best[0]):
-            best = (val, i, float(ts[worst]), vecs[worst][:, -1].copy())
-    return None if best is None else best[1:]
+    """A violated deviation test, or None if :func:`deviation_margin` <= 1e-9:
+    (player, t0, p_coeffs) such that the squared test polynomial p certifies a
+    profitable deviation to t0 under any measure with these moments."""
+    margin, player, t0, p_coeffs = _worst_deviation(game, order, mv)
+    return (player, t0, p_coeffs) if margin > 1e-9 else None

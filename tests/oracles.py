@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 
+from polyce.conic import ConicProblem, expr
+from polyce.moments import _deviation_matrix_entries
+from polyce.sos import matrix_psd_on_interval_constraint
+
 
 def dense_max_on_interval(coeffs, points=200001):
     """Independent oracle for univariate maximization: dense sampling."""
@@ -93,6 +97,20 @@ def deviation_gain_at(game, dist, player, s_idx, t):
         dev[player] = t
         total += float(dist.probs[cell]) * (poly_value(u, dev) - poly_value(u, point))
     return total
+
+
+def sdp_deviation_margin(game, order, mv):
+    """The deviation margin as one SDP through the IPM: the smallest lam such
+    that every player's deviation-gain matrix minus lam*I is negative
+    semidefinite on [-1,1], written as the interval SOS identity of
+    :func:`polyce.sos.matrix_psd_on_interval_constraint`."""
+    problem = ConicProblem()
+    lam = problem.add_scalar_var()
+    for i in range(game.num_players):
+        entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__, expr(lam))
+        matrix_psd_on_interval_constraint(problem, entries, order.d + 1, t_deg)
+    problem.set_objective(expr(lam))
+    return problem.solve(tol=1e-8).value(lam)
 
 
 def dense_ce_rows(fg):

@@ -26,6 +26,8 @@ from polyce.moments import (
 from polyce.polynomials import MultiPoly, grlex_monomials, maximize_univariate
 from polyce.sos import MomentVector
 
+from oracles import deviation_gain_at, sdp_deviation_margin
+
 UNIQUE_PAYOFF = (
     0.596 + 2.072 - 0.394 + 1.360 - 1.200 + 0.554,
     -0.108 + 1.918 - 1.044 - 1.232 + 0.842 - 1.886,
@@ -117,6 +119,48 @@ def test_deviation_margin_is_the_best_gain_over_the_players(case):
     best = max(maximize_univariate(gain_coeffs(game, i, dist)[0])[1] for i in range(len(point)))
     mv = MomentVector.from_measure(dist, len(point), 2 * order.r)
     assert deviation_margin(game, order, mv) == pytest.approx(best, abs=1e-6)
+
+
+@st.composite
+def _finite_measures(draw):
+    """A random game of 2-3 players and a measure on at most 3 points per
+    player, which may repeat or sit on -1, 0 and 1."""
+    n = draw(st.integers(2, 3))
+    game = random_polynomial_game(n, draw(st.integers(1, 3)), draw(st.integers(0, 2**16)))
+    grids = tuple(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))) for _ in range(n))
+    shape = tuple(len(g) for g in grids)
+    size = int(np.prod(shape))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+    return game, SupportedDistribution(grids, (weights / weights.sum()).reshape(shape))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_finite_measures(), st.integers(0, 2))
+def test_deviation_margin_matches_the_sdp_and_its_own_witness(case, d):
+    game, dist = case
+    order = RelaxationOrder.auto(game, d)
+    mv = MomentVector.from_measure(dist, game.num_players, 2 * order.r)
+    assert deviation_margin(game, order, mv) == pytest.approx(sdp_deviation_margin(game, order, mv), abs=1e-6)
+    # the witness (player, t, v) has v'G(t)v equal to the margin, where
+    # v'G(t)v is the gain of deviating to t weighted by p(s)^2, p = sum v_k s^k
+    margin, player, t, v = moments._worst_deviation(game, order, mv)
+    weighted = sum(np.polynomial.polynomial.polyval(s, v) ** 2 * deviation_gain_at(game, dist, player, k, t)
+                   for k, s in enumerate(dist.grids[player]))
+    assert weighted == pytest.approx(margin, abs=1e-9)
+
+
+def test_margin_inside_the_interval_past_a_null_direction():
+    # at a point mass the gain matrix is g(t) v v' with v = (1, s, .., s^d),
+    # so each direction orthogonal to v is an eigenvalue 0 at every t; here
+    # g(t) = t - t^3 is 0 at t = -1, 0, 1 and largest, 2/(3 sqrt 3), at 1/sqrt 3
+    game = PolynomialGame(
+        (MultiPoly(2, {(1, 0): 1.0, (3, 0): -1.0}), MultiPoly(2, {(0, 1): 1.0})), ("x", "y"))
+    for d in (1, 2):
+        order = RelaxationOrder.auto(game, d)
+        mv = _point_moments((0.0, 1.0), 2 * order.r)
+        assert deviation_margin(game, order, mv) == pytest.approx(2 / (3 * np.sqrt(3)), abs=1e-12)
+        player, t0, _ = separating_test_polynomial(game, order, mv)
+        assert (player, t0) == (0, pytest.approx(1 / np.sqrt(3), abs=1e-6))
 
 
 def test_membership_on_constant_game_accepts_anything():
