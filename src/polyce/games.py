@@ -78,7 +78,7 @@ def _check_points(g: np.ndarray) -> np.ndarray:
     """The one test of strategy values, a grid or a profile: nonempty, every
     point in [-1, 1]."""
     if g.size == 0:
-        raise GameFormatError("empty strategy grid")
+        raise GameFormatError("empty strategy grid: grids must be nonempty number lists")
     if not np.all(np.abs(g) <= 1 + _COORD_TOL):  # rejects nan too
         raise GameFormatError(
             f"grid points must be numbers in [-1, 1], got {g.tolist()} (a value outside or not a number)")

@@ -230,7 +230,8 @@ def test_parse_game_rejects_wrong_json_types(text, message):
     ("5", "must have 'grids' and 'probs'"),
     ('{"grids": 3, "probs": 1}', "'grids' must be a nonempty list"),
     ('{"grids": [], "probs": 1}', "'grids' must be a nonempty list"),
-    ('{"grids": [[]], "probs": []}', "empty strategy grid"),
+    # an empty grid is rejected by _check_points: "empty strategy grid: ..."
+    ('{"grids": [[]], "probs": []}', "nonempty number lists"),
     ('{"grids": [[[0]]], "probs": [1]}', "nonempty number lists"),
     ('{"grids": [[true]], "probs": [1]}', "finite numbers"),
     ('{"grids": [[NaN]], "probs": [1]}', "finite numbers"),
