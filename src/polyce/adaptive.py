@@ -28,12 +28,13 @@ from the gains and the maximizer that the game type supplies:
   finds the same tight points as SDP dual decoding and is testable alone;
 * finite games: t ranges over the full strategy set, so the iteration is an
   LP, built as one sparse matrix and solved by HiGHS; the exact epsilon and
-  the near-argmax deviations (t_star the first exact argmax) come from
-  enumerating that set.
+  the near-argmax deviations come from enumerating that set.
 
-Per-recommendation gains are always recomputed exactly from the solved
-distribution before strategies are added, so slack in the eps_{i,s}
-variables never injects spurious grid points.
+Both maximizers follow ``polynomials.pick_maximizers``; a trace writes its
+distributions by ``games.distribution_doc``.  Per-recommendation gains are
+always recomputed exactly from the solved distribution before strategies
+are added, so slack in the eps_{i,s} variables never injects spurious grid
+points.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import ConicProblem, LinExpr, expr
-from .finite_ce import MASS_TOL, EpsilonReport, deviation_rows, epsilon_report, gain_rows, \
-    min_epsilon, solve_lp
+from .finite_ce import EpsilonReport, deviation_rows, epsilon_report, gain_rows, min_epsilon, solve_lp
 from .games import (
     FiniteGame,
     PolynomialGame,
@@ -54,11 +54,12 @@ from .games import (
     _check_arity,
     _check_points,
     conditional_coeffs,
+    distribution_doc,
     gains,
     player_view,
     sample_game,
 )
-from .polynomials import NEAR_TOL, merge_points
+from .polynomials import merge_points, pick_maximizers
 from .sos import interval_nonneg_constraint
 
 _BIND_TOL = 1e-6
@@ -121,17 +122,11 @@ class IterationTrace:
                     "epsilon_exact": r.epsilon_exact,
                     "grids": [g.tolist() for g in r.grids],
                     "added": [list(a) for a in r.new_strategies],
-                    "support": [
-                        {"point": list(pt), "prob": p}
-                        for pt, p in r.distribution.support(MASS_TOL)
-                    ],
+                    "support": distribution_doc(r.distribution)["support"],
                 }
                 for r in self.records
             ],
-            "final_distribution": {
-                "grids": [g.tolist() for g in self.final.distribution.grids],
-                "probs": self.final.distribution.probs.tolist(),
-            },
+            "final_distribution": distribution_doc(self.final.distribution),
         }
         if player_names is not None:
             doc["players"] = list(player_names)
@@ -287,19 +282,12 @@ def _subset_payoffs(fg: FiniteGame, grids, i: int):
     return player_view(fg.payoffs[i][np.ix_(*subset_idx)], i), rec
 
 
-def _full_set_gains(fg: FiniteGame, dist: SupportedDistribution, i: int) -> np.ndarray:
-    """Player i's gains from each recommendation of ``dist`` (rows) to each
-    strategy of the full set (columns)."""
-    u, rec = _subset_payoffs(fg, dist.grids, i)
-    return gains(player_view(dist.probs, i), u, u[rec])
-
-
 def _finite_report(fg: FiniteGame, dist: SupportedDistribution) -> EpsilonReport:
-    def maximize(i, row):  # t_star is the first exact argmax
-        t, grid = int(np.argmax(row)), fg.grids[i]
-        return float(grid[t]), float(row[t]), grid[row >= row.max() - NEAR_TOL].tolist()
+    def full_set_gains(i):  # rows: recommendations of dist; columns: the full set
+        u, rec = _subset_payoffs(fg, dist.grids, i)
+        return gains(player_view(dist.probs, i), u, u[rec])
 
-    return epsilon_report(dist, lambda i: _full_set_gains(fg, dist, i), maximize)
+    return epsilon_report(dist, full_set_gains, lambda i, row: pick_maximizers(fg.grids[i], row))
 
 
 def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):

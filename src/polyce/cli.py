@@ -72,9 +72,7 @@ def cmd_static(args) -> int:
     n = game.num_players
     rows = ["d,epsilon," + ",".join(f"u{i+1}" for i in range(n))]
     for d in sizes:
-        dist, report = static_discretization(
-            game, d, include_endpoints=args.endpoints, tol=args.tol
-        )
+        dist, report = static_discretization(game, d, tol=args.tol)
         utils = expected_utilities(game, dist)
         rows.append(f"{d},{report.epsilon!r}," + ",".join(repr(float(u)) for u in utils))
         if args.dump_dist:
@@ -154,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--game", required=True)
     ps.add_argument("--grid", required=True,
                     help="comma-separated grid sizes, e.g. 5,10,20,40")
-    ps.add_argument("--endpoints", action="store_true",
-                    help="exploratory: include the interval endpoints in the grid")
     ps.add_argument("--tol", type=float, default=1e-8, help="LP solver tolerance")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--dump-dist", help="directory for per-d distribution JSON files")

@@ -12,6 +12,8 @@ marginal it maximizes the deviation-gain polynomial over [-1,1] by
 derivative root finding, giving the exact minimal epsilon for which the
 distribution is an approximate correlated equilibrium; ``epsilon_report``
 assembles it, and the report of a finite game, from per-player gain rows.
+``games.MASS_TOL`` decides which recommendations carry mass, and
+``polynomials.pick_maximizers`` picks their maximizers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import scipy.sparse as sp
 from .conic import SolverError
 from .games import (
     FiniteGame,
+    MASS_TOL,
     PolynomialGame,
     SupportedDistribution,
     gain_coeffs,
@@ -33,8 +36,6 @@ from .games import (
     sample_game,
 )
 from .polynomials import maximize_univariate
-
-MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class EpsilonReport:
     smallest maximizer; ``epsilon`` is the largest per-player total.
     ``near_maximizers`` has the same keys and lists, ascending, every
     deviation within ``polynomials.NEAR_TOL`` of that maximum; ``to_json``
-    leaves it out.
+    leaves it out.  Maximizers follow ``polynomials.pick_maximizers``, so the
+    gain at t_star can sit up to ``NEAR_TOL`` below eps.
     """
 
     epsilon: float
@@ -169,24 +171,19 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistrib
     return dist
 
 
-def midpoint_grid(d: int, include_endpoints: bool = False) -> np.ndarray:
-    """Centers of d equal subintervals of [-1,1]; optionally add the
-    endpoints (exploratory finer-rate variant)."""
+def midpoint_grid(d: int) -> np.ndarray:
+    """Centers of d equal subintervals of [-1,1]."""
     if d < 1:
         raise ValueError("grid size must be >= 1")
-    pts = -1.0 + (2.0 * np.arange(d) + 1.0) / d
-    if include_endpoints:
-        pts = np.concatenate([[-1.0], pts, [1.0]])
-    return pts
+    return -1.0 + (2.0 * np.arange(d) + 1.0) / d
 
 
-def static_discretization(
-    game: PolynomialGame, d: int, include_endpoints: bool = False, tol: float = 1e-8,
-) -> tuple[SupportedDistribution, EpsilonReport]:
+def static_discretization(game: PolynomialGame, d: int,
+                          tol: float = 1e-8) -> tuple[SupportedDistribution, EpsilonReport]:
     """Sample the game on the midpoint grid of size d (every player), solve
     the sampled-game CE LP, and report the exact epsilon of the result
     against the continuous game."""
-    grid = midpoint_grid(d, include_endpoints)
+    grid = midpoint_grid(d)
     fg = sample_game(game, [grid] * game.num_players)
     dist = ce_lp(fg, tol=tol)
     return dist, min_epsilon(game, dist)

@@ -22,6 +22,10 @@ kernel in this module:
   bit-identical however many grid points are sampled at once;
 * :func:`gains` forms the expected deviation gains
   sum_{s_-i} pi(s_i, s_-i) [u_i(t, s_-i) - u_i(s)] from those matrices.
+
+:func:`distribution_doc` builds the one distribution document, which
+``polyce static --dump-dist`` writes and a trace holds as its
+``final_distribution``; ``MASS_TOL`` is the one negligible-mass cut-off.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import MultiPoly, PolynomialError, grlex_monomials, merge_points
+from .polynomials import MERGE_TOL, MultiPoly, PolynomialError, grlex_monomials, merge_points
 
-GRID_MERGE_TOL = 1e-9
+MASS_TOL = 1e-12  # a cell or recommendation with at most this mass carries none
 _COORD_TOL = 1e-12
 
 
@@ -243,7 +247,7 @@ def eval_utility(game: PolynomialGame, player: int, point) -> float:
 
 def _grid_index(grid: np.ndarray, value: float) -> int:
     idx = int(np.argmin(np.abs(grid - value)))
-    if not abs(grid[idx] - value) <= GRID_MERGE_TOL:  # rejects nan too
+    if not abs(grid[idx] - value) <= MERGE_TOL:  # rejects nan too
         raise GameFormatError(f"strategy {value} not in grid {grid.tolist()}")
     return idx
 
@@ -370,15 +374,20 @@ def parse_game(text: str) -> PolynomialGame:
     return PolynomialGame(tuple(polys), tuple(str(p) for p in players))
 
 
-def serialize_distribution(dist: SupportedDistribution) -> str:
-    doc = {
+def distribution_doc(dist: SupportedDistribution) -> dict:
+    """The grids, the probabilities, and the support: every cell of mass
+    above ``MASS_TOL`` as a point and its probability."""
+    return {
         "grids": [g.tolist() for g in dist.grids],
         "probs": dist.probs.tolist(),
         "support": [
-            {"point": list(point), "prob": prob} for point, prob in dist.support(1e-12)
+            {"point": list(point), "prob": prob} for point, prob in dist.support(MASS_TOL)
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def serialize_distribution(dist: SupportedDistribution) -> str:
+    return json.dumps(distribution_doc(dist), indent=2)
 
 
 def parse_distribution(text: str) -> SupportedDistribution:
@@ -395,11 +404,11 @@ def parse_distribution(text: str) -> SupportedDistribution:
     probs = _number_tensor(doc["probs"], "'probs'")
     if probs.shape != tuple(len(g) for g in raw_grids):
         raise GameFormatError("probs shape does not match grids")
-    # sort the grid points, merging those closer than GRID_MERGE_TOL and
+    # sort the grid points, merging those closer than MERGE_TOL and
     # accumulating their mass
     grids, out = [], probs
     for axis, g in enumerate(raw_grids):
-        grids.append(merge_points(g, GRID_MERGE_TOL))
+        grids.append(merge_points(g))
         folded = np.zeros(out.shape[:axis] + (len(grids[-1]),) + out.shape[axis + 1:])
         idx = [_grid_index(grids[-1], v) for v in g]
         np.add.at(np.moveaxis(folded, axis, 0), idx, np.moveaxis(out, axis, 0))

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 NEAR_TOL = 1e-6  # a candidate this close to the maximum counts as a maximizer
+MERGE_TOL = 1e-9  # strategy points this close count as one point
 
 
 class PolynomialError(ValueError):
@@ -200,9 +201,10 @@ def maximize_univariate(p):
     eigenvalues, via ``numpy.polynomial.polyroots``) and a 17-point net,
     each polished by its own Newton steps on the derivative, plus both
     endpoints.
-    Returns ``(t_star, value, maximizers)`` where ``t_star`` is the smallest
-    maximizer and ``maximizers`` lists every candidate whose value is within
-    ``NEAR_TOL`` of the maximum, sorted ascending.
+    Returns :func:`pick_maximizers` of the candidates, ``(t_star, value,
+    maximizers)``: ``maximizers`` lists every candidate within ``NEAR_TOL``
+    of the maximum ``value``, ascending, and ``t_star`` is the smallest, so
+    p(t_star) can sit up to ``NEAR_TOL`` below ``value``.
 
     Constant polynomials return ``(-1.0, constant, [-1.0])``.  Raises
     PolynomialError on a non-finite coefficient.
@@ -212,22 +214,28 @@ def maximize_univariate(p):
         raise PolynomialError("non-finite coefficient")
     coeffs = _trim_negligible(coeffs)
     if coeffs.size <= 1:
-        c = float(coeffs[0]) if coeffs.size else 0.0
-        return -1.0, c, [-1.0]
+        return pick_maximizers([-1.0], [coeffs[0] if coeffs.size else 0.0])
 
     deriv = _trim_negligible(npoly.polyder(coeffs))
     roots = npoly.polyroots(deriv)
     real = roots.real[(abs(roots.imag) < 1e-7) & (abs(roots.real) <= 1.0 + 1e-9)]
     # the 17-point net is a coarse safety net against any missed critical point
     starts = np.concatenate([np.clip(real, -1.0, 1.0), np.linspace(-1.0, 1.0, 17)])
-    merged = merge_points([-1.0, 1.0, *_polish_roots(deriv, starts).tolist()]).tolist()
-    values = poly_eval(coeffs, np.array(merged))
+    merged = merge_points([-1.0, 1.0, *_polish_roots(deriv, starts).tolist()])
+    return pick_maximizers(merged, poly_eval(coeffs, merged))
+
+
+def pick_maximizers(points, values):
+    """The maximizer rule, for ``values`` at ascending ``points``: the largest
+    value, the points within ``NEAR_TOL`` of it and t_star the first of them,
+    returned as ``(t_star, value, maximizers)``."""
+    values = np.asarray(values, dtype=float)
     best = float(values.max())
-    maximizers = [t for t, v in zip(merged, values) if v >= best - NEAR_TOL]
+    maximizers = np.asarray(points, dtype=float)[values >= best - NEAR_TOL].tolist()
     return maximizers[0], best, maximizers
 
 
-def merge_points(points, tol: float = 1e-9) -> np.ndarray:
+def merge_points(points, tol: float = MERGE_TOL) -> np.ndarray:
     """Sort and deduplicate strategy points, merging any within ``tol``."""
     pts = sorted(float(p) for p in points)
     merged: list[float] = []

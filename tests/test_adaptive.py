@@ -14,7 +14,13 @@ from polyce.adaptive import (
 )
 from polyce.conic import Status
 from polyce.finite_ce import min_epsilon
-from polyce.games import FiniteGame, GameFormatError, SupportedDistribution, random_polynomial_game
+from polyce.games import (
+    FiniteGame,
+    GameFormatError,
+    SupportedDistribution,
+    random_polynomial_game,
+    serialize_distribution,
+)
 
 from oracles import dense_finite_iteration_value, dense_iteration_value, max_departure_gain
 
@@ -158,10 +164,22 @@ def test_trace_json_layout(emb_game):
     assert [row["k"] for row in doc["iterations"]] == [0, 1, 2]
     assert doc["iterations"][1]["added"] == [[0.0], [0.0]]
     assert "final_distribution" in doc and "probs" in doc["final_distribution"]
+    # the final distribution is the document that --dump-dist writes
+    assert doc["final_distribution"] == json.loads(serialize_distribution(trace.final.distribution))
 
 
 # ---------------------------------------------------------------------------
 # finite-game variant
+
+
+def test_finite_report_picks_maximizers_by_the_shared_rule():
+    # recommended 0, the one player gains 1 by deviating to -1 and 5e-7 more
+    # by deviating to 1: a near tie, so t_star is -1, not the exact argmax
+    grid = np.array([-1.0, 0.0, 1.0])
+    fg = FiniteGame((grid,), (np.array([1.0, 0.0, 1.0 + 5e-7]),))
+    report = adaptive._finite_report(fg, SupportedDistribution.point_mass([0.0]))
+    assert report.per_recommendation == {(0, 0.0): (1.0 + 5e-7, -1.0)}
+    assert report.near_maximizers == {(0, 0.0): (-1.0, 1.0)}
 
 
 def test_finite_degenerate_mode_gets_stuck(table3):

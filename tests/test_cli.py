@@ -148,7 +148,7 @@ def test_adaptive_degenerate_stalls(emb_path, capsys):
     assert all(v.startswith("2.0000") for v in eps_col)
 
 
-def test_audit_accepts_adaptive_trace(emb_path, tmp_path):
+def test_audit_accepts_adaptive_trace(emb_path, tmp_path, capsys):
     trace = tmp_path / "trace.json"
     assert main(["adaptive", "--game", emb_path, "--grid", "-1",
                  "--out", str(trace)]) == EXIT_OK
@@ -157,6 +157,15 @@ def test_audit_accepts_adaptive_trace(emb_path, tmp_path):
                  "--out", str(report_path)]) == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["epsilon"] <= 1e-5
+    # the trace's final distribution, dumped on its own, audits the same
+    dist = tmp_path / "final.json"
+    dist.write_text(json.dumps(json.loads(trace.read_text())["final_distribution"]))
+    capsys.readouterr()
+    printed = []
+    for path in (trace, dist):
+        assert main(["audit", "--game", emb_path, "--dist", str(path)]) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == report_path.read_text() + "\n"
 
 
 def test_moments_outputs(quad_path, tmp_path):

@@ -211,8 +211,6 @@ def test_epsilon_report_json(quad_game):
 def test_midpoint_grid_rule():
     assert midpoint_grid(1).tolist() == [0.0]
     assert midpoint_grid(4).tolist() == pytest.approx([-0.75, -0.25, 0.25, 0.75])
-    with_ends = midpoint_grid(2, include_endpoints=True)
-    assert with_ends.tolist() == pytest.approx([-1.0, -0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         midpoint_grid(0)
 

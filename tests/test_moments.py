@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyce
 from polyce import moments
 from polyce.adaptive import run_adaptive
 from polyce.games import (
@@ -81,6 +88,31 @@ def test_boxes_nest_and_contain_the_equilibrium_payoff(quad_game):
     assert boxes[2].nests_inside(boxes[1], tol=1e-5)
     # the low-order relaxation is strictly coarser: proper outer set
     assert boxes[0].spread(0) > 1e-2 > boxes[2].spread(0)
+
+
+def test_boxes_agree_across_blas_thread_counts():
+    # results must agree across BLAS thread counts to a stated tolerance;
+    # quad at d = 2 (moves 3.4e-6) is left out for its 12 s at two threads
+    code = (
+        "import json\n"
+        "from polyce.demo_games import quadratic_demo_game\n"
+        "from polyce.games import random_polynomial_game\n"
+        "from polyce.moments import RelaxationOrder, payoff_bounds\n"
+        "games = [quadratic_demo_game(), random_polynomial_game(3, 2, 9)]\n"
+        "print(json.dumps([payoff_bounds(g, RelaxationOrder.auto(g, 1)).bounds for g in games]))\n"
+    )
+    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    runs = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert out.returncode == 0, out.stderr
+        runs.append(json.loads(out.stdout))
+    assert [np.shape(box) for box in runs[0]] == [(2, 2), (3, 2)]
+    for one, two in zip(*runs):
+        assert np.abs(np.subtract(one, two)).max() <= 1e-5
 
 
 def test_constant_game_box_is_the_constant():

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from polyce.games import conditional_coeffs
 from polyce.polynomials import (
+    NEAR_TOL,
     MultiPoly,
     PolynomialError,
     _polish_roots,
     maximize_univariate,
     merge_points,
+    pick_maximizers,
     poly_eval,
 )
 
@@ -121,6 +123,25 @@ def test_maximize_reports_ties():
     _, value, maximizers = maximize_univariate([1.0, 0.0, -1.0, 0.0, 1.0])
     assert value == pytest.approx(1.0)
     assert maximizers == [-1.0, 0.0, 1.0]
+
+
+def test_pick_maximizers_takes_the_smallest_point_of_a_tie():
+    # exact tie
+    assert pick_maximizers([-1.0, 0.0, 1.0], [2.0, 2.0, 1.0]) == (-1.0, 2.0, [-1.0, 0.0])
+    # near tie: a point within NEAR_TOL below the maximum still leads
+    values = [1.0, 1.0 + NEAR_TOL / 2, 1.0 - 2 * NEAR_TOL]
+    assert pick_maximizers([-0.5, 0.5, 0.9], values) == (-0.5, values[1], [-0.5, 0.5])
+
+
+def test_maximize_reports_a_near_tie_by_its_smallest_maximizer():
+    # 1 - (t^2 - 1/4)^2 + 5e-7 t peaks near t = 0.5; its peak near t = -0.5
+    # is 5e-7 lower, within NEAR_TOL, so t_star sits there, below the maximum
+    coeffs = [15 / 16, 5e-7, 0.5, 0.0, -1.0]
+    t_star, value, maximizers = maximize_univariate(coeffs)
+    assert maximizers == pytest.approx([-0.5, 0.5], abs=1e-6)
+    assert t_star == maximizers[0]
+    assert value == poly_eval(coeffs, maximizers[1])
+    assert value - poly_eval(coeffs, t_star) == pytest.approx(5e-7, rel=1e-3)
 
 
 def test_merge_points():
