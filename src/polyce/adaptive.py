@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import ConicProblem, LinExpr, expr
+from .conic import SOLVER_TOL, ConicProblem, LinExpr, expr
 from .finite_ce import EpsilonReport, deviation_rows, epsilon_report, gain_rows, min_epsilon, solve_lp
 from .games import (
     FiniteGame,
@@ -77,7 +77,7 @@ class AdaptiveConfig:
     beta: float = 1.0
     eps_stop: float = 1e-6
     max_iter: int = 50
-    solver_tol: float = 1e-8
+    solver_tol: float = SOLVER_TOL
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < self.beta <= 1.0 or self.alpha == self.beta == 1.0):

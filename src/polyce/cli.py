@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .adaptive import AdaptiveConfig, run_adaptive
-from .conic import SolverError
+from .conic import SOLVER_TOL, SolverError
 from .finite_ce import min_epsilon, static_discretization
 from .games import (
     GameFormatError,
@@ -98,8 +98,7 @@ def _trace_table(trace, names) -> str:
 def cmd_adaptive(args) -> int:
     game = parse_game(_read(args.game, "game"))
     pts = _parse_list(args.grid, float)
-    alpha, beta = (1.0, 1.0) if args.degenerate else (args.alpha, args.beta)
-    config = AdaptiveConfig(alpha=alpha, beta=beta, eps_stop=args.tol, max_iter=args.max_iter)
+    config = AdaptiveConfig(alpha=args.alpha, beta=args.beta, eps_stop=args.tol, max_iter=args.max_iter)
     trace = run_adaptive(game, [pts] * game.num_players, config)
     print(_trace_table(trace, game.player_names))
     if args.out:
@@ -152,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--game", required=True)
     ps.add_argument("--grid", required=True,
                     help="comma-separated grid sizes, e.g. 5,10,20,40")
-    ps.add_argument("--tol", type=float, default=1e-8, help="LP solver tolerance")
+    ps.add_argument("--tol", type=float, default=SOLVER_TOL, help="LP solver tolerance")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--dump-dist", help="directory for per-d distribution JSON files")
     ps.set_defaults(func=cmd_static)
@@ -165,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--beta", type=float, default=1.0)
     pa.add_argument("--tol", type=float, default=1e-6, help="epsilon stopping threshold")
     pa.add_argument("--max-iter", type=int, default=50)
-    pa.add_argument("--degenerate", action="store_true",
-                    help="non-convergent alpha=beta=1 mode (overrides --alpha and --beta)")
     pa.add_argument("--out", help="JSON trace output path")
     pa.set_defaults(func=cmd_adaptive)
 
@@ -176,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--r", type=int, default=None, help="moment half-order (default: minimal)")
     pm.add_argument("--directions", type=int, default=16)
     pm.add_argument("--seed", type=int, default=0, help="direction sampling seed (3+ players)")
-    pm.add_argument("--tol", type=float, default=1e-8, help="SDP solver tolerance")
+    pm.add_argument("--tol", type=float, default=SOLVER_TOL, help="SDP solver tolerance")
     pm.add_argument("--out", help="PayoffBox JSON output path (default: stdout)")
     pm.add_argument("--region-csv", help="support-function region CSV output path")
     pm.set_defaults(func=cmd_moments)

@@ -49,6 +49,8 @@ _ENDINGS = {"optimal": Status.OPTIMAL, "infeasible": Status.INFEASIBLE, "unbound
 _STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS if why != "optimal"},
            "inaccurate": Status.NUMERICAL_FAILURE}
 
+SOLVER_TOL = 1e-8  # the default tolerance of every solve, by the IPM or by HiGHS
+
 
 @lru_cache(maxsize=None)
 def _triangle(dim: int):
@@ -223,10 +225,10 @@ class ConicProblem:
 
         return ipm
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> "ConicSolution":
+    def solve(self, tol: float = SOLVER_TOL, max_iter: int = 200) -> "ConicSolution":
         return self._solver(tol).solve(self, tol=tol, max_iter=max_iter)
 
-    def solve_many(self, objectives, tol: float = 1e-8, max_iter: int = 200) -> list:
+    def solve_many(self, objectives, tol: float = SOLVER_TOL, max_iter: int = 200) -> list:
         """One solution per objective, as ``solve`` would give after
         ``set_objective``; the objectives share one compile and one IPM run."""
         objectives = [LinExpr.of(e) for e in objectives]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import SolverError
+from .conic import SOLVER_TOL, SolverError
 from .games import (
     FiniteGame,
     MASS_TOL,
@@ -142,7 +142,7 @@ def solve_lp(c, A_ub, n_cells: int, tol: float) -> np.ndarray:
     return res.x
 
 
-def ce_lp(fg: FiniteGame, objective=None, tol: float = 1e-8) -> SupportedDistribution:
+def ce_lp(fg: FiniteGame, objective=None, tol: float = SOLVER_TOL) -> SupportedDistribution:
     """Correlated equilibrium of a finite game from one sparse LP, solved by
     HiGHS with primal and dual feasibility tolerances ``tol``.
 
@@ -179,7 +179,7 @@ def midpoint_grid(d: int) -> np.ndarray:
 
 
 def static_discretization(game: PolynomialGame, d: int,
-                          tol: float = 1e-8) -> tuple[SupportedDistribution, EpsilonReport]:
+                          tol: float = SOLVER_TOL) -> tuple[SupportedDistribution, EpsilonReport]:
     """Sample the game on the midpoint grid of size d (every player), solve
     the sampled-game CE LP, and report the exact epsilon of the result
     against the continuous game."""

@@ -30,12 +30,14 @@ matters because a one-ulp change moves iteration counts.
 ``solve`` is its batch of one.  Iterates carry a leading batch axis, one row
 per member still running; a member leaves when it ends, and keeps its own
 tau, kappa, mu, sigma, step lengths, centrality backtracking, best iterate
-and termination tests (the scalar ones in Python floats).  Each member's
-Schur complement, K2 and LU factors (LAPACK getrf) are made in turn.  The
-batched forms repeat the unbatched arithmetic per row (NumPy 2.2's
-``np.vecdot`` and ``np.matvec``, bincount bins offset per row, matmul and
-LAPACK on stacks; ``einsum``, ``.sum`` and ``x @ A.T`` round differently), so
-a member ends as its solve alone would, and a breakdown ends only its own.
+and termination tests, as float64 arrays over the running members that round
+as scalars would (a NaN residual ends its member as a breakdown, where a
+scalar ``max`` could drop it).  Each member's Schur complement, K2 and LU
+factors (LAPACK getrf) are made in turn.  The batched forms repeat the
+unbatched arithmetic per row (NumPy 2.2's ``np.vecdot`` and ``np.matvec``,
+bincount bins offset per row, matmul and LAPACK on stacks; ``einsum``,
+``.sum`` and ``x @ A.T`` round differently), so a member ends as its solve
+alone would, and a breakdown ends only its own.
 Intended for desk-scale problems (PSD blocks up to ~60x60, a few thousand
 equalities).  A problem without a cone has no interior to follow:
 ``ConicProblem.solve`` rejects it, and linear programs go to HiGHS instead
@@ -44,7 +46,6 @@ equalities).  A problem without a cone has no interior to follow:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,14 +312,13 @@ def _schur(cone: _Cone, sc: _Scaling, pairs: tuple, blk_mats: list, i: int) -> n
     return S
 
 
-def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
+def solve(problem: ConicProblem, tol: float, max_iter: int) -> ConicSolution:
     """Solve a built problem under its own objective: a batch of one."""
     return solve_many(problem, [problem.objective], tol, max_iter)[0]
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # non-finite rows end as breakdowns
-def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
-               max_iter: int = 200) -> list[ConicSolution]:
+def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: int) -> list[ConicSolution]:
     """Solve a built problem once per objective, all in lockstep, by
     predictor-corrector steps whose centering parameter is
     sigma = min(1, max(0, mu_aff / mu)), with mu_aff the complementarity the
@@ -385,10 +385,9 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
             """Step length and the scaled directions (primal, dual)."""
             sd_x = cone.scale_down(sc, dxc, dual=False)
             sd_z = cone.scale_down(sc, dz, dual=True)
-            caps = zip(cone.max_step(sc, sd_x, sd_z).tolist(), (-tau / dtau).tolist(), dtau.tolist(),
-                       (-kappa / dkap).tolist(), dkap.tolist())  # Python floats, as for one row
-            alpha = np.array([min(1.0, _STEP_FRAC * min([a, *(r for r, d in ((rt, dt), (rk, dk)) if d < 0)]))
-                              for a, rt, dt, rk, dk in caps])
+            cap = np.minimum(np.minimum(cone.max_step(sc, sd_x, sd_z), np.where(dtau < 0, -tau / dtau, np.inf)),
+                             np.where(dkap < 0, -kappa / dkap, np.inf))
+            alpha = np.minimum(1.0, _STEP_FRAC * cap)
             # keep the iterate in a wide neighborhood of the central path so
             # the terminal point stays near-central (and reproducible) even
             # on problems with fat optimal faces
@@ -413,7 +412,7 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
         # linear in mu_aff/mu, not Mehrotra's cube: the iterates hug the
         # central path, so on fat optimal faces the terminal point is
         # reproducible rather than an artifact of the predictor endgame
-        sigma = np.array([min(1.0, max(0.0, r)) for r in (mu_aff / mu).tolist()])
+        sigma = np.clip(mu_aff / mu, 0.0, 1.0)
 
         d_orth, d_mats = cone.targets(sc, sdx, sdz, sigma * mu)
         dk = sigma * mu - tau * kappa - aff[4] * aff[5]
@@ -423,28 +422,28 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
         return (np.where(finite, alpha, np.nan), *step)
 
     C = np.stack([c for c, _, _ in costs])
-    norm_c = (1.0 + np.abs(C).max(axis=1, initial=0.0)).tolist()
+    norm_c = 1.0 + np.abs(C).max(axis=1, initial=0.0)
     e = cone.identity()
     # one row per running member: xf, xc, y, z, tau, kappa, C and its index
     rows = [np.zeros((B, f)), np.tile(e, (B, 1)), np.zeros((B, m)), np.tile(e, (B, 1)),
             np.ones(B), np.ones(B), C, np.arange(B)]
     # per member: best metric and its (xf, xc, y, tau); (reason, iterations, iterate) at its end
-    best_metric, best, ends = [np.inf] * B, [None] * B, [None] * B
+    best, ends = [np.full(B, np.inf), *(v.copy() for v in rows[:3]), np.ones(B)], [None] * B
 
-    def leave(ended: dict, *extra) -> list:
-        """End the rows ``ended`` (row -> reason): drop them from ``rows``
-        and from the arrays ``extra``, which are returned."""
+    def leave(why: np.ndarray, *extra) -> list:
+        """End the rows whose reason in ``why`` is not "": drop them from
+        ``rows`` and from the arrays ``extra``, which are returned."""
         nonlocal rows
         xf, xc, y, _, tau, _, _, ids = rows
-        for i, why in ended.items():
-            k, iterate = ids[i], (xf[i], xc[i], y[i], tau[i])
-            if why != "optimal" and best_metric[k] <= max(50 * tol, 1e-7):
+        ended = why != ""
+        for i in np.flatnonzero(ended):
+            k, reason, iterate = ids[i], str(why[i]), (xf[i], xc[i], y[i], tau[i])
+            if reason != "optimal" and best[0][k] <= max(50 * tol, 1e-7):
                 # endgame failure after effective convergence: take the best iterate
-                why, iterate = "rescued_" + why, best[k]
-            ends[k] = (why, it, iterate)
-        keep = ~np.isin(np.arange(ids.size), list(ended))
-        rows = [v[keep] for v in rows]
-        return [v[keep] for v in extra]
+                reason, iterate = "rescued_" + reason, tuple(v[k] for v in best[1:])
+            ends[k] = (reason, it, iterate)
+        rows = [v[~ended] for v in rows]
+        return [v[~ended] for v in extra]
 
     it = 0
     for it in range(1, max_iter + 1):
@@ -456,28 +455,22 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
         mu = (np.vecdot(xc, z) + tau * kappa) / nu1
         residuals = [Ax - b * t, ATy_f - c_f * t, ATy_z - c_c * t, cx - by + kappa, mu]
 
-        # -- convergence / certificate tests, row by row in Python floats ---
-        ended = {}
-        for i, (k, cx_i, by_i, tau_i, mu_i, rp_i, rdf_i, rdc_i, atf_i, atz_i, ax_i) in enumerate(zip(
-                ids.tolist(), cx.tolist(), by.tolist(), tau.tolist(), mu.tolist(),
-                *(np.abs(v).max(1, initial=0.0).tolist() for v in (*residuals[:3], ATy_f, ATy_z, Ax)))):
-            pobj, dobj = cx_i / tau_i, by_i / tau_i
-            pres = rp_i / (tau_i * norm_b)
-            dres = max(rdf_i, rdc_i) / (tau_i * norm_c[k])
-            relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-            metric = max(pres, dres, relgap)
-            if math.isfinite(metric) and metric < best_metric[k]:
-                best_metric[k], best[k] = metric, (xf[i], xc[i], y[i], tau[i])  # never written in place
-            if pres <= tol and dres <= tol and relgap <= tol:
-                ended[i] = "optimal"
-            elif not math.isfinite(metric) or mu_i < 1e-16:
-                ended[i] = "breakdown"
-            elif by_i > tol and max(atf_i, atz_i) / by_i <= tol * norm_c[k]:
-                ended[i] = "infeasible"
-            elif -cx_i > tol and ax_i / (-cx_i) <= tol * norm_b:
-                ended[i] = "unbounded"
-        if ended:
-            residuals = leave(ended, *residuals)
+        # -- convergence / certificate tests ---------------------------------
+        rp, rdf, rdc, atf, atz, ax = (np.abs(v).max(1, initial=0.0) for v in (*residuals[:3], ATy_f, ATy_z, Ax))
+        pobj, dobj = cx / tau, by / tau
+        pres = rp / (tau * norm_b)
+        dres = np.maximum(rdf, rdc) / (tau * norm_c[ids])
+        relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
+        metric = np.maximum(np.maximum(pres, dres), relgap)
+        better = metric < best[0][ids]  # never for a NaN or inf metric
+        for v, now in zip(best, (metric, xf, xc, y, tau)):
+            v[ids[better]] = now[better]
+        done = [metric <= tol,  # pres, dres and relgap, as a NaN in any fails it
+                ~np.isfinite(metric) | (mu < 1e-16),
+                (by > tol) & (np.maximum(atf, atz) / by <= tol * norm_c[ids]),
+                (-cx > tol) & (ax / -cx <= tol * norm_b)]
+        if np.any(done):
+            residuals = leave(np.select(done, ["optimal", "breakdown", "infeasible", "unbounded"], ""), *residuals)
             if not rows[7].size:
                 break
 
@@ -485,14 +478,13 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float = 1e-8,
         alpha, *step = _by_rows(kkt_step, *rows[:7], *residuals)
         a = alpha[:, None]
         rows[:6] = [v + (a if v.ndim == 2 else alpha) * d for v, d in zip(rows[:6], step)]
-        ended = {i: "breakdown" for i, al in enumerate(alpha.tolist()) if not al >= 1e-10}  # NaN too
-        if ended:
-            leave(ended)
+        stalled = ~(alpha >= 1e-10)  # NaN too
+        if stalled.any():
+            leave(np.where(stalled, "breakdown", ""))
             if not rows[7].size:
                 break
 
-    if rows[7].size:
-        leave(dict.fromkeys(range(rows[7].size), "max_iter"))
+    leave(np.full(rows[7].size, "max_iter"))
     return [_extract(problem, cone, cost, *end, tol) for cost, end in zip(costs, ends)]
 
 

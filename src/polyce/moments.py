@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
 
-from .conic import ConicProblem, LinExpr, expr
+from .conic import SOLVER_TOL, ConicProblem, LinExpr, expr
 from .games import PolynomialGame
 from .polynomials import grlex_monomials
 from .sos import MomentVector, localizing_entries, matrix_psd_on_interval_constraint, \
@@ -174,7 +174,7 @@ def _support_points(game, order, directions, tol):
             for sol in problem.solve_many(objectives, tol=tol)]
 
 
-def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = 1e-8) -> PayoffBox:
+def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = SOLVER_TOL) -> PayoffBox:
     """Per-player [min, max] expected utility over the relaxation.  Each
     bound is the IPM's primal value at solver tolerance, not a certified
     outer bound on the correlated-equilibrium payoffs: the solver's residuals
@@ -187,7 +187,7 @@ def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = 1e-
 
 def payoff_region_sketch(
     game: PolynomialGame, order: RelaxationOrder, directions: int = 16,
-    seed: int = 0, tol: float = 1e-8,
+    seed: int = 0, tol: float = SOLVER_TOL,
 ):
     """Support-function sampling of the relaxation's payoff set: for each of
     K unit directions, the payoff vector maximizing that direction.  Returns
@@ -208,9 +208,18 @@ def payoff_region_sketch(
 # membership tests for concrete moment vectors
 
 
+def _check_fit(mv: MomentVector, r: int, game: PolynomialGame | None = None) -> None:
+    """Raise ValueError unless ``mv`` has one variable per player of ``game`` and moments to order 2r."""
+    if game is not None and mv.num_vars != game.num_players:
+        raise ValueError(f"moment vector arity {mv.num_vars} does not match the game's {game.num_players}")
+    if mv.order < 2 * r:
+        raise ValueError(f"moment vector order {mv.order} < required {2 * r}")
+
+
 def moment_validity_margin(mv: MomentVector, r: int) -> float:
     """Most-negative eigenvalue over the moment matrix and all localizing
     matrices of a concrete moment vector (0 or more means valid)."""
+    _check_fit(mv, r)
     worst = np.inf
     for dim, entries in localizing_entries(mv.num_vars, r):
         M = np.empty((dim, dim))
@@ -232,6 +241,8 @@ def _worst_deviation(game: PolynomialGame, order: RelaxationOrder, mv: MomentVec
     by Chebyshev interpolation, until none beats lam by a few ulps.  det is
     taken on the range of G's coefficients: a direction they all annihilate
     is an eigenvalue 0 at every t and would make det vanish at lam = 0."""
+    order.validate_for(game)
+    _check_fit(mv, order.r, game)
     best = (-np.inf,)
     for i in range(game.num_players):
         entries, t_deg = _deviation_matrix_entries(game, i, order, mv.__getitem__)
@@ -270,16 +281,13 @@ def check_moment_membership(
     """Does a concrete moment vector lie in the order-(d, r) relaxation
     (within ``slack``)?  Necessary for the moments of any correlated
     equilibrium, so a False refutes equilibrium-ness."""
-    if mv.num_vars != game.num_players:
-        raise ValueError("moment vector arity does not match the game")
-    if mv.order < 2 * order.r:
-        raise ValueError(f"moment vector order {mv.order} < required {2 * order.r}")
-    return moment_validity_margin(mv, order.r) >= -slack and deviation_margin(game, order, mv) <= slack
+    return deviation_margin(game, order, mv) <= slack and moment_validity_margin(mv, order.r) >= -slack
 
 
 def separating_test_polynomial(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector):
-    """A violated deviation test, or None if :func:`deviation_margin` <= 1e-9:
+    """A violated deviation test, or None exactly when :func:`deviation_margin`
+    <= ``MEMBERSHIP_SLACK``, the default slack of :func:`check_moment_membership`:
     (player, t0, p_coeffs) such that the squared test polynomial p certifies a
     profitable deviation to t0 under any measure with these moments."""
     margin, player, t0, p_coeffs = _worst_deviation(game, order, mv)
-    return (player, t0, p_coeffs) if margin > 1e-9 else None
+    return (player, t0, p_coeffs) if margin > MEMBERSHIP_SLACK else None

@@ -140,7 +140,7 @@ def test_adaptive_trace_table_and_json(emb_path, tmp_path, capsys):
 
 def test_adaptive_degenerate_stalls(emb_path, capsys):
     code = main(["adaptive", "--game", emb_path, "--grid", "-1",
-                 "--degenerate", "--max-iter", "5"])
+                 "--alpha", "1", "--beta", "1", "--max-iter", "5"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "status: stalled" in out

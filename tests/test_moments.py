@@ -214,6 +214,31 @@ def test_membership_input_validation(quad_game):
         check_moment_membership(quad_game, order, _point_moments((1.0, 1.0), 2))
 
 
+@pytest.mark.parametrize("read", [deviation_margin, separating_test_polynomial])
+@pytest.mark.parametrize("point, mv_order, match", [((0.0, 0.0), 2, "order"), ((0.0, 0.0, 0.0), 4, "arity")])
+def test_deviation_readers_reject_a_moment_vector_that_does_not_fit(quad_game, read, point, mv_order, match):
+    # order d = 1 reads moments up to order 2r = 4 of the game's 2 variables
+    order = RelaxationOrder.auto(quad_game, 1)
+    with pytest.raises(ValueError, match=match):
+        read(quad_game, order, _point_moments(point, mv_order))
+
+
+def test_moment_validity_margin_rejects_too_low_an_order():
+    with pytest.raises(ValueError, match="order 2 < required 4"):
+        moment_validity_margin(_point_moments((0.0, 0.0), 2), 2)
+
+
+def test_separation_and_membership_share_one_threshold(quad_game):
+    # scaled by 1e-7 the point mass (0, 0) has deviation margin 1.956e-7, a
+    # violation within MEMBERSHIP_SLACK: membership holds, so no witness
+    tiny = PolynomialGame(tuple(1e-7 * u for u in quad_game.utilities), quad_game.player_names)
+    order = RelaxationOrder.auto(tiny, 1)
+    mv = _point_moments((0.0, 0.0), 2 * order.r)
+    assert deviation_margin(tiny, order, mv) == pytest.approx(1.956e-7, rel=1e-5)
+    assert check_moment_membership(tiny, order, mv)
+    assert separating_test_polynomial(tiny, order, mv) is None
+
+
 def test_membership_refutes_an_invalid_moment_vector(quad_game):
     # mu_20 = 1.5 is no second moment of a measure on [-1,1]^2: the
     # localizing matrix of 1 - s_0^2 is [1 - 1.5]
