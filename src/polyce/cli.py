@@ -112,8 +112,8 @@ def cmd_moments(args) -> int:
     box = payoff_bounds(game, order, tol=args.tol)
     _write_or_print(box.to_json(game.player_names), args.out)
     if args.region_csv:
-        pts = payoff_region_sketch(game, order, args.directions, seed=args.seed,
-                                   tol=args.tol)
+        given = {k: v for k, v in vars(args).items() if k in ("directions", "seed")}
+        pts = payoff_region_sketch(game, order, tol=args.tol, **given)
         n = game.num_players
         rows = [",".join([f"dir{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)])]
         for direction, point in pts:
@@ -160,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--game", required=True)
     pa.add_argument("--grid", required=True,
                     help="comma-separated initial strategy points, e.g. -1 or 0,0.5")
-    pa.add_argument("--alpha", type=float, default=0.0)
-    pa.add_argument("--beta", type=float, default=1.0)
-    pa.add_argument("--tol", type=float, default=1e-6, help="epsilon stopping threshold")
-    pa.add_argument("--max-iter", type=int, default=50)
+    pa.add_argument("--alpha", type=float, default=AdaptiveConfig.alpha)
+    pa.add_argument("--beta", type=float, default=AdaptiveConfig.beta)
+    pa.add_argument("--tol", type=float, default=AdaptiveConfig.eps_stop, help="epsilon stopping threshold")
+    pa.add_argument("--max-iter", type=int, default=AdaptiveConfig.max_iter)
     pa.add_argument("--out", help="JSON trace output path")
     pa.set_defaults(func=cmd_adaptive)
 
@@ -171,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--game", required=True)
     pm.add_argument("--d", type=int, default=1, help="squared-test half-degree")
     pm.add_argument("--r", type=int, default=None, help="moment half-order (default: minimal)")
-    pm.add_argument("--directions", type=int, default=16)
-    pm.add_argument("--seed", type=int, default=0, help="direction sampling seed (3+ players)")
+    # absent flags stay absent, so payoff_region_sketch's own defaults apply
+    pm.add_argument("--directions", type=int, default=argparse.SUPPRESS)
+    pm.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="direction sampling seed (3+ players)")
     pm.add_argument("--tol", type=float, default=SOLVER_TOL, help="SDP solver tolerance")
     pm.add_argument("--out", help="PayoffBox JSON output path (default: stdout)")
     pm.add_argument("--region-csv", help="support-function region CSV output path")

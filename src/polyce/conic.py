@@ -50,6 +50,7 @@ _STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS i
            "inaccurate": Status.NUMERICAL_FAILURE}
 
 SOLVER_TOL = 1e-8  # the default tolerance of every solve, by the IPM or by HiGHS
+SOLVER_MAX_ITER = 200  # the default iteration cap of every IPM solve
 
 
 @lru_cache(maxsize=None)
@@ -225,10 +226,10 @@ class ConicProblem:
 
         return ipm
 
-    def solve(self, tol: float = SOLVER_TOL, max_iter: int = 200) -> "ConicSolution":
+    def solve(self, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> "ConicSolution":
         return self._solver(tol).solve(self, tol=tol, max_iter=max_iter)
 
-    def solve_many(self, objectives, tol: float = SOLVER_TOL, max_iter: int = 200) -> list:
+    def solve_many(self, objectives, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> list:
         """One solution per objective, as ``solve`` would give after
         ``set_objective``; the objectives share one compile and one IPM run."""
         objectives = [LinExpr.of(e) for e in objectives]

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import MERGE_TOL, MultiPoly, PolynomialError, grlex_monomials, merge_points
+from .polynomials import MERGE_TOL, MultiPoly, PolynomialError, grlex_monomials, is_number, merge_points
 
 MASS_TOL = 1e-12  # a cell or recommendation with at most this mass carries none
 _COORD_TOL = 1e-12
@@ -312,17 +311,12 @@ def serialize_game(game: PolynomialGame) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _is_number(x) -> bool:
-    # JSON true/false parse to bool, which Python counts as an int
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _number_tensor(value, what: str) -> np.ndarray:
     """A JSON number or nested list of numbers as a float array."""
     def leaves(v):
         return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
 
-    if not all(_is_number(x) and math.isfinite(x) for x in leaves(value)):
+    if not all(is_number(x) for x in leaves(value)):
         raise GameFormatError(f"{what} must hold finite numbers only")
     try:
         return np.asarray(value, dtype=float)
@@ -349,28 +343,16 @@ def parse_game(text: str) -> PolynomialGame:
         entry_terms = entry.get("terms", []) if isinstance(entry, dict) else None
         if not isinstance(entry_terms, list):
             raise GameFormatError(f"utility {i} must be an object with a 'terms' list")
-        terms = {}
+        pairs = []
         for term in entry_terms:
-            if not isinstance(term, dict):
-                raise GameFormatError(f"utility {i}: term {term!r} is not an object")
-            exp = term.get("exp")
-            coef = term.get("coef")
-            if not isinstance(exp, list) or len(exp) != n:
-                raise GameFormatError(
-                    f"utility {i}: term {term} has {len(exp) if isinstance(exp, list) else '?'}"
-                    f" exponents, expected {n}"
-                )
-            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exp):
-                raise GameFormatError(f"utility {i}: bad exponent tuple {exp}")
-            if not _is_number(coef) or not math.isfinite(coef):
-                raise GameFormatError(
-                    f"utility {i}: non-finite or non-numeric coefficient in term {term}")
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0.0) + float(coef)
-        try:
-            polys.append(MultiPoly(n, terms))
-        except PolynomialError as exc:
-            raise GameFormatError(f"utility {i}: {exc}") from exc
+            if not isinstance(term, dict) or not isinstance(term.get("exp"), list):
+                raise GameFormatError(f"utility {i}: term {term!r} is not an object with an 'exp' list")
+            pairs.append((term["exp"], term.get("coef")))
+            try:
+                MultiPoly(n, pairs[-1:])
+            except PolynomialError as exc:
+                raise GameFormatError(f"utility {i}: term {term}: {exc}") from exc
+        polys.append(MultiPoly(n, pairs))  # repeated exponents add up in file order
     return PolynomialGame(tuple(polys), tuple(str(p) for p in players))
 
 

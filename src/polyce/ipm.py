@@ -347,10 +347,8 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
         sc = _Scaling(cone, xc, z)
         lus = []
         for i in range(len(tau)):
-            K2[:m, :m] = S = _schur(cone, sc, pairs, blk_mats, i) + reg
-            if not np.isfinite(S).all():
-                raise np.linalg.LinAlgError("non-finite KKT matrix")
-            lus.append(dgetrf(K2)[:2])  # an exact zero pivot shows as a non-finite step
+            K2[:m, :m] = _schur(cone, sc, pairs, blk_mats, i) + reg
+            lus.append(dgetrf(K2)[:2])  # a non-finite K2 or a zero pivot gives a non-finite step
 
         def lu_solve(rhs):
             return np.array([dgetrs(lu, piv, r)[0] for (lu, piv), r in zip(lus, rhs)])
@@ -427,8 +425,9 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
     # one row per running member: xf, xc, y, z, tau, kappa, C and its index
     rows = [np.zeros((B, f)), np.tile(e, (B, 1)), np.zeros((B, m)), np.tile(e, (B, 1)),
             np.ones(B), np.ones(B), C, np.arange(B)]
-    # per member: best metric and its (xf, xc, y, tau); (reason, iterations, iterate) at its end
-    best, ends = [np.full(B, np.inf), *(v.copy() for v in rows[:3]), np.ones(B)], [None] * B
+    # per member: best metric and its (xf, xc, y, tau), as views of rows that no
+    # later step writes to; (reason, iterations, iterate) at its end
+    best, best_iterate, ends = np.full(B, np.inf), [None] * B, [None] * B
 
     def leave(why: np.ndarray, *extra) -> list:
         """End the rows whose reason in ``why`` is not "": drop them from
@@ -438,9 +437,9 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
         ended = why != ""
         for i in np.flatnonzero(ended):
             k, reason, iterate = ids[i], str(why[i]), (xf[i], xc[i], y[i], tau[i])
-            if reason != "optimal" and best[0][k] <= max(50 * tol, 1e-7):
+            if reason != "optimal" and best[k] <= max(50 * tol, 1e-7):
                 # endgame failure after effective convergence: take the best iterate
-                reason, iterate = "rescued_" + reason, tuple(v[k] for v in best[1:])
+                reason, iterate = "rescued_" + reason, best_iterate[k]
             ends[k] = (reason, it, iterate)
         rows = [v[~ended] for v in rows]
         return [v[~ended] for v in extra]
@@ -462,9 +461,10 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
         dres = np.maximum(rdf, rdc) / (tau * norm_c[ids])
         relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
         metric = np.maximum(np.maximum(pres, dres), relgap)
-        better = metric < best[0][ids]  # never for a NaN or inf metric
-        for v, now in zip(best, (metric, xf, xc, y, tau)):
-            v[ids[better]] = now[better]
+        better = metric < best[ids]  # never for a NaN or inf metric
+        best[ids[better]] = metric[better]
+        for i in np.flatnonzero(better):
+            best_iterate[ids[i]] = xf[i], xc[i], y[i], tau[i]
         done = [metric <= tol,  # pres, dres and relgap, as a NaN in any fails it
                 ~np.isfinite(metric) | (mu < 1e-16),
                 (by > tol) & (np.maximum(atf, atz) / by <= tol * norm_c[ids]),

@@ -8,7 +8,8 @@ arrays are used only where hot loops or root finding need them.
 from __future__ import annotations
 
 import itertools
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,13 +24,17 @@ class PolynomialError(ValueError):
     pass
 
 
+def is_number(x) -> bool:
+    """A real number other than a bool whose magnitude a float holds: not NaN, inf or a huge int."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class MultiPoly:
-    """Multivariate polynomial: ``terms[(e1,...,en)] = coefficient``.
-
-    Zero coefficients are never stored.  All exponent tuples have length
-    ``num_vars`` and nonnegative integer entries.
-    """
+    """Multivariate polynomial: ``terms[(e1,...,en)] = coefficient``, also
+    accepted as (exponents, coefficient) pairs whose repeats add up in order.
+    Exponents are ``num_vars`` nonnegative integers and coefficients finite
+    real numbers, none a bool; zero coefficients are never stored."""
 
     num_vars: int
     terms: dict[tuple[int, ...], float] = field(default_factory=dict)
@@ -38,20 +43,18 @@ class MultiPoly:
         if self.num_vars < 1:
             raise PolynomialError("num_vars must be a positive integer")
         clean = {}
-        for exp, coef in self.terms.items():
-            exp = tuple(int(e) for e in exp)
+        for exp, coef in self.terms.items() if isinstance(self.terms, dict) else self.terms:
             if len(exp) != self.num_vars:
-                raise PolynomialError(
-                    f"exponent tuple {exp} has length {len(exp)}, expected {self.num_vars}"
-                )
+                raise PolynomialError(f"exponents {exp} have length {len(exp)}, expected {self.num_vars}")
+            if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) for e in exp):
+                raise PolynomialError(f"bad exponent in {exp}: exponents must be integers")
             if any(e < 0 for e in exp):
                 raise PolynomialError(f"negative exponent in {exp}")
-            coef = float(coef)
-            if not math.isfinite(coef):
-                raise PolynomialError(f"non-finite coefficient for {exp}")
-            if coef != 0.0:
-                clean[exp] = clean.get(exp, 0.0) + coef
-        object.__setattr__(self, "terms", clean)
+            if not is_number(coef):
+                raise PolynomialError(f"non-finite or non-numeric coefficient {coef!r} for {exp}")
+            key = tuple(int(e) for e in exp)
+            clean[key] = clean.get(key, 0.0) + float(coef)
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0.0})
 
     # -- constructors ------------------------------------------------------
 

@@ -157,6 +157,17 @@ def test_adaptive_degenerate_mode_stalls(emb_game):
             assert np.allclose(g, [-1.0, 0.0], atol=1e-9)
 
 
+def test_adaptive_stalls_when_no_gain_clears_its_share_of_eps_stop(quad_game):
+    # from the equilibrium (1, 1) the iteration's epsilon is solver noise
+    # (1.8e-8): above eps_stop = 1e-15, yet no gain clears eps_stop / len(recs),
+    # so no point is added and the loop (alpha < beta) stops as stalled
+    start = [[1.0], [1.0]]
+    trace = run_adaptive(quad_game, start, AdaptiveConfig(eps_stop=1e-15))
+    assert trace.status == "stalled" and len(trace.records) == 1
+    assert trace.records[0].epsilon > 1e-15
+    assert run_adaptive(quad_game, start).status == "converged"
+
+
 def test_trace_json_layout(emb_game):
     trace = run_adaptive(emb_game, [[-1.0], [-1.0]])
     doc = json.loads(trace.to_json(("x", "y")))

@@ -214,11 +214,13 @@ def test_static_nan_tol_exits_2(quad_path):
         assert "tol must lie in [1e-10, 1e-2]" in out.stderr
 
 
-def test_bad_flags_exit_1(quad_path):
+def test_bad_flags_exit_1(quad_path, capsys):
     assert main(["static", "--game", quad_path, "--grid", "0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "2.0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "nan"]) == EXIT_INPUT
     assert main(["nonsense"]) == EXIT_INPUT
+    assert main(["adaptive", "--game", quad_path, "--grid", ","]) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith("error: empty list: ','\n")
 
 
 def test_grid_points_get_the_library_range_check(quad_path):

@@ -15,6 +15,7 @@ from polyce.finite_ce import (
     max_ce_violation,
     midpoint_grid,
     min_epsilon,
+    solve_lp,
     static_discretization,
 )
 from polyce.games import FiniteGame, GameFormatError, PolynomialGame, SupportedDistribution
@@ -131,6 +132,12 @@ def test_ce_lp_minmax_on_21x21():
 def test_ce_lp_on_nan_payoff_is_a_format_error():
     with pytest.raises(GameFormatError, match="payoffs must be finite"):
         ce_lp(FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2))))
+
+
+def test_solve_lp_names_the_status_of_an_infeasible_lp():
+    # x <= 0 with the cells summing to one
+    with pytest.raises(SolverError, match="Infeasible"):
+        solve_lp(np.zeros(2), np.eye(2), 2, 1e-8)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

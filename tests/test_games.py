@@ -212,6 +212,7 @@ def test_parse_rejects_malformed_documents():
 
 
 @pytest.mark.parametrize("text, message", [
+    ('{"players": [], "utilities": []}', "'players' must be a nonempty list"),
     ('{"players": ["x"], "utilities": 5}', "expected 1 utilities"),
     ('{"players": ["x"], "utilities": [[1]]}', "utility 0 must be an object"),
     ('{"players": ["x"], "utilities": [{"terms": 7}]}', "'terms' list"),
@@ -227,6 +228,7 @@ def test_parse_game_rejects_wrong_json_types(text, message):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("{", "not valid JSON"),
     ("5", "must have 'grids' and 'probs'"),
     ('{"grids": 3, "probs": 1}', "'grids' must be a nonempty list"),
     ('{"grids": [], "probs": 1}', "'grids' must be a nonempty list"),
@@ -237,6 +239,7 @@ def test_parse_game_rejects_wrong_json_types(text, message):
     ('{"grids": [[NaN]], "probs": [1]}', "finite numbers"),
     ('{"grids": [[0]], "probs": [true]}', "finite numbers"),
     ('{"grids": [[0]], "probs": ["1"]}', "finite numbers"),
+    ('{"grids": [[0]], "probs": [1' + "0" * 400 + ']}', "finite numbers"),
     ('{"grids": [[0], [1]], "probs": [[1, 2], 3]}', "not a rectangular array"),
     ('{"grids": [[0], [1]], "probs": [1]}', "shape does not match"),
     # the probabilities are taken as written: no rescaling, no clipping

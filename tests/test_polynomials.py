@@ -37,6 +37,11 @@ def test_arithmetic_expansion():
         ({(1,): float("nan")}, "non-finite"),
         ({(1, 2): 1.0}, "length"),
         ({(-1,): 1.0}, "negative"),
+        ({(1.5,): 1.0}, "bad exponent"),
+        ({(True,): 1.0}, "bad exponent"),
+        ({(1,): "2"}, "coefficient"),
+        ({(1,): True}, "coefficient"),
+        ({(1,): 10**400}, "coefficient"),
     ],
 )
 def test_bad_terms_rejected(terms, err):
