@@ -40,12 +40,13 @@ class Status(enum.Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
-# why a solve ended -> its status: the IPM's five endings, each non-optimal one
+# why a solve ended -> its status: the IPM's six endings, each non-optimal one
 # prefixed "rescued_" when the best iterate met the looser rescue tolerance and
 # was returned, and "inaccurate" for an optimum whose equality residual or
 # smallest block eigenvalue misses the accuracy check
 _ENDINGS = {"optimal": Status.OPTIMAL, "infeasible": Status.INFEASIBLE, "unbounded": Status.UNBOUNDED,
-            "max_iter": Status.NUMERICAL_FAILURE, "breakdown": Status.NUMERICAL_FAILURE}
+            "max_iter": Status.NUMERICAL_FAILURE, "breakdown": Status.NUMERICAL_FAILURE,
+            "stalled": Status.NUMERICAL_FAILURE}
 _STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS if why != "optimal"},
            "inaccurate": Status.NUMERICAL_FAILURE}
 

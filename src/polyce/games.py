@@ -413,6 +413,8 @@ def player_names(n: int) -> tuple[str, ...]:
 def random_polynomial_game(num_players: int, degree: int, seed: int) -> PolynomialGame:
     """Random game: every monomial of total degree <= ``degree`` gets an
     independent N(0, 1) coefficient.  Deterministic per seed."""
+    if degree < 0:
+        raise ValueError(f"need degree >= 0, got {degree}")
     rng = np.random.default_rng(seed)
     exponents = grlex_monomials(num_players, degree)
     utilities = []

@@ -32,12 +32,17 @@ per member still running; a member leaves when it ends, and keeps its own
 tau, kappa, mu, sigma, step lengths, centrality backtracking, best iterate
 and termination tests, as float64 arrays over the running members that round
 as scalars would (a NaN residual ends its member as a breakdown, where a
-scalar ``max`` could drop it).  Each member's Schur complement, K2 and LU
-factors (LAPACK getrf) are made in turn.  The batched forms repeat the
-unbatched arithmetic per row (NumPy 2.2's ``np.vecdot`` and ``np.matvec``,
-bincount bins offset per row, matmul and LAPACK on stacks; ``einsum``,
-``.sum`` and ``x @ A.T`` round differently), so a member ends as its solve
-alone would, and a breakdown ends only its own.
+scalar ``max`` could drop it).  A member ends "optimal", "breakdown",
+"infeasible", "unbounded" or, after ``_STALL_WINDOW`` iterations with no new
+best iterate, "stalled", the first of these that holds, and at ``max_iter``
+it ends "max_iter".  A member that ends other than optimal returns its best
+iterate, as "rescued_<reason>", when that iterate met the rescue tolerance.
+Each member's Schur complement, K2 and LU factors (LAPACK getrf) are made in
+turn.  The batched forms repeat the unbatched arithmetic per row (NumPy
+2.2's ``np.vecdot`` and ``np.matvec``, bincount bins offset per row, matmul
+and LAPACK on stacks; ``einsum``, ``.sum`` and ``x @ A.T`` round
+differently), so a member ends as its solve alone would, and a breakdown
+ends only its own.
 Intended for desk-scale problems (PSD blocks up to ~60x60, a few thousand
 equalities).  A problem without a cone has no interior to follow:
 ``ConicProblem.solve`` rejects it, and linear programs go to HiGHS instead
@@ -57,6 +62,12 @@ from .conic import _STATUS, ConicProblem, ConicSolution, LinExpr, Status, _trian
 _REG = 1e-10  # static regularization of the KKT system
 _STEP_FRAC = 0.98
 _NEIGHBORHOOD = 1e-3  # wide-neighborhood centrality floor, min(x.z)/mu
+# iterations in a row without a new best iterate that end a member as
+# "stalled".  Before an "optimal" ending the longest such stretch is 54 in the
+# tests (3p game 9 at d=1, two BLAS threads) and 49 in the benchmark; on
+# seed-0 moments-sdp two quad d=2 members find their best iterate at
+# iterations 14 and 24, and without this ending ran on to max_iter = 200
+_STALL_WINDOW = 60
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +333,9 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
     """Solve a built problem once per objective, all in lockstep, by
     predictor-corrector steps whose centering parameter is
     sigma = min(1, max(0, mu_aff / mu)), with mu_aff the complementarity the
-    affine predictor step would reach."""
+    affine predictor step would reach.  A member whose best iterate has not
+    improved in ``_STALL_WINDOW`` iterations ends "stalled": as at max_iter,
+    its best iterate is then final."""
     if problem.trivially_infeasible:
         return [ConicSolution("infeasible") for _ in objectives]
     cp = compile_problem(problem)
@@ -428,6 +441,7 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
     # per member: best metric and its (xf, xc, y, tau), as views of rows that no
     # later step writes to; (reason, iterations, iterate) at its end
     best, best_iterate, ends = np.full(B, np.inf), [None] * B, [None] * B
+    last_better = np.zeros(B, dtype=int)  # the iteration of each member's best
 
     def leave(why: np.ndarray, *extra) -> list:
         """End the rows whose reason in ``why`` is not "": drop them from
@@ -463,14 +477,17 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
         metric = np.maximum(np.maximum(pres, dres), relgap)
         better = metric < best[ids]  # never for a NaN or inf metric
         best[ids[better]] = metric[better]
+        last_better[ids[better]] = it
         for i in np.flatnonzero(better):
             best_iterate[ids[i]] = xf[i], xc[i], y[i], tau[i]
         done = [metric <= tol,  # pres, dres and relgap, as a NaN in any fails it
                 ~np.isfinite(metric) | (mu < 1e-16),
                 (by > tol) & (np.maximum(atf, atz) / by <= tol * norm_c[ids]),
-                (-cx > tol) & (ax / -cx <= tol * norm_b)]
+                (-cx > tol) & (ax / -cx <= tol * norm_b),
+                it - last_better[ids] >= _STALL_WINDOW]
         if np.any(done):
-            residuals = leave(np.select(done, ["optimal", "breakdown", "infeasible", "unbounded"], ""), *residuals)
+            residuals = leave(np.select(done, ["optimal", "breakdown", "infeasible", "unbounded", "stalled"], ""),
+                              *residuals)
             if not rows[7].size:
                 break
 
@@ -478,9 +495,9 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
         alpha, *step = _by_rows(kkt_step, *rows[:7], *residuals)
         a = alpha[:, None]
         rows[:6] = [v + (a if v.ndim == 2 else alpha) * d for v, d in zip(rows[:6], step)]
-        stalled = ~(alpha >= 1e-10)  # NaN too
-        if stalled.any():
-            leave(np.where(stalled, "breakdown", ""))
+        no_step = ~(alpha >= 1e-10)  # NaN too
+        if no_step.any():
+            leave(np.where(no_step, "breakdown", ""))
             if not rows[7].size:
                 break
 

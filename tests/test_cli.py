@@ -219,6 +219,7 @@ def test_bad_flags_exit_1(quad_path, capsys):
     assert main(["adaptive", "--game", quad_path, "--grid", "2.0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "nan"]) == EXIT_INPUT
     assert main(["nonsense"]) == EXIT_INPUT
+    assert main(["randgame", "--seed", "1", "--degree", "-1"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", ","]) == EXIT_INPUT
     assert capsys.readouterr().err.endswith("error: empty list: ','\n")
 

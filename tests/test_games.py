@@ -331,3 +331,6 @@ def test_random_game_deterministic_and_bounded_degree():
     assert all(u.total_degree() <= 4 for u in g1.utilities)
     assert serialize_game(g1) == serialize_game(g2)
     assert serialize_game(random_polynomial_game(3, 4, 124)) != serialize_game(g1)
+    # degree -1 has no monomial, so it would be a game with no terms
+    with pytest.raises(ValueError, match="degree >= 0"):
+        random_polynomial_game(2, -1, 1)

@@ -14,7 +14,8 @@ from polyce import ipm
 from polyce.adaptive import run_adaptive
 from polyce.conic import ConicProblem, ConicSolution, LinExpr, SolverError, Status, expr
 from polyce.games import SupportedDistribution
-from polyce.moments import RelaxationOrder, check_moment_membership, payoff_bounds, payoff_region_sketch
+from polyce.moments import (RelaxationOrder, build_relaxation, check_moment_membership, payoff_bounds,
+                            payoff_region_sketch)
 from polyce.sos import MomentVector
 
 import oracles
@@ -203,6 +204,8 @@ def test_reasons_name_why_each_solve_ended_in_a_batch_as_alone():
         Status.OPTIMAL, Status.UNBOUNDED, Status.OPTIMAL, Status.OPTIMAL]
     assert ray.solve_many(objectives[2:], max_iter=2)[0].status is Status.NUMERICAL_FAILURE
     assert ray.solve_many(objectives[2:], tol=1e-15, max_iter=8)[0].status is Status.OPTIMAL
+    assert [ConicSolution(why).status for why in ("stalled", "rescued_stalled")] == [
+        Status.NUMERICAL_FAILURE, Status.OPTIMAL]
     with pytest.raises(KeyError):  # a reason outside the list is never read as a status
         ipm._extract(ray, None, None, "converged", 1, None, 1e-8)
     # a batch of one is the first member's solve alone, and an empty batch is empty
@@ -225,7 +228,28 @@ def test_an_inaccurate_optimum_is_a_numerical_failure_that_names_its_reason():
         sol.value(X)
 
 
-@pytest.mark.parametrize("reason", ["max_iter", "breakdown"])
+def test_a_stalled_member_returns_the_iterate_max_iter_would(quad_game):
+    # on quad d=2 some members find their best iterate early and then no
+    # better one; since a best iterate changes only when a better one comes,
+    # a run cut just before the stall ending returns the same iterate
+    problem, moments = build_relaxation(quad_game, RelaxationOrder.auto(quad_game, 2))
+    payoffs = [sum((coef * expr(moments[e]) for e, coef in u.terms.items()), LinExpr())
+               for u in quad_game.utilities]
+    objectives = [sign * payoff for payoff in payoffs for sign in (-1.0, 1.0)]
+    batch = problem.solve_many(objectives)
+    stalled = [k for k, sol in enumerate(batch) if sol.reason == "rescued_stalled"]
+    assert stalled
+    cap = min(batch[k].iterations for k in stalled) - 1
+    capped = problem.solve_many(objectives, max_iter=cap)
+    for k in stalled:
+        a, b = batch[k], capped[k]
+        assert b.reason == "rescued_max_iter"
+        assert (a.values.tobytes(), a.objective_value.hex(), a.eq_duals.tobytes()) == (
+            b.values.tobytes(), b.objective_value.hex(), b.eq_duals.tobytes())
+    assert [_fingerprint(sol) for sol in capped] == _alone(problem, objectives, max_iter=cap)
+
+
+@pytest.mark.parametrize("reason", ["max_iter", "breakdown", "stalled"])
 def test_a_failed_solve_reaches_each_method_as_an_error_that_names_its_reason(quad_game, monkeypatch, reason):
     def fail(problem, objectives, tol=1e-8, max_iter=200):
         return [ConicSolution(reason, iterations=max_iter) for _ in objectives]
