@@ -8,8 +8,8 @@ and an in-house conic interior-point method:
   iteration is an LP solved by HiGHS),
 * moment relaxation (outer SDP approximations of the equilibrium set).
 
-Every linear program goes to HiGHS; the conic solver rejects problems
-without a nonnegative scalar or a PSD block.
+Every linear program goes to scipy's HiGHS module, loaded without
+``scipy.optimize``; the conic solver rejects problems with no cone.
 """
 
 from .conic import ConicProblem, ConicSolution, LinExpr, SolverError, Status

@@ -109,11 +109,12 @@ def cmd_adaptive(args) -> int:
 def cmd_moments(args) -> int:
     game = parse_game(_read(args.game, "game"))
     order = RelaxationOrder.auto(game, args.d, args.r)
+    # both are computed before anything is written, so a rejected --directions leaves no output
+    given = {k: v for k, v in vars(args).items() if k in ("directions", "seed")}
+    pts = payoff_region_sketch(game, order, tol=args.tol, **given) if args.region_csv else None
     box = payoff_bounds(game, order, tol=args.tol)
     _write_or_print(box.to_json(game.player_names), args.out)
     if args.region_csv:
-        given = {k: v for k, v in vars(args).items() if k in ("directions", "seed")}
-        pts = payoff_region_sketch(game, order, tol=args.tol, **given)
         n = game.num_players
         rows = [",".join([f"dir{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)])]
         for direction, point in pts:

@@ -2,26 +2,32 @@
 
 ``ce_lp`` computes a correlated equilibrium of a finite game as one LP:
 nonnegative cells, the simplex row, and one sparse matrix holding one
-deviation inequality per (player, recommendation, deviation) triple, solved
-by HiGHS through ``scipy.optimize.linprog``.  ``deviation_rows`` writes one
-player's block of that matrix, and the finite adaptive iteration LP's
-restricted rows.  Without an objective the LP minimizes the largest cell
-probability.  ``min_epsilon`` evaluates any finitely supported distribution
-against the *continuous* game: for every recommendation with positive
-marginal it maximizes the deviation-gain polynomial over [-1,1] by
-derivative root finding, giving the exact minimal epsilon for which the
-distribution is an approximate correlated equilibrium; ``epsilon_report``
-assembles it, and the report of a finite game, from per-player gain rows.
-``games.MASS_TOL`` decides which recommendations carry mass, and
-``polynomials.pick_maximizers`` picks their maximizers.
+deviation inequality per (player, recommendation, deviation) triple.
+``solve_lp`` solves it on scipy's compiled HiGHS module without loading
+``scipy.optimize``, which would add about 20 MB of unused modules.
+``deviation_rows`` writes one player's block of that matrix, and the finite
+adaptive iteration LP's restricted rows.  Without an objective the LP
+minimizes the largest cell probability.  ``min_epsilon`` evaluates any
+finitely supported distribution against the *continuous* game: for every
+recommendation with positive marginal it maximizes the deviation-gain
+polynomial over [-1,1] by derivative root finding, giving the exact minimal
+epsilon for which the distribution is an approximate correlated equilibrium;
+``epsilon_report`` assembles it, and the report of a finite game, from
+per-player gain rows.  ``games.MASS_TOL`` decides which recommendations
+carry mass, and ``polynomials.pick_maximizers`` picks their maximizers.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .conic import SOLVER_TOL, SolverError
@@ -120,26 +126,54 @@ def deviation_rows(cells, u) -> sp.csr_matrix:
     return gain_rows(cells, u, u, s, t)
 
 
+@functools.cache
+def _highs():
+    """scipy's compiled HiGHS module, loaded by file path: ``scipy.optimize`` stays unloaded."""
+    name = "scipy.optimize._highspy._core"
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "_Highs"):
+                return module
+    raise ImportError(f"scipy {scipy.__version__} has no {name} with a _Highs class")
+
+
 def solve_lp(c, A_ub, n_cells: int, tol: float) -> np.ndarray:
     """Minimize c.x over x >= 0 subject to A_ub x <= 0 and the first
-    ``n_cells`` entries summing to one, by HiGHS with primal and dual
-    feasibility tolerances ``tol``.  Raises :class:`SolverError` with HiGHS's
-    message, which names the model status, unless HiGHS reports an optimum."""
+    ``n_cells`` entries summing to one, by HiGHS with ``linprog(method="highs")``'s
+    model and options (presolve, dual simplex, feasibility tolerances ``tol``),
+    so x is linprog's byte for byte.  Raises ``ValueError`` on a non-finite c or
+    A_ub, and :class:`SolverError` naming the model status unless it is optimal."""
     # HiGHS rejects feasibility tolerances below 1e-10 with only a warning
     # and then solves at its default 1e-7
     if not 1e-10 <= tol <= 1e-2:
         raise SolverError("tol must lie in [1e-10, 1e-2]")
-    # imported here: loading scipy.optimize adds about 0.2 s to every start-up
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=(np.arange(len(c)) < n_cells)[None] * 1.0,
-        b_eq=[1.0], bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
-    )
-    if res.status != 0:
-        raise SolverError(f"LP solve failed: {res.message}")
-    return res.x
+    c = np.asarray(c, dtype=float)
+    simplex_row = sp.coo_array((np.arange(len(c)) < n_cells)[None] * 1.0)
+    A = sp.csc_array(sp.vstack([sp.coo_array(A_ub), simplex_row]))
+    # HiGHS solves a NaN cost to a wrong x, and ends "Not Set" on an inf in A
+    if not (np.isfinite(c).all() and np.isfinite(A.data).all()):
+        raise ValueError("LP costs and constraint matrix must be finite")
+    highs = _highs()
+    (m, n), lp, solver = A.shape, highs.HighsLp(), highs._Highs()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(n), np.full(n, np.inf)
+    lp.row_lower_, lp.row_upper_ = np.r_[np.full(m - 1, -np.inf), 1.0], np.r_[np.zeros(m - 1), 1.0]
+    for key, value in [("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1),
+                       ("primal_feasibility_tolerance", tol), ("dual_feasibility_tolerance", tol)]:
+        solver.setOptionValue(key, value)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP solve failed: model status is {solver.modelStatusToString(status)}")
+    return np.array(solver.getSolution().col_value)
 
 
 def ce_lp(fg: FiniteGame, objective=None, tol: float = SOLVER_TOL) -> SupportedDistribution:

@@ -183,6 +183,19 @@ def test_moments_outputs(quad_path, tmp_path):
     assert set(rows[0]) == {"dir1", "dir2", "p1", "p2"}
 
 
+def test_moments_rejected_directions_leave_no_output(quad_path, tmp_path, capsys):
+    # the box and the region are both computed before anything is written
+    box_path, region_path = tmp_path / "box.json", tmp_path / "region.csv"
+    for out in ([], ["--out", str(box_path)]):
+        code = main(["moments", "--game", quad_path, "--d", "1", *out,
+                     "--region-csv", str(region_path), "--directions", "0"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "need at least 3 directions" in captured.err
+        assert captured.out == ""
+    assert not box_path.exists() and not region_path.exists()
+
+
 def test_moments_rejects_bad_order(quad_path, capsys):
     assert main(["moments", "--game", quad_path, "--d", "2", "--r", "1"]) == EXIT_INPUT
     assert "express" in capsys.readouterr().err

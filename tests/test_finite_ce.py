@@ -5,10 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import polyce
+from polyce import adaptive, finite_ce
+from polyce.adaptive import AdaptiveConfig
 from polyce.conic import SolverError
 from polyce.finite_ce import (
     ce_lp,
@@ -18,7 +23,7 @@ from polyce.finite_ce import (
     solve_lp,
     static_discretization,
 )
-from polyce.games import FiniteGame, GameFormatError, PolynomialGame, SupportedDistribution
+from polyce.games import FiniteGame, GameFormatError, PolynomialGame, SupportedDistribution, sample_game
 from polyce.polynomials import MultiPoly
 
 from oracles import (
@@ -134,16 +139,88 @@ def test_ce_lp_on_nan_payoff_is_a_format_error():
         ce_lp(FiniteGame((np.array([-1.0, 1.0]),) * 2, (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2))))
 
 
+def _linprog_x(c, A_ub, n_cells, tol):
+    """``solve_lp``'s LP solved by ``linprog``, the reference it must match."""
+    res = linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=(np.arange(len(c)) < n_cells)[None] * 1.0,
+        b_eq=[1.0], bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol},
+    )
+    assert res.status == 0, res.message
+    return res.x
+
+
+def _solved_lps(monkeypatch, module, run):
+    """(arguments, x) of every ``solve_lp`` call that ``run()`` makes through ``module``."""
+    solved = []
+
+    def record(*args):
+        solved.append((args, solve_lp(*args)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(module, "solve_lp", record)
+    run()
+    return solved
+
+
+@pytest.mark.parametrize("d", [5, 15, 30])
+def test_solve_lp_is_linprog_byte_for_byte_on_the_static_lp(quad_game, d, monkeypatch):
+    fg = sample_game(quad_game, [midpoint_grid(d)] * 2)
+    welfare = {cell: float(fg.payoffs[0][cell] + fg.payoffs[1][cell]) for cell in fg.cells()}
+    solved = _solved_lps(monkeypatch, finite_ce, lambda: (ce_lp(fg), ce_lp(fg, welfare)))
+    assert len(solved) == 2
+    for args, x in solved:
+        assert x.tobytes() == _linprog_x(*args).tobytes()
+
+
+def test_solve_lp_is_linprog_byte_for_byte_on_a_finite_iteration_lp(quad_game, monkeypatch):
+    fg = sample_game(quad_game, [midpoint_grid(15)] * 2)
+    grids = (fg.grids[0][::4], fg.grids[1][::5])
+    [(args, x)] = _solved_lps(monkeypatch, adaptive,
+                              lambda: adaptive._solve_finite_iteration(fg, grids, AdaptiveConfig()))
+    assert x.tobytes() == _linprog_x(*args).tobytes()
+
+
 def test_solve_lp_names_the_status_of_an_infeasible_lp():
     # x <= 0 with the cells summing to one
     with pytest.raises(SolverError, match="Infeasible"):
         solve_lp(np.zeros(2), np.eye(2), 2, 1e-8)
 
 
+@pytest.mark.parametrize("c, A_ub", [
+    (np.array([np.nan, 0.0]), sp.csr_matrix((1, 2))),
+    (np.zeros(2), sp.csr_matrix([[np.inf, 1.0]])),
+], ids=["nan-cost", "inf-entry"])
+def test_solve_lp_rejects_non_finite_data_as_linprog_does(c, A_ub):
+    # HiGHS itself solves the NaN cost to x = [0, 1] and ends "Not Set" on the inf
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_lp(c, A_ub, 2, 1e-8)
+    with pytest.raises(ValueError):
+        _linprog_x(c, A_ub, 2, 1e-8)
+
+
+def test_highs_loader_names_the_scipy_version_when_the_module_is_missing(tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
+        finite_ce._highs.__wrapped__()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    # ce_lp imports linprog when it runs: loading scipy.optimize on import
-    # would add about 0.2 s to the start-up of every process
-    code = "import sys, polyce, polyce.ipm, polyce.cli; assert 'scipy.optimize' not in sys.modules"
+    # solve_lp loads only scipy's compiled HiGHS module: scipy.optimize would
+    # add about 0.2 s to the start-up of every process, and about 20 MB to
+    # the peak memory of every process that solves an LP
+    code = """
+import sys, polyce, polyce.ipm, polyce.cli
+assert 'scipy.optimize' not in sys.modules
+from polyce.adaptive import run_adaptive_finite
+from polyce.demo_games import quadratic_demo_game, stuck_3x3_game
+from polyce.finite_ce import ce_lp, static_discretization
+static_discretization(quadratic_demo_game(), 5)
+fg = stuck_3x3_game()
+ce_lp(fg, {cell: float(fg.payoffs[0][cell] + fg.payoffs[1][cell]) for cell in fg.cells()})
+run_adaptive_finite(fg, [[-1.0], [-1.0]])
+assert 'scipy.optimize' not in sys.modules
+"""
     path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
