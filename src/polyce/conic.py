@@ -216,10 +216,12 @@ class ConicProblem:
         self._check_expr(e)
         self.objective = e
 
-    def _solver(self, tol: float):
-        """The IPM module, once the problem and ``tol`` pass its checks."""
+    def _solver(self, tol: float, max_iter: int):
+        """The IPM module, once the problem, ``tol`` and ``max_iter`` pass its checks."""
         if not (0 < tol <= 1e-2):
             raise SolverError("tol must lie in (0, 1e-2]")
+        if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+            raise SolverError("max_iter must be an integer >= 1")
         # the IPM needs a cone; linear programs go to finite_ce.solve_lp
         if not any(self.scalar_nonneg) and not self.blocks:
             raise SolverError("problem has no variables in a cone")
@@ -228,7 +230,7 @@ class ConicProblem:
         return ipm
 
     def solve(self, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> "ConicSolution":
-        return self._solver(tol).solve(self, tol=tol, max_iter=max_iter)
+        return self._solver(tol, max_iter).solve(self, tol=tol, max_iter=max_iter)
 
     def solve_many(self, objectives, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> list:
         """One solution per objective, as ``solve`` would give after
@@ -236,7 +238,7 @@ class ConicProblem:
         objectives = [LinExpr.of(e) for e in objectives]
         for e in objectives:
             self._check_expr(e)
-        ipm = self._solver(tol)
+        ipm = self._solver(tol, max_iter)
         return ipm.solve_many(self, objectives, tol=tol, max_iter=max_iter) if objectives else []
 
 

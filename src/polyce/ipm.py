@@ -16,15 +16,15 @@ by ``scale[v]``, and the solution is read back as ``x[col] / scale``.
 
 The cone layer holds the PSD blocks of each dimension d as one (k, d, d)
 stack, reached through one gather (svec -> d x d) and one scatter
-(d x d -> svec) index per stack, so each cone kernel runs once per block
-size.  A stacked kernel does per matrix the arithmetic of a per-block loop
-(the same LAPACK and BLAS calls on the same layouts), and the Schur
-complement adds its block terms in block order.  The loop's sparse products
-(A x, A' y and the orthant Schur term) are bincounts over index arrays made
-once per solve, which add each sum's terms in scipy's csr_matvec and
-csr_matmat order.  So every solve is bit-identical to one through the
-per-block kernels and scipy.sparse that the tests keep as an oracle, which
-matters because a one-ulp change moves iteration counts.
+(d x d -> svec) index per stack, so each cone kernel runs once per block size
+with the arithmetic of a per-block loop.  The matvecs A x and A' y are
+bincounts that add in scipy's csr_matvec order, so they match scipy.sparse to
+the bit.  The Schur complement A T A' is one sum of the element-wise terms of
+Fujisawa, Kojima & Nakata (Math. Prog. 1997) over every two nonzeros that two
+rows hold in one block, an orthant column being a 1x1 block (``_pairs``).  It
+matches the per-block oracle the tests keep to rounding, not to the bit.  Its
+40-byte pairs grow as the square of a block's nonzeros: 16k on the quad game's
+order-2 moment relaxation (134 equalities), 1.06M in 42 MB at order 5 (995).
 
 ``solve_many`` solves one problem under several objectives in lockstep, and
 ``solve`` is its batch of one.  Iterates carry a leading batch axis, one row
@@ -42,9 +42,7 @@ turn.  The batched forms repeat the unbatched arithmetic per row (NumPy
 2.2's ``np.vecdot`` and ``np.matvec``, bincount bins offset per row, matmul
 and LAPACK on stacks; ``einsum``, ``.sum`` and ``x @ A.T`` round
 differently), so a member ends as its solve alone would, and a breakdown
-ends only its own.
-Intended for desk-scale problems (PSD blocks up to ~60x60, a few thousand
-equalities).  A problem without a cone has no interior to follow:
+ends only its own.  A problem without a cone has no interior to follow:
 ``ConicProblem.solve`` rejects it, and linear programs go to HiGHS instead
 (``finite_ce.solve_lp``).
 """
@@ -63,10 +61,9 @@ _REG = 1e-10  # static regularization of the KKT system
 _STEP_FRAC = 0.98
 _NEIGHBORHOOD = 1e-3  # wide-neighborhood centrality floor, min(x.z)/mu
 # iterations in a row without a new best iterate that end a member as
-# "stalled".  Before an "optimal" ending the longest such stretch is 54 in the
-# tests (3p game 9 at d=1, two BLAS threads) and 49 in the benchmark; on
-# seed-0 moments-sdp two quad d=2 members find their best iterate at
-# iterations 14 and 24, and without this ending ran on to max_iter = 200
+# "stalled".  Before an "optimal" ending the longest such stretch is 22 in the
+# tests (two BLAS threads) and 2 in the benchmark; the three quad d=2 members
+# of seed-0 moments-sdp that stall find their best iterate by iteration 21
 _STALL_WINDOW = 60
 
 
@@ -202,11 +199,6 @@ class _Cone:
             g.pack(np.broadcast_to(np.eye(g.dim), g.gather.shape), e)
         return e
 
-    def constraint_stacks(self, A_cone: sp.csr_matrix) -> list:
-        """The rows of A_cone unpacked once per group, as (k, m, d, d) stacks."""
-        dense = A_cone.toarray()
-        return [np.moveaxis(g.unpack(dense), 0, 1) for g in self.groups]
-
     def apply_T(self, sc: _Scaling, u: np.ndarray) -> np.ndarray:
         """T u T with T = R R' per block; w^2 * u on the orthant."""
         out = np.empty_like(u)
@@ -284,17 +276,31 @@ def _matvec(A: sp.csr_matrix, batch: int):
                            v.size // n * m).reshape(-1, m)
 
 
-def _orth_pairs(A_orth: sp.csr_matrix) -> tuple:
-    """(i*m + j, a_ik, k, a_jk) for every pair of rows i, j that share orthant
-    column k, ordered by i, then by k ascending: the order in which scipy's
-    csr_matmat adds the terms of A_orth W A_orth' once it has sorted A_orth."""
-    A = A_orth.sorted_indices()
-    AT = A.T.tocsr()  # row k lists the entries of column k
-    m, cols = A.shape[0], np.diff(AT.indptr)[A.indices]
-    entry = np.repeat(np.arange(A.nnz), cols)
-    pos = np.repeat(AT.indptr[A.indices] - np.cumsum(cols) + cols, cols) + np.arange(entry.size)
-    i = np.repeat(np.arange(m), np.diff(A.indptr))[entry]
-    return i * m + AT.indices[pos], A.data[entry], A.indices[entry], AT.data[pos]
+def _pairs(cone: _Cone, A_c: sp.csr_matrix) -> tuple:
+    """For every two nonzeros a at (p, q) and b at (r, s) that the symmetric
+    matrices of rows i and j of A_c hold in one block: i*m + j, a, b and the
+    positions of T[q, r] and T[s, p] in the T of ``_schur``."""
+    m, n, offset = cone.cp.m, cone.cp.cone_dim, cone.q
+    # per cone column: its block (the column where it starts), the block's
+    # offset in T and dim, and the column's (p, q) and 1 / svec scale
+    blk, base, dim, inv, (p, q) = np.arange(n), np.arange(n), np.ones(n, int), np.ones(n), np.zeros((2, n), int)
+    for g in cone.groups:
+        at = g.scatter
+        blk[at], base[at] = at[:, :1], offset + g.dim**2 * np.arange(len(at))[:, None]
+        dim[at], inv[at], (p[at], q[at]) = g.dim, 1.0 / g.scale, np.triu_indices(g.dim)
+        offset += len(at) * g.dim**2
+    # row i's matrix holds an off-diagonal svec entry a as a / sqrt 2 at (p, q)
+    # and (q, p); sorted stably by block, each entry pairs with all its block's
+    A = A_c.tocoo()
+    k = np.concatenate([np.arange(A.nnz), np.flatnonzero(p[A.col] != q[A.col])])
+    j = np.argsort(blk[A.col[k]], kind="stable")
+    c, row, flip = A.col[k[j]], A.row[k[j]].astype(np.intp), j >= A.nnz
+    v, pp, qq = A.data[k[j]] * inv[c], np.where(flip, q[c], p[c]), np.where(flip, p[c], q[c])
+    lo, hi = np.searchsorted(blk[c], blk[c]), np.searchsorted(blk[c], blk[c], "right")
+    e = np.repeat(np.arange(c.size), hi - lo)
+    f = np.arange(e.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+    b, d = base[c[e]], dim[c[e]]
+    return row[e] * m + row[f], v[e], v[f], b + qq[e] * d + pp[f], b + qq[f] * d + pp[e]
 
 
 def _by_rows(step, *rows) -> list:
@@ -309,18 +315,12 @@ def _by_rows(step, *rows) -> list:
                                              for i in range(len(rows[0]))))]
 
 
-def _schur(cone: _Cone, sc: _Scaling, pairs: tuple, blk_mats: list, i: int) -> np.ndarray:
-    """A T A' of batch row ``i`` of the scaling from the orthant ``pairs`` (``_orth_pairs``) and from the (k, m, d, d) stacks of
-    constraint matrices per group; block terms are added in block order."""
-    m = cone.cp.m
-    ij, a_ik, k, a_jk = pairs
-    S = _sums(ij, (a_ik * sc.w2[i][k]) * a_jk, m * m).reshape(m, m)
-    scaled = [np.matmul(np.matmul(RT[i][:, None], Ab), R[i][:, None])
-              for RT, Ab, R in zip(sc.RT, blk_mats, sc.R)]
-    for gi, j in cone.order:
-        flat = scaled[gi][j].reshape(m, -1)
-        S += flat @ flat.T
-    return S
+def _schur(sc: _Scaling, pairs: tuple, m: int, i: int) -> np.ndarray:
+    """A T A' of batch row ``i`` of the scaling, with T = w on the orthant and
+    R R' per block, flat: the terms a T[q, r] T[s, p] b of ``_pairs`` in order."""
+    ij, a, b, t_qr, t_sp = pairs
+    T = np.concatenate([sc.w[i], *((R[i] @ RT[i]).ravel() for R, RT in zip(sc.R, sc.RT))])
+    return _sums(ij, a * T[t_qr] * T[t_sp] * b, m * m).reshape(m, m)
 
 
 def solve(problem: ConicProblem, tol: float, max_iter: int) -> ConicSolution:
@@ -333,9 +333,7 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
     """Solve a built problem once per objective, all in lockstep, by
     predictor-corrector steps whose centering parameter is
     sigma = min(1, max(0, mu_aff / mu)), with mu_aff the complementarity the
-    affine predictor step would reach.  A member whose best iterate has not
-    improved in ``_STALL_WINDOW`` iterations ends "stalled": as at max_iter,
-    its best iterate is then final."""
+    affine predictor step would reach; the module docstring lists its endings."""
     if problem.trivially_infeasible:
         return [ConicSolution("infeasible") for _ in objectives]
     cp = compile_problem(problem)
@@ -346,8 +344,7 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
     A_free = cp.A[:, :f].toarray() if f else np.zeros((m, 0))
     A_c = cp.A[:, f:].tocsr()
     A_cone, A_coneT = _matvec(A_c, B), _matvec(A_c.T.tocsr(), B)
-    pairs = _orth_pairs(A_c[:, : cp.q].tocsr())
-    blk_mats = cone.constraint_stacks(A_c)
+    pairs = _pairs(cone, A_c)
     norm_b = 1.0 + np.abs(b).max(initial=0.0)
     K2 = np.zeros((m + f, m + f))
     K2[:m, m:], K2[m:, :m], K2[m:, m:] = A_free, A_free.T, -_REG * np.eye(f)
@@ -360,7 +357,7 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
         sc = _Scaling(cone, xc, z)
         lus = []
         for i in range(len(tau)):
-            K2[:m, :m] = _schur(cone, sc, pairs, blk_mats, i) + reg
+            K2[:m, :m] = _schur(sc, pairs, m, i) + reg
             lus.append(dgetrf(K2)[:2])  # a non-finite K2 or a zero pivot gives a non-finite step
 
         def lu_solve(rhs):

@@ -228,6 +228,11 @@ def test_builder_misuse():
         p.add_equality(LinExpr({("s", 5): 1.0}), 0.0)
     with pytest.raises(SolverError, match="tol"):
         p.solve(tol=0.5)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(SolverError, match="max_iter"):
+            p.solve(max_iter=bad)
+        with pytest.raises(SolverError, match="max_iter"):
+            p.solve_many([X.entry(0, 1)], max_iter=bad)
     with pytest.raises(SolverError, match="no variables"):
         ConicProblem().solve()
     # free scalars only: a linear system with no cone for the IPM

@@ -131,13 +131,66 @@ def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free,
 
     # the Schur complement and the matvecs in the solver's shape: a batch of one
     A_cone = cp.A[:, cp.f :].tocsr()
-    S = ipm._schur(cone, ipm._Scaling(cone, x[None], z[None]), ipm._orth_pairs(A_cone[:, : cp.q].tocsr()),
-                   cone.constraint_stacks(A_cone), 0)
-    assert np.array_equal(S, oracles.block_schur(cp, ref, A_cone))
+    S = ipm._schur(ipm._Scaling(cone, x[None], z[None]), ipm._pairs(cone, A_cone), cp.m, 0)
+    ref_S = oracles.block_schur(cp, ref, A_cone)
+    # one pair sum adds the terms in another order than the per-block products
+    assert np.abs(S - ref_S).max() <= 1e-14 * np.abs(ref_S).max()
     # the solver's matvecs add in scipy.sparse's order, so they match to the bit
     y = rng.normal(size=cp.m)
     assert ipm._matvec(A_cone, 1)(u[None])[0].tobytes() == (A_cone @ u).tobytes()
     assert ipm._matvec(A_cone.T.tocsr(), 1)(y[None])[0].tobytes() == (A_cone.T @ y).tobytes()
+
+
+def _sparse_problem(rng, nonneg, dims, rows):
+    """Nonneg scalars, then PSD blocks of the given dims, and ``rows``
+    equalities on 1-4 entries each, off-diagonal ones among them; the last
+    block is in no equality."""
+    p = ConicProblem()
+    w = [expr(p.add_nonneg_var()) for _ in range(nonneg)]
+    blocks = [p.add_psd_block(d) for d in dims]
+    entries = w + [X.entry(i, j) for X in blocks[:-1] for i in range(X.dim) for j in range(i, X.dim)]
+    p.add_equality(sum((X.entry(0, X.dim - 1) for X in blocks[:-1] if X.dim > 1), LinExpr()), 1.0)
+    for _ in range(rows):
+        picks = rng.choice(len(entries), size=int(rng.integers(1, 5)), replace=False)
+        p.add_equality(sum((float(rng.normal()) * entries[k] for k in picks), LinExpr()), 1.0)
+    return p
+
+
+def _dense_schur(cp, sc, i):
+    """sum over the blocks of tr(A_j T A_k T) from the dense constraint
+    matrices of each block, with T = w on the orthant and R R' per block."""
+    A = cp.A[:, cp.f :].toarray()
+    S = (A[:, : cp.q] * sc.w[i] ** 2) @ A[:, : cp.q].T
+    for (gi, j), (dim, seg) in zip(ipm._Cone(cp).order, oracles._segments(cp)):
+        T = sc.R[gi][i, j] @ sc.RT[gi][i, j]
+        mats = [oracles.unsvec(r, dim) @ T for r in A[:, seg]]
+        S += [[np.trace(Mj @ Mk) for Mk in mats] for Mj in mats]
+    return S
+
+
+@pytest.mark.parametrize("nonneg, dims", [
+    (0, [1]),  # one 1x1 block that no row touches: no pairs at all
+    (3, [3, 2, 3, 4, 2]),  # offsets after orthant columns and after blocks of other sizes
+    (0, [2, 5, 3, 3]),  # no orthant: the 3x3 blocks start at svec offsets 18 and 24
+    (2, [1, 4, 1, 2]),  # 1x1 blocks join the orthant
+])
+def test_pairs_sum_the_dense_schur_definition(nonneg, dims):
+    rng = np.random.default_rng(len(dims) + nonneg)
+    if dims == [1]:
+        p = ConicProblem()
+        p.set_objective(p.add_psd_block(1).entry(0, 0))
+    else:
+        p = _sparse_problem(rng, nonneg, dims, 12)
+    cp = ipm.compile_problem(p)
+    cone, A_c = ipm._Cone(cp), cp.A[:, cp.f :].tocsr()
+    # two batch rows with scalings of their own, so row 1 cannot be read as row 0
+    x, z = np.stack([_interior(rng, cp) for _ in range(2)]), np.stack([_interior(rng, cp) for _ in range(2)])
+    sc, pairs = ipm._Scaling(cone, x, z), ipm._pairs(cone, A_c)
+    for i in range(2):
+        S, ref = ipm._schur(sc, pairs, cp.m, i), _dense_schur(cp, sc, i)
+        assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max(initial=0.0)
+    if cp.A.nnz:
+        assert not np.allclose(ipm._schur(sc, pairs, cp.m, 0), ipm._schur(sc, pairs, cp.m, 1))
 
 
 def _fingerprint(sol):
@@ -192,7 +245,7 @@ def test_reasons_name_why_each_solve_ended_in_a_batch_as_alone():
         (ray, objectives, {}, ["optimal", "unbounded", "optimal", "optimal"]),
         (ray, objectives[2:], {"max_iter": 2}, ["max_iter", "max_iter"]),
         # at a tolerance below rounding level the best iterate is taken back
-        (ray, objectives, {"tol": 1e-15}, ["optimal", "unbounded", "rescued_breakdown", "optimal"]),
+        (ray, objectives, {"tol": 1e-15}, ["optimal", "unbounded", "optimal", "rescued_breakdown"]),
         (ray, objectives[2:], {"tol": 1e-15, "max_iter": 8}, ["rescued_max_iter", "rescued_max_iter"]),
         (empty, [Y.entry(0, 1), Y.entry(0, 0)], {}, ["infeasible", "infeasible"]),
     ]
