@@ -71,19 +71,25 @@ class AdaptiveConfig:
     """Loop parameters.  Requires 0 <= alpha < beta <= 1, or alpha = beta = 1
     for the non-convergent degenerate mode, whose iteration problems keep the
     (then implied) restricted rows and whose stalled loop repeats its last
-    record instead of stopping."""
+    record instead of stopping.  ``eps_stop`` must be finite and at least
+    1e-9: every iteration solve runs at :attr:`solver_tol`, min(SOLVER_TOL,
+    eps_stop / 10), and HiGHS solves no finer than 1e-10."""
 
     alpha: float = 0.0
     beta: float = 1.0
     eps_stop: float = 1e-6
     max_iter: int = 50
-    solver_tol: float = SOLVER_TOL
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < self.beta <= 1.0 or self.alpha == self.beta == 1.0):
             raise ValueError("need 0 <= alpha < beta <= 1, or alpha = beta = 1")
-        if not 0 < self.eps_stop < np.inf or self.max_iter < 1:
-            raise ValueError("eps_stop must be positive and finite, and max_iter >= 1")
+        if not (1e-9 <= self.eps_stop < np.inf and isinstance(self.max_iter, (int, np.integer))
+                and self.max_iter >= 1):
+            raise ValueError("need a finite eps_stop >= 1e-9 and an integer max_iter >= 1")
+
+    @property
+    def solver_tol(self) -> float:  # the test eps_k <= eps_stop is only as sound as eps_k's solve
+        return min(SOLVER_TOL, self.eps_stop / 10)
 
 
 @dataclass(frozen=True)

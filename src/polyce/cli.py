@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .adaptive import AdaptiveConfig, run_adaptive
-from .conic import SOLVER_TOL, SolverError
+from .conic import SolverError
 from .finite_ce import min_epsilon, static_discretization
 from .games import (
     GameFormatError,
@@ -72,7 +72,7 @@ def cmd_static(args) -> int:
     n = game.num_players
     rows = ["d,epsilon," + ",".join(f"u{i+1}" for i in range(n))]
     for d in sizes:
-        dist, report = static_discretization(game, d, tol=args.tol)
+        dist, report = static_discretization(game, d)
         utils = expected_utilities(game, dist)
         rows.append(f"{d},{report.epsilon!r}," + ",".join(repr(float(u)) for u in utils))
         if args.dump_dist:
@@ -111,8 +111,8 @@ def cmd_moments(args) -> int:
     order = RelaxationOrder.auto(game, args.d, args.r)
     # both are computed before anything is written, so a rejected --directions leaves no output
     given = {k: v for k, v in vars(args).items() if k in ("directions", "seed")}
-    pts = payoff_region_sketch(game, order, tol=args.tol, **given) if args.region_csv else None
-    box = payoff_bounds(game, order, tol=args.tol)
+    pts = payoff_region_sketch(game, order, **given) if args.region_csv else None
+    box = payoff_bounds(game, order)
     _write_or_print(box.to_json(game.player_names), args.out)
     if args.region_csv:
         n = game.num_players
@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--game", required=True)
     ps.add_argument("--grid", required=True,
                     help="comma-separated grid sizes, e.g. 5,10,20,40")
-    ps.add_argument("--tol", type=float, default=SOLVER_TOL, help="LP solver tolerance")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--dump-dist", help="directory for per-d distribution JSON files")
     ps.set_defaults(func=cmd_static)
@@ -163,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated initial strategy points, e.g. -1 or 0,0.5")
     pa.add_argument("--alpha", type=float, default=AdaptiveConfig.alpha)
     pa.add_argument("--beta", type=float, default=AdaptiveConfig.beta)
-    pa.add_argument("--tol", type=float, default=AdaptiveConfig.eps_stop, help="epsilon stopping threshold")
+    pa.add_argument("--tol", type=float, default=AdaptiveConfig.eps_stop, help="epsilon stopping threshold, "
+                    "at least 1e-9; each iteration solve runs to a tenth of it, at most 1e-8")
     pa.add_argument("--max-iter", type=int, default=AdaptiveConfig.max_iter)
     pa.add_argument("--out", help="JSON trace output path")
     pa.set_defaults(func=cmd_adaptive)
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     # absent flags stay absent, so payoff_region_sketch's own defaults apply
     pm.add_argument("--directions", type=int, default=argparse.SUPPRESS)
     pm.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="direction sampling seed (3+ players)")
-    pm.add_argument("--tol", type=float, default=SOLVER_TOL, help="SDP solver tolerance")
     pm.add_argument("--out", help="PayoffBox JSON output path (default: stdout)")
     pm.add_argument("--region-csv", help="support-function region CSV output path")
     pm.set_defaults(func=cmd_moments)

@@ -50,7 +50,7 @@ _ENDINGS = {"optimal": Status.OPTIMAL, "infeasible": Status.INFEASIBLE, "unbound
 _STATUS = {**_ENDINGS, **{"rescued_" + why: Status.OPTIMAL for why in _ENDINGS if why != "optimal"},
            "inaccurate": Status.NUMERICAL_FAILURE}
 
-SOLVER_TOL = 1e-8  # the default tolerance of every solve, by the IPM or by HiGHS
+SOLVER_TOL = 1e-8  # the tolerance of static and moment solves, and the cap of adaptive ones
 SOLVER_MAX_ITER = 200  # the default iteration cap of every IPM solve
 
 

@@ -176,9 +176,9 @@ def solve_lp(c, A_ub, n_cells: int, tol: float) -> np.ndarray:
     return np.array(solver.getSolution().col_value)
 
 
-def ce_lp(fg: FiniteGame, objective=None, tol: float = SOLVER_TOL) -> SupportedDistribution:
+def ce_lp(fg: FiniteGame, objective=None) -> SupportedDistribution:
     """Correlated equilibrium of a finite game from one sparse LP, solved by
-    HiGHS with primal and dual feasibility tolerances ``tol``.
+    HiGHS at ``SOLVER_TOL``.
 
     With ``objective`` a map cell -> coefficient, maximizes that linear
     functional of the cell probabilities.  With ``objective=None`` minimizes
@@ -197,7 +197,7 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = SOLVER_TOL) -> SupportedD
             c[np.ravel_multi_index(cell, fg.shape)] = -coef
     # a CE always exists and the simplex is bounded: any status but optimal
     # is a solver failure
-    x = solve_lp(c, A_ub, n, tol)
+    x = solve_lp(c, A_ub, n, SOLVER_TOL)
     dist = SupportedDistribution.from_solver(fg.grids, x[:n].reshape(fg.shape))
     worst = max_ce_violation(fg, dist)
     if worst > 1e-7:
@@ -207,17 +207,16 @@ def ce_lp(fg: FiniteGame, objective=None, tol: float = SOLVER_TOL) -> SupportedD
 
 def midpoint_grid(d: int) -> np.ndarray:
     """Centers of d equal subintervals of [-1,1]."""
-    if d < 1:
-        raise ValueError("grid size must be >= 1")
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError("grid size must be an integer >= 1")
     return -1.0 + (2.0 * np.arange(d) + 1.0) / d
 
 
-def static_discretization(game: PolynomialGame, d: int,
-                          tol: float = SOLVER_TOL) -> tuple[SupportedDistribution, EpsilonReport]:
+def static_discretization(game: PolynomialGame, d: int) -> tuple[SupportedDistribution, EpsilonReport]:
     """Sample the game on the midpoint grid of size d (every player), solve
-    the sampled-game CE LP, and report the exact epsilon of the result
-    against the continuous game."""
+    the sampled-game CE LP at ``SOLVER_TOL``, and report the exact epsilon of
+    the result against the continuous game."""
     grid = midpoint_grid(d)
     fg = sample_game(game, [grid] * game.num_players)
-    dist = ce_lp(fg, tol=tol)
+    dist = ce_lp(fg)
     return dist, min_epsilon(game, dist)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
 
-from .conic import SOLVER_TOL, ConicProblem, LinExpr, expr
+from .conic import ConicProblem, LinExpr, expr
 from .games import PolynomialGame
 from .polynomials import grlex_monomials
 from .sos import MomentVector, localizing_entries, matrix_psd_on_interval_constraint, \
@@ -51,8 +51,8 @@ class RelaxationOrder:
     r: int
 
     def __post_init__(self):
-        if self.d < 0 or self.r < 1:
-            raise ValueError("need d >= 0 and r >= 1")
+        if not (all(isinstance(v, (int, np.integer)) for v in (self.d, self.r)) and self.d >= 0 and self.r >= 1):
+            raise ValueError("need integers d >= 0 and r >= 1")
 
     @staticmethod
     def auto(game: PolynomialGame, d: int, r: int | None = None) -> "RelaxationOrder":
@@ -159,7 +159,7 @@ def build_relaxation(game: PolynomialGame, order: RelaxationOrder):
     return problem, moments
 
 
-def _support_points(game, order, directions, tol):
+def _support_points(game, order, directions):
     """For each direction, the expected-payoff vector that maximizes
     direction . payoff over the relaxation.  The relaxation is built once and
     all directions are solved as one batch (``ConicProblem.solve_many``): one
@@ -171,26 +171,24 @@ def _support_points(game, order, directions, tol):
     objectives = [sum(((-float(w)) * payoff for w, payoff in zip(direction, payoffs) if w), LinExpr())
                   for direction in directions]
     return [np.array([sol.evaluate(payoff) for payoff in payoffs])
-            for sol in problem.solve_many(objectives, tol=tol)]
+            for sol in problem.solve_many(objectives)]
 
 
-def payoff_bounds(game: PolynomialGame, order: RelaxationOrder, tol: float = SOLVER_TOL) -> PayoffBox:
+def payoff_bounds(game: PolynomialGame, order: RelaxationOrder) -> PayoffBox:
     """Per-player [min, max] expected utility over the relaxation.  Each
-    bound is the IPM's primal value at solver tolerance, not a certified
+    bound is the IPM's primal value at ``conic.SOLVER_TOL``, not a certified
     outer bound on the correlated-equilibrium payoffs: the solver's residuals
     are not yet turned into a guaranteed error."""
     axes = np.eye(game.num_players)
-    points = _support_points(game, order, [sign * e for e in axes for sign in (1.0, -1.0)], tol)
+    points = _support_points(game, order, [sign * e for e in axes for sign in (1.0, -1.0)])
     hi, lo = np.diagonal(points[0::2]), np.diagonal(points[1::2])
     return PayoffBox(tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(lo, hi)))
 
 
-def payoff_region_sketch(
-    game: PolynomialGame, order: RelaxationOrder, directions: int = 16,
-    seed: int = 0, tol: float = SOLVER_TOL,
-):
+def payoff_region_sketch(game: PolynomialGame, order: RelaxationOrder, directions: int = 16, seed: int = 0):
     """Support-function sampling of the relaxation's payoff set: for each of
-    K unit directions, the payoff vector maximizing that direction.  Returns
+    K unit directions, the payoff vector maximizing that direction, solved at
+    ``conic.SOLVER_TOL`` like :func:`payoff_bounds`.  Returns
     a list of (direction, support_point) pairs (K >= 3)."""
     if directions < 3:
         raise ValueError("need at least 3 directions")
@@ -201,7 +199,7 @@ def payoff_region_sketch(
     else:
         rng = np.random.default_rng(seed)
         dirs = [v / np.linalg.norm(v) for v in rng.normal(size=(directions, n))]
-    return list(zip(dirs, _support_points(game, order, dirs, tol)))
+    return list(zip(dirs, _support_points(game, order, dirs)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +272,17 @@ def deviation_margin(game: PolynomialGame, order: RelaxationOrder, mv: MomentVec
     return _worst_deviation(game, order, mv)[0]
 
 
-def check_moment_membership(
-    game: PolynomialGame, order: RelaxationOrder, mv: MomentVector,
-    slack: float = MEMBERSHIP_SLACK,
-) -> bool:
+def check_moment_membership(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector) -> bool:
     """Does a concrete moment vector lie in the order-(d, r) relaxation
-    (within ``slack``)?  Necessary for the moments of any correlated
+    within ``MEMBERSHIP_SLACK``?  Necessary for the moments of any correlated
     equilibrium, so a False refutes equilibrium-ness."""
-    return deviation_margin(game, order, mv) <= slack and moment_validity_margin(mv, order.r) >= -slack
+    return (deviation_margin(game, order, mv) <= MEMBERSHIP_SLACK
+            and moment_validity_margin(mv, order.r) >= -MEMBERSHIP_SLACK)
 
 
 def separating_test_polynomial(game: PolynomialGame, order: RelaxationOrder, mv: MomentVector):
     """A violated deviation test, or None exactly when :func:`deviation_margin`
-    <= ``MEMBERSHIP_SLACK``, the default slack of :func:`check_moment_membership`:
+    <= ``MEMBERSHIP_SLACK``, the threshold of :func:`check_moment_membership`:
     (player, t0, p_coeffs) such that the squared test polynomial p certifies a
     profitable deviation to t0 under any measure with these moments."""
     margin, player, t0, p_coeffs = _worst_deviation(game, order, mv)

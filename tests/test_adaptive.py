@@ -12,7 +12,7 @@ from polyce.adaptive import (
     run_adaptive,
     run_adaptive_finite,
 )
-from polyce.conic import Status
+from polyce.conic import SOLVER_TOL, Status
 from polyce.finite_ce import min_epsilon
 from polyce.games import (
     FiniteGame,
@@ -33,6 +33,29 @@ def test_config_validation():
         AdaptiveConfig(eps_stop=0.0)
     with pytest.raises(ValueError, match="eps_stop"):
         AdaptiveConfig(eps_stop=float("nan"))
+
+
+def test_iteration_solves_run_at_a_tenth_of_eps_stop():
+    assert AdaptiveConfig(eps_stop=1e-8).solver_tol == 1e-9
+    assert AdaptiveConfig().solver_tol == AdaptiveConfig(eps_stop=1e-3).solver_tol == SOLVER_TOL
+    # 5e-10 would need solves at 5e-11, below HiGHS's 1e-10
+    with pytest.raises(ValueError, match="eps_stop >= 1e-9"):
+        AdaptiveConfig(eps_stop=5e-10)
+    with pytest.raises(TypeError):
+        AdaptiveConfig(solver_tol=1e-9)
+
+
+def test_max_iter_must_be_an_integer():
+    with pytest.raises(ValueError, match="integer max_iter"):
+        AdaptiveConfig(max_iter=2.5)
+    assert AdaptiveConfig(max_iter=np.int64(3)).max_iter == 3
+
+
+def test_fine_eps_stop_converges_to_an_exact_epsilon_below_it(quad_game):
+    # the iteration solves run at 1e-10, so eps_k is not solver noise above 1e-9
+    trace = run_adaptive(quad_game, [[0.0], [0.0]], AdaptiveConfig(eps_stop=1e-9, max_iter=6))
+    assert trace.status == "converged" and len(trace.records) <= 3
+    assert min_epsilon(quad_game, trace.final.distribution).epsilon <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +182,12 @@ def test_adaptive_degenerate_mode_stalls(emb_game):
 
 def test_adaptive_stalls_when_no_gain_clears_its_share_of_eps_stop(quad_game):
     # from the equilibrium (1, 1) the iteration's epsilon is solver noise
-    # (1.8e-8): above eps_stop = 1e-15, yet no gain clears eps_stop / len(recs),
+    # (1.7e-8): above eps_stop = 1e-9, yet no gain clears eps_stop / len(recs),
     # so no point is added and the loop (alpha < beta) stops as stalled
     start = [[1.0], [1.0]]
-    trace = run_adaptive(quad_game, start, AdaptiveConfig(eps_stop=1e-15))
+    trace = run_adaptive(quad_game, start, AdaptiveConfig(eps_stop=1e-9))
     assert trace.status == "stalled" and len(trace.records) == 1
-    assert trace.records[0].epsilon > 1e-15
+    assert trace.records[0].epsilon > 1e-9
     assert run_adaptive(quad_game, start).status == "converged"
 
 

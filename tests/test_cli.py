@@ -1,14 +1,9 @@
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import polyce
 from polyce.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from polyce.demo_games import common_interest_demo_game, quadratic_demo_game
 from polyce.games import parse_game, serialize_game
@@ -213,20 +208,6 @@ def test_solver_failure_exits_2(quad_path, monkeypatch, capsys):
     assert "injected" in capsys.readouterr().err
 
 
-def test_static_nan_tol_exits_2(quad_path):
-    # its own process: a nan tolerance that reached HiGHS would kill the
-    # interpreter instead of raising, and one below 1e-10 would only warn
-    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    for tol in ("nan", "1e-12"):
-        out = subprocess.run(
-            [sys.executable, "-m", "polyce.cli", "static", "--game", quad_path, "--grid", "2",
-             "--tol", tol],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-        )
-        assert out.returncode == EXIT_SOLVER, out.stderr
-        assert "tol must lie in [1e-10, 1e-2]" in out.stderr
-
-
 def test_bad_flags_exit_1(quad_path, capsys):
     assert main(["static", "--game", quad_path, "--grid", "0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "2.0"]) == EXIT_INPUT
@@ -235,6 +216,25 @@ def test_bad_flags_exit_1(quad_path, capsys):
     assert main(["randgame", "--seed", "1", "--degree", "-1"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", ","]) == EXIT_INPUT
     assert capsys.readouterr().err.endswith("error: empty list: ','\n")
+
+
+def test_static_and_moments_have_no_solver_tolerance_flag(quad_path, capsys):
+    # both always solve at conic.SOLVER_TOL
+    assert main(["static", "--game", quad_path, "--grid", "2", "--tol", "1e-2"]) == EXIT_INPUT
+    assert main(["moments", "--game", quad_path, "--tol", "1e-6"]) == EXIT_INPUT
+    assert capsys.readouterr().err.count("unrecognized arguments: --tol") == 2
+
+
+def test_adaptive_tol_is_met_by_its_own_solves(quad_path, tmp_path, capsys):
+    # the iteration solves run at a tenth of --tol, so the audited epsilon of
+    # a converged trace is at most --tol too
+    trace = str(tmp_path / "trace.json")
+    assert main(["adaptive", "--game", quad_path, "--grid", "0", "--tol", "1e-9", "--out", trace]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("status: converged\n")
+    assert main(["audit", "--game", quad_path, "--dist", trace]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["epsilon"] <= 1e-9
+    assert main(["adaptive", "--game", quad_path, "--grid", "0", "--tol", "5e-10"]) == EXIT_INPUT
+    assert "eps_stop >= 1e-9" in capsys.readouterr().err
 
 
 def test_grid_points_get_the_library_range_check(quad_path):

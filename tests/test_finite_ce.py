@@ -299,10 +299,41 @@ def test_midpoint_grid_rule():
         midpoint_grid(0)
 
 
-def test_static_rejects_bad_tolerance(quad_game):
+def test_grid_size_must_be_an_integer(quad_game):
+    # 2.5 would give [-0.6, 0.2, 1.0], whose last point is the boundary
+    with pytest.raises(ValueError, match="integer"):
+        midpoint_grid(2.5)
+    with pytest.raises(ValueError, match="integer"):
+        static_discretization(quad_game, 2.5)
+    assert midpoint_grid(np.int64(2)).tolist() == [-0.5, 0.5]
+
+
+def test_solve_lp_rejects_bad_tolerance():
+    # the guard stays: the adaptive loop passes its own tolerance
     for tol in (0.0, -1.0, 0.5, 1e-12):
         with pytest.raises(SolverError, match="tol must lie"):
-            static_discretization(quad_game, 2, tol=tol)
+            solve_lp(np.zeros(2), sp.csr_matrix((1, 2)), 2, tol)
+
+
+def test_solve_lp_nan_tol_is_a_solver_error():
+    # its own process: a nan tolerance that reached HiGHS would kill the
+    # interpreter instead of raising
+    code = """
+import numpy as np, scipy.sparse as sp
+from polyce.conic import SolverError
+from polyce.finite_ce import solve_lp
+try:
+    solve_lp(np.zeros(2), sp.csr_matrix((1, 2)), 2, float("nan"))
+except SolverError as exc:
+    print(exc)
+"""
+    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "tol must lie in [1e-10, 1e-2]\n"
 
 
 def test_static_forced_point_mass(quad_game):

@@ -57,6 +57,15 @@ def test_order_bookkeeping(quad_game):
         RelaxationOrder(d=-1, r=1)
 
 
+def test_order_must_be_integers(quad_game):
+    # d = 1.5 would give RelaxationOrder(d=1.5, r=3.0)
+    with pytest.raises(ValueError, match="integers"):
+        RelaxationOrder.auto(quad_game, 1.5)
+    with pytest.raises(ValueError, match="integers"):
+        RelaxationOrder(d=1, r=2.0)
+    assert RelaxationOrder(np.int64(1), np.int64(2)) == RelaxationOrder(1, 2)
+
+
 def test_payoff_box_validation():
     with pytest.raises(ValueError):
         PayoffBox(((1.0, 0.0),))
@@ -348,7 +357,7 @@ def test_adaptive_output_is_inside_every_relaxation(emb_game):
     assert trace.status == "converged"
     order = RelaxationOrder.auto(emb_game, 1)
     mv = MomentVector.from_measure(trace.final.distribution, 2, 2 * order.r)
-    assert check_moment_membership(emb_game, order, mv, slack=1e-4)
+    assert check_moment_membership(emb_game, order, mv)
 
 
 def test_three_player_relaxation_runs():
