@@ -3,7 +3,8 @@
 Three solvers; the two SDP ones run on a univariate sum-of-squares layer
 and an in-house conic interior-point method:
 
-* static discretization (sampled-game LP, one sparse matrix solved by HiGHS),
+* static discretization (sampled-game LP solved by HiGHS, its deviation rows
+  added as they bind),
 * adaptive discretization (support-growing SDP loop; on finite games each
   iteration is an LP solved by HiGHS),
 * moment relaxation (outer SDP approximations of the equilibrium set).

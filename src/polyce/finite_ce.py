@@ -1,11 +1,13 @@
 """Correlated equilibria of finite (sampled) games, and exact epsilon audits.
 
-``ce_lp`` computes a correlated equilibrium of a finite game as one LP:
-nonnegative cells, the simplex row, and one sparse matrix holding one
-deviation inequality per (player, recommendation, deviation) triple.
-``solve_lp`` solves it on scipy's compiled HiGHS module without loading
-``scipy.optimize``, which would add about 20 MB of unused modules.
-``deviation_rows`` writes one player's block of that matrix, and the finite
+``ce_lp`` computes a correlated equilibrium of a finite game by row
+generation: it solves LPs over nonnegative cells and the simplex row that
+hold only the deviation inequalities, one per (player, recommendation,
+deviation) triple, that bind, and adds those its solution breaks, found by
+``games.gains``, until none is broken.  ``solve_lp`` solves each LP on
+scipy's compiled HiGHS module without loading ``scipy.optimize``, which
+would add about 20 MB of unused modules.  ``gain_rows`` writes the chosen
+rows of one player; ``deviation_rows`` writes all of them, for the finite
 adaptive iteration LP's restricted rows.  Without an objective the LP
 minimizes the largest cell probability.  ``min_epsilon`` evaluates any
 finitely supported distribution against the *continuous* game: for every
@@ -118,10 +120,10 @@ def gain_rows(cells, u_rec, u_dev, s, t) -> sp.csr_matrix:
 
 
 def deviation_rows(cells, u) -> sp.csr_matrix:
-    """One player's CE gains sum_o p(cells[s, o]) (u[t, o] - u[s, o]) from
-    recommendation s to strategy t != s, one row per (s, t) in that order,
-    with ``cells`` (column indices) and ``u`` (payoffs) in
-    :func:`player_view` layout."""
+    """All of one player's CE gains sum_o p(cells[s, o]) (u[t, o] - u[s, o])
+    from recommendation s to strategy t != s, one row per (s, t) in that
+    order, with ``cells`` (column indices) and ``u`` (payoffs) in
+    :func:`player_view` layout; ``ce_lp`` writes only the rows it holds."""
     s, t = np.nonzero(~np.eye(len(u), dtype=bool))
     return gain_rows(cells, u, u, s, t)
 
@@ -177,28 +179,48 @@ def solve_lp(c, A_ub, n_cells: int, tol: float) -> np.ndarray:
 
 
 def ce_lp(fg: FiniteGame, objective=None) -> SupportedDistribution:
-    """Correlated equilibrium of a finite game from one sparse LP, solved by
-    HiGHS at ``SOLVER_TOL``.
+    """Correlated equilibrium of a finite game by row generation, each LP
+    solved from scratch by HiGHS at ``SOLVER_TOL``.
 
     With ``objective`` a map cell -> coefficient, maximizes that linear
     functional of the cell probabilities.  With ``objective=None`` minimizes
     the largest cell probability through one level column t >= every cell.
+    The first LP holds each player's deviations to the neighbouring grid
+    points, s -> s +- 1, and no cap p_c <= t.  Each round adds every
+    deviation row and cap that its solution breaks by more than
+    ``SOLVER_TOL``, until a round adds none: of finitely many rows, so the
+    loop ends.  Every round's LP relaxes the full one, so the last
+    solution, which meets every row, is optimal for the full LP.
     """
     n = int(np.prod(fg.shape))
     flat = np.arange(n, dtype=np.int32).reshape(fg.shape)
-    A_ub = sp.vstack([deviation_rows(player_view(flat, i), player_view(u, i))
-                      for i, u in enumerate(fg.payoffs)], format="csr")
+    views = [(player_view(flat, i), player_view(u, i)) for i, u in enumerate(fg.payoffs)]
+    held = [np.eye(len(u), k=1, dtype=bool) | np.eye(len(u), k=-1, dtype=bool) for _, u in views]
+    capped = np.zeros(n, dtype=bool)
     c = np.zeros(n)
     if objective is None:
-        A_ub = sp.bmat([[A_ub, None], [sp.eye(n), sp.csr_matrix(-np.ones((n, 1)))]], "csr")
         c = np.append(c, 1.0)
     else:
         for cell, coef in objective.items():
             c[np.ravel_multi_index(cell, fg.shape)] = -coef
-    # a CE always exists and the simplex is bounded: any status but optimal
-    # is a solver failure
-    x = solve_lp(c, A_ub, n, SOLVER_TOL)
-    dist = SupportedDistribution.from_solver(fg.grids, x[:n].reshape(fg.shape))
+    while True:
+        A_ub = sp.vstack([gain_rows(cells, u, u, *np.nonzero(h)) for (cells, u), h in zip(views, held)])
+        if objective is None:
+            caps = np.flatnonzero(capped)
+            A_ub = sp.bmat([[A_ub, None], [sp.eye(n, format="csr")[caps], -np.ones((len(caps), 1))]])
+        # a CE always exists and the simplex is bounded: any status but
+        # optimal is a solver failure
+        x = solve_lp(c, A_ub, n, SOLVER_TOL)
+        probs = x[:n].reshape(fg.shape)
+        broken = [(gains(player_view(probs, i), u, u) > SOLVER_TOL) & ~h
+                  for i, ((_, u), h) in enumerate(zip(views, held))]
+        level = x[n] if objective is None else np.inf
+        new_caps = (x[:n] > level + SOLVER_TOL) & ~capped
+        if not (new_caps.any() or any(b.any() for b in broken)):
+            break
+        held = [h | b for h, b in zip(held, broken)]
+        capped |= new_caps
+    dist = SupportedDistribution.from_solver(fg.grids, probs)
     worst = max_ce_violation(fg, dist)
     if worst > 1e-7:
         raise SolverError(f"CE constraints violated by {worst:.2e} after solve")

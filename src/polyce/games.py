@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conic import SolverError
 from .polynomials import MERGE_TOL, MultiPoly, PolynomialError, grlex_monomials, is_number, merge_points
 
 MASS_TOL = 1e-12  # a cell or recommendation with at most this mass carries none
@@ -144,14 +145,16 @@ class SupportedDistribution:
 
     @staticmethod
     def from_solver(grids, probs) -> "SupportedDistribution":
-        """Build from solver output: clips tiny negatives and renormalizes."""
+        """Build from solver output: clips tiny negatives and renormalizes.
+        Output too far from a distribution is the solver's fault, so it
+        raises :class:`SolverError`, not :class:`GameFormatError`."""
         probs = np.asarray(probs, dtype=float)
         if probs.min() < -1e-6:
-            raise GameFormatError(f"solver probability {probs.min()} too negative")
+            raise SolverError(f"solver probability {probs.min()} too negative")
         probs = np.clip(probs, 0.0, None)
         s = probs.sum()
         if not (0.5 < s < 2.0):
-            raise GameFormatError(f"solver probabilities sum to {s}")
+            raise SolverError(f"solver probabilities sum to {s}")
         return SupportedDistribution(tuple(np.asarray(g, float) for g in grids), probs / s)
 
     @staticmethod

@@ -208,6 +208,15 @@ def test_solver_failure_exits_2(quad_path, monkeypatch, capsys):
     assert "injected" in capsys.readouterr().err
 
 
+def test_solver_output_that_is_no_distribution_exits_2(quad_path, monkeypatch, capsys):
+    # a solver artifact, not a malformed input
+    from polyce import finite_ce
+
+    monkeypatch.setattr(finite_ce, "solve_lp", lambda c, *a: np.full(len(c), -1.0))
+    assert main(["static", "--game", quad_path, "--grid", "2"]) == EXIT_SOLVER
+    assert "too negative" in capsys.readouterr().err
+
+
 def test_bad_flags_exit_1(quad_path, capsys):
     assert main(["static", "--game", quad_path, "--grid", "0"]) == EXIT_INPUT
     assert main(["adaptive", "--game", quad_path, "--grid", "2.0"]) == EXIT_INPUT

@@ -119,7 +119,9 @@ def test_ce_lp_rows_on_three_players(seed, shape):
     # distinct grid sizes per axis, so a misplaced axis in the deviation rows
     # changes the polytope
     fg = _integer_game(np.random.default_rng(seed), tuple(shape))
-    assert max_single_deviation_gain(fg, ce_lp(fg)) <= 1e-7
+    minmax = ce_lp(fg)
+    assert max_single_deviation_gain(fg, minmax) <= 1e-7
+    assert float(minmax.probs.max()) == pytest.approx(dense_ce_minmax_level(fg), abs=1e-7)
     welfare = {cell: sum(float(u[cell]) for u in fg.payoffs) for cell in fg.cells()}
     dist = ce_lp(fg, welfare)
     assert max_single_deviation_gain(fg, dist) <= 1e-7
@@ -150,6 +152,15 @@ def _linprog_x(c, A_ub, n_cells, tol):
     return res.x
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this ``polyce``."""
+    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def _solved_lps(monkeypatch, module, run):
     """(arguments, x) of every ``solve_lp`` call that ``run()`` makes through ``module``."""
     solved = []
@@ -168,9 +179,35 @@ def test_solve_lp_is_linprog_byte_for_byte_on_the_static_lp(quad_game, d, monkey
     fg = sample_game(quad_game, [midpoint_grid(d)] * 2)
     welfare = {cell: float(fg.payoffs[0][cell] + fg.payoffs[1][cell]) for cell in fg.cells()}
     solved = _solved_lps(monkeypatch, finite_ce, lambda: (ce_lp(fg), ce_lp(fg, welfare)))
-    assert len(solved) == 2
+    # each ce_lp solves one LP per row-generation round
+    assert len(solved) >= 2
     for args, x in solved:
         assert x.tobytes() == _linprog_x(*args).tobytes()
+
+
+def test_ce_lp_solves_only_the_rows_that_bind(quad_game, monkeypatch):
+    # the full min-max LP at d=30 holds 2 * 30 * 29 deviation rows and 900 caps
+    fg = sample_game(quad_game, [midpoint_grid(30)] * 2)
+    solved = _solved_lps(monkeypatch, finite_ce, lambda: ce_lp(fg))
+    assert len(solved) >= 2
+    A_ub = solved[-1][0][1]
+    assert A_ub.shape[0] <= 0.1 * (2 * 30 * 29 + 900)
+
+
+def test_static_lp_at_d160_peaks_below_300_mb():
+    # its own process, so the peak is this solve's; the full LP's 76,480
+    # rows took about 1.2 GB
+    code = """
+import resource
+from polyce.demo_games import quadratic_demo_game
+from polyce.finite_ce import static_discretization
+static_discretization(quadratic_demo_game(), 160)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    out = _run_fresh(code)
+    assert out.returncode == 0, out.stderr
+    # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) <= 300 * 1000**2 / 1024
 
 
 def test_solve_lp_is_linprog_byte_for_byte_on_a_finite_iteration_lp(quad_game, monkeypatch):
@@ -221,11 +258,7 @@ ce_lp(fg, {cell: float(fg.payoffs[0][cell] + fg.payoffs[1][cell]) for cell in fg
 run_adaptive_finite(fg, [[-1.0], [-1.0]])
 assert 'scipy.optimize' not in sys.modules
 """
-    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=60,
-    )
+    out = _run_fresh(code)
     assert out.returncode == 0, out.stderr
 
 
@@ -327,11 +360,7 @@ try:
 except SolverError as exc:
     print(exc)
 """
-    path = os.pathsep.join([str(Path(polyce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=60,
-    )
+    out = _run_fresh(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "tol must lie in [1e-10, 1e-2]\n"
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyce.conic import SolverError
 from polyce.finite_ce import max_ce_violation, min_epsilon
 from polyce.games import (
     FiniteGame,
@@ -256,6 +257,14 @@ def test_distribution_validation():
         SupportedDistribution((np.array([0.0]),), np.array([0.5]))
     with pytest.raises(GameFormatError, match="negative"):
         SupportedDistribution((np.array([0.0, 1.0]),), np.array([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([1.5, -0.5], "too negative"), ([0.2, 0.2], "sum to"), ([np.nan, 1.0], "sum to"),
+], ids=["negative", "small-sum", "nan"])
+def test_solver_output_far_from_a_distribution_is_a_solver_error(probs, message):
+    with pytest.raises(SolverError, match=message):
+        SupportedDistribution.from_solver((np.array([0.0, 1.0]),), np.array(probs))
 
 
 def test_distribution_rejects_nan_probability():
