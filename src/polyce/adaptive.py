@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import SOLVER_TOL, ConicProblem, LinExpr, expr
-from .finite_ce import EpsilonReport, deviation_rows, epsilon_report, gain_rows, min_epsilon, solve_lp
+from .finite_ce import EpsilonReport, epsilon_report, gain_rows, min_epsilon, solve_lp
 from .games import (
     FiniteGame,
     PolynomialGame,
@@ -301,7 +301,8 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
     Columns: the cells in C order, eps, then one ev_{i,s} per recommendation
     of each player in turn.  Rows: every deviation to the full set
     (gain <= ev_{i,s}), sum_s ev_{i,s} <= eps, and the restricted deviations
-    within the subsets (gain <= alpha * eps), from :func:`deviation_rows`."""
+    within the subsets (gain <= alpha * eps): the deviation rows to another
+    strategy of the subset, in the same order, as ``rec`` ascends."""
     shape = tuple(len(g) for g in grids)
     flat = np.arange(int(np.prod(shape))).reshape(shape)
     full, restricted = [], []
@@ -309,7 +310,7 @@ def _solve_finite_iteration(fg: FiniteGame, grids, config: AdaptiveConfig):
         u, rec = _subset_payoffs(fg, grids, i)
         s, t = np.divmod(np.arange(len(rec) * len(u)), len(u))
         full.append(gain_rows(player_view(flat, i), u[rec], u, s, t))
-        restricted.append(deviation_rows(player_view(flat, i), u[rec]))
+        restricted.append(full[-1][np.isin(t, rec) & (t != rec[s])])
     picks = sp.block_diag([np.repeat(np.eye(k), len(g), axis=0) for k, g in zip(shape, fg.grids)])
     sums = sp.block_diag([np.ones((1, k)) for k in shape])
     R = sp.vstack(restricted)

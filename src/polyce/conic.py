@@ -3,8 +3,8 @@
 A :class:`ConicProblem` has free scalar variables, nonnegative scalar
 variables, PSD matrix blocks, linear equality constraints, and a linear
 objective (always minimized).  ``add_leq`` writes an inequality as an
-equality with a fresh nonnegative slack; 1x1 PSD blocks are routed to the
-nonnegative orthant internally.
+equality with a fresh nonnegative slack.  ``add_psd_block(1)`` declares a
+nonnegative scalar and returns a 1x1 view of it, so ``blocks`` has dim >= 2.
 
 Every variable has one position in one variable vector, fixed when it is
 declared: a scalar at ``ScalarVar.index``, a dim x dim PSD block at the
@@ -183,6 +183,8 @@ class ConicProblem:
     def add_psd_block(self, dim: int) -> PsdBlock:
         if dim < 1:
             raise SolverError("PSD block dimension must be >= 1")
+        if dim == 1:
+            return PsdBlock(self.add_nonneg_var().index, 1)
         blk = PsdBlock(self.num_vars, int(dim))
         self.num_vars += blk.dim * (blk.dim + 1) // 2
         self.blocks.append(blk)

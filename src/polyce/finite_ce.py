@@ -7,16 +7,16 @@ deviation) triple, that bind, and adds those its solution breaks, found by
 ``games.gains``, until none is broken.  ``solve_lp`` solves each LP on
 scipy's compiled HiGHS module without loading ``scipy.optimize``, which
 would add about 20 MB of unused modules.  ``gain_rows`` writes the chosen
-rows of one player; ``deviation_rows`` writes all of them, for the finite
-adaptive iteration LP's restricted rows.  Without an objective the LP
-minimizes the largest cell probability.  ``min_epsilon`` evaluates any
-finitely supported distribution against the *continuous* game: for every
-recommendation with positive marginal it maximizes the deviation-gain
-polynomial over [-1,1] by derivative root finding, giving the exact minimal
-epsilon for which the distribution is an approximate correlated equilibrium;
-``epsilon_report`` assembles it, and the report of a finite game, from
-per-player gain rows.  ``games.MASS_TOL`` decides which recommendations
-carry mass, and ``polynomials.pick_maximizers`` picks their maximizers.
+rows of one player, for ``ce_lp`` and the finite adaptive iteration LP.
+Without an objective the LP minimizes the largest cell probability.
+``min_epsilon`` evaluates any finitely supported distribution against the
+*continuous* game: for every recommendation with positive marginal it
+maximizes the deviation-gain polynomial over [-1,1] by derivative root
+finding, giving the exact minimal epsilon for which the distribution is an
+approximate correlated equilibrium; ``epsilon_report`` assembles it, and the
+report of a finite game, from per-player gain rows.  ``games.MASS_TOL``
+decides which recommendations carry mass, and ``polynomials.pick_maximizers``
+picks their maximizers.
 """
 
 from __future__ import annotations
@@ -117,15 +117,6 @@ def gain_rows(cells, u_rec, u_dev, s, t) -> sp.csr_matrix:
     out = sp.csr_matrix(rows, shape=(len(s), cells.size))
     out.eliminate_zeros()
     return out
-
-
-def deviation_rows(cells, u) -> sp.csr_matrix:
-    """All of one player's CE gains sum_o p(cells[s, o]) (u[t, o] - u[s, o])
-    from recommendation s to strategy t != s, one row per (s, t) in that
-    order, with ``cells`` (column indices) and ``u`` (payoffs) in
-    :func:`player_view` layout; ``ce_lp`` writes only the rows it holds."""
-    s, t = np.nonzero(~np.eye(len(u), dtype=bool))
-    return gain_rows(cells, u, u, s, t)
 
 
 @functools.cache

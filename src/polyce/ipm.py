@@ -10,8 +10,8 @@ parameter is sigma = mu_aff / mu clipped to [0, 1] on every solve.
 ``compile_problem`` maps the builder's variable vector to solver columns
 through two arrays made once: ``col`` (variable -> column) and ``scale``
 (sqrt 2 on off-diagonal PSD entries, else 1).  Free scalars come first, then
-the orthant (nonnegative scalars, then 1x1 blocks), then one svec segment per
-larger block.  A coefficient on variable v goes to column ``col[v]`` divided
+the nonnegative ones (1x1 PSD blocks among them), then one svec segment per
+PSD block.  A coefficient on variable v goes to column ``col[v]`` divided
 by ``scale[v]``, and the solution is read back as ``x[col] / scale``.
 
 The cone layer holds the PSD blocks of each dimension d as one (k, d, d)
@@ -59,7 +59,7 @@ from .conic import _STATUS, ConicProblem, ConicSolution, LinExpr, Status, _trian
 
 _REG = 1e-10  # static regularization of the KKT system
 _STEP_FRAC = 0.98
-_NEIGHBORHOOD = 1e-3  # wide-neighborhood centrality floor, min(x.z)/mu
+_NEIGHBORHOOD = 1e-3  # wide-neighborhood centrality floor, min eig(X Z)/mu over PSD blocks
 # iterations in a row without a new best iterate that end a member as
 # "stalled".  Before an "optimal" ending the longest such stretch is 22 in the
 # tests (two BLAS threads) and 2 in the benchmark; the three quad d=2 members
@@ -75,8 +75,8 @@ _STALL_WINDOW = 60
 class Compiled:
     m: int                      # equalities
     f: int                      # free scalars
-    q: int                      # orthant scalars (incl. 1x1 blocks)
-    block_dims: list[int]       # PSD blocks of dim >= 2
+    q: int                      # nonnegative scalars
+    block_dims: list[int]       # PSD blocks
     block_offsets: list[int]    # svec offsets within the cone segment
     cone_dim: int               # q + total svec length
     A: sp.csr_matrix            # m x (f + cone_dim)
@@ -88,17 +88,14 @@ class Compiled:
 
 def compile_problem(p: ConicProblem) -> Compiled:
     """The constraints of ``p`` in solver columns; objectives go through :func:`_cost`."""
-    # groups 0-3: free scalars, nonnegative scalars, 1x1 blocks, larger blocks
-    group = np.full(p.num_vars, 3)
+    # groups 0-2: free scalars, nonnegative scalars, PSD blocks
+    group = np.full(p.num_vars, 2)
     group[[v.index for v in p.scalars]] = [int(v.nonneg) for v in p.scalars]
-    group[[blk.start for blk in p.blocks if blk.dim == 1]] = 2
     col = np.empty(p.num_vars, dtype=np.intp)
     col[np.argsort(group, kind="stable")] = np.arange(p.num_vars)
-    f = int(np.count_nonzero(group == 0))
-    q = int(np.count_nonzero(group < 3)) - f
-    psd = [blk for blk in p.blocks if blk.dim > 1]
+    f, q = int(np.count_nonzero(group == 0)), int(np.count_nonzero(group == 1))
     scale = np.ones(p.num_vars)
-    for blk in psd:
+    for blk in p.blocks:
         svec_scale = _triangle(blk.dim)[3]
         scale[blk.start : blk.start + svec_scale.size] = svec_scale
 
@@ -117,8 +114,8 @@ def compile_problem(p: ConicProblem) -> Compiled:
     A = sp.diags(1.0 / row_scale) @ A
     b = b / row_scale
     return Compiled(
-        m=m, f=f, q=q, block_dims=[blk.dim for blk in psd],
-        block_offsets=[int(col[blk.start]) - f - q for blk in psd],
+        m=m, f=f, q=q, block_dims=[blk.dim for blk in p.blocks],
+        block_offsets=[int(col[blk.start]) - f - q for blk in p.blocks],
         cone_dim=p.num_vars - f, A=A.tocsr(), b=b, col=col, scale=scale,
         row_scale=row_scale,
     )
@@ -138,12 +135,12 @@ def _cost(e: LinExpr, col: np.ndarray, scale: np.ndarray) -> tuple:
 
 
 class _Group:
-    """The PSD blocks ``blocks`` of one dimension, whose svec segments start
-    at ``starts`` in the cone vector."""
+    """The PSD blocks of one dimension, whose svec segments start at
+    ``starts`` in the cone vector."""
 
-    def __init__(self, dim: int, blocks: np.ndarray, starts: np.ndarray):
+    def __init__(self, dim: int, starts: np.ndarray):
         pos, self.scale_dd, self.flat, self.scale = _triangle(dim)
-        self.dim, self.blocks = dim, blocks
+        self.dim = dim
         self.gather = starts[:, None, None] + pos  # (k, d, d) -> cone position
         self.scatter = starts[:, None] + np.arange(self.scale.size)  # svec -> cone position
 
@@ -186,11 +183,7 @@ class _Cone:
         self.nu = cp.q + sum(cp.block_dims)
         dims = np.array(cp.block_dims, dtype=int)
         starts = cp.q + np.array(cp.block_offsets, dtype=np.intp)
-        self.groups = [_Group(d, np.flatnonzero(dims == d), starts[dims == d])
-                       for d in dict.fromkeys(cp.block_dims)]
-        # (group, index in group) of each block, in block order
-        where = {k: (gi, j) for gi, g in enumerate(self.groups) for j, k in enumerate(g.blocks)}
-        self.order = [where[k] for k in range(len(dims))]
+        self.groups = [_Group(d, starts[dims == d]) for d in dict.fromkeys(cp.block_dims)]
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.cp.cone_dim)
@@ -233,15 +226,15 @@ class _Cone:
             steps.append(np.where(emin < 0, 1.0 / -emin, np.inf))
         return np.min(steps, axis=0)
 
-    def centrality(self, sc: _Scaling, sd_x: list, sd_z: list, alpha) -> list:
-        """Per block, in block order, the smallest eigenvalue of the
-        symmetrized (Lam + alpha dx)(Lam + alpha dz) in scaled space, one per
-        batch row of alpha."""
-        alpha, emins = np.asarray(alpha)[..., None, None, None], []
+    def centrality(self, sc: _Scaling, sd_x: list, sd_z: list, alpha) -> np.ndarray:
+        """Per batch row of alpha, the smallest eigenvalue over all PSD blocks
+        of the symmetrized (Lam + alpha dx)(Lam + alpha dz) in scaled space
+        (inf without a block)."""
+        alpha, emin = np.asarray(alpha)[..., None, None, None], np.inf
         for Lam, X, Z in zip(sc.Lam, sd_x, sd_z):
             P = (Lam + alpha * X) @ (Lam + alpha * Z)
-            emins.append(np.linalg.eigvalsh((P + P.swapaxes(-1, -2)) / 2)[..., 0])
-        return [emins[gi][..., j] for gi, j in self.order]
+            emin = np.minimum(emin, np.linalg.eigvalsh((P + P.swapaxes(-1, -2)) / 2)[..., 0].min(-1))
+        return emin
 
     def targets(self, sc: _Scaling, sdx: tuple, sdz: tuple, smu: float) -> tuple:
         """Corrector complementarity targets in scaled space: smu - lam^2
@@ -396,16 +389,14 @@ def solve_many(problem: ConicProblem, objectives: list, tol: float, max_iter: in
             cap = np.minimum(np.minimum(cone.max_step(sc, sd_x, sd_z), np.where(dtau < 0, -tau / dtau, np.inf)),
                              np.where(dkap < 0, -kappa / dkap, np.inf))
             alpha = np.minimum(1.0, _STEP_FRAC * cap)
-            # keep the iterate in a wide neighborhood of the central path so
-            # the terminal point stays near-central (and reproducible) even
-            # on problems with fat optimal faces
+            # keep the PSD blocks in a wide neighborhood of the central path
+            # so the terminal point stays near-central (and reproducible)
+            # even on problems with fat optimal faces
             for _ in range(12 if centrality else 0):
                 a = alpha[:, None]
                 tk = (tau + alpha * dtau) * (kappa + alpha * dkap)
-                no = (sc.lam_orth + a * sd_x[0]) * (sc.lam_orth + a * sd_z[0])
-                psd = np.min(cone.centrality(sc, sd_x[1], sd_z[1], alpha), axis=0, initial=np.inf)
                 mu_new = (np.vecdot(xc + a * dxc, z + a * dz) + tk) / nu1
-                ok = np.minimum(np.minimum(tk, no.min(1, initial=np.inf)), psd) >= _NEIGHBORHOOD * mu_new
+                ok = cone.centrality(sc, sd_x[1], sd_z[1], alpha) >= _NEIGHBORHOOD * mu_new
                 if ok.all():
                     break
                 alpha = np.where(ok, alpha, alpha * 0.7)
@@ -513,9 +504,8 @@ def _extract(problem, cone: _Cone, cost, reason, iters, iterate, tol) -> ConicSo
     y_h = obj_scale * (y / tau / cp.row_scale)
 
     values = x_h[cp.col] / cp.scale
-    ones = [blk.start for blk in problem.blocks if blk.dim == 1]
     eigs = [np.linalg.eigvalsh(g.unpack(xc_h))[:, 0].tolist() for g in cone.groups]
-    min_eig = min([0.0, *values[ones].tolist(), *(e for es in eigs for e in es)])
+    min_eig = min([0.0, *xc_h[: cp.q].tolist(), *(e for es in eigs for e in es)])
 
     pobj = obj_scale * float(c[: cp.f] @ xf_h + c[cp.f :] @ xc_h) + obj_const
     dobj = obj_scale * float(cp.b @ (y / tau)) + obj_const

@@ -78,12 +78,18 @@ class PayoffBox:
             if not lo <= hi + 1e-9:  # rejects nan too
                 raise ValueError(f"bad box [{lo}, {hi}]")
 
+    def _same_players(self, other, what: str) -> None:
+        if len(other) != len(self.bounds):
+            raise ValueError(f"{what} has {len(other)} players, the box {len(self.bounds)}")
+
     def contains(self, point, tol: float = 0.0) -> bool:
+        self._same_players(point, "point")
         return all(
             lo - tol <= p <= hi + tol for (lo, hi), p in zip(self.bounds, point)
         )
 
     def nests_inside(self, outer: "PayoffBox", tol: float = 0.0) -> bool:
+        self._same_players(outer.bounds, "outer box")
         return all(
             o_lo - tol <= lo and hi <= o_hi + tol
             for (lo, hi), (o_lo, o_hi) in zip(self.bounds, outer.bounds)
@@ -189,9 +195,9 @@ def payoff_region_sketch(game: PolynomialGame, order: RelaxationOrder, direction
     """Support-function sampling of the relaxation's payoff set: for each of
     K unit directions, the payoff vector maximizing that direction, solved at
     ``conic.SOLVER_TOL`` like :func:`payoff_bounds`.  Returns
-    a list of (direction, support_point) pairs (K >= 3)."""
-    if directions < 3:
-        raise ValueError("need at least 3 directions")
+    a list of (direction, support_point) pairs (an integer K >= 3)."""
+    if not (isinstance(directions, (int, np.integer)) and directions >= 3):
+        raise ValueError("need at least 3 directions, as an integer")
     n = game.num_players
     if n == 2:
         angles = 2.0 * np.pi * np.arange(directions) / directions

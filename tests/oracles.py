@@ -374,10 +374,11 @@ def block_max_step(sc, orth_dir, mat_dirs):
 
 
 def block_centrality(sc, sd_x, sd_z, alpha):
-    out = []
+    """The least eigenvalue over the blocks (inf without one)."""
+    out = np.inf
     for lam, X, Z in zip(sc.lam, sd_x, sd_z):
         P = (np.diag(lam) + alpha * X) @ (np.diag(lam) + alpha * Z)
-        out.append(float(np.linalg.eigvalsh((P + P.T) / 2)[0]))
+        out = min(out, float(np.linalg.eigvalsh((P + P.T) / 2)[0]))
     return out
 
 
@@ -412,8 +413,9 @@ def block_schur(cp, sc, A_cone):
 def compiled_arrays(p):
     """Row-scaled A and b, c over its largest magnitude, and both scales of
     a ConicProblem, mapping each variable to its solver column by a loop:
-    free scalars, nonnegative scalars, 1x1 blocks, then the upper triangle of
-    each larger block row by row, off-diagonal entries over sqrt 2."""
+    free scalars, nonnegative scalars (1x1 blocks among them), then the upper
+    triangle of each larger block row by row, off-diagonal entries over
+    sqrt 2."""
     def position(e):
         (key,) = e.coeffs
         return key
@@ -422,14 +424,10 @@ def compiled_arrays(p):
     for v in [v for v in p.scalars if not v.nonneg] + [v for v in p.scalars if v.nonneg]:
         column[v.index] = (len(column), 1.0)
     for blk in p.blocks:
-        if blk.dim == 1:
-            column[position(blk.entry(0, 0))] = (len(column), 1.0)
-    for blk in p.blocks:
-        if blk.dim > 1:
-            for i in range(blk.dim):
-                for j in range(i, blk.dim):
-                    scale = 1.0 if i == j else 1.0 / math.sqrt(2.0)
-                    column[position(blk.entry(i, j))] = (len(column), scale)
+        for i in range(blk.dim):
+            for j in range(i, blk.dim):
+                scale = 1.0 if i == j else 1.0 / math.sqrt(2.0)
+                column[position(blk.entry(i, j))] = (len(column), scale)
 
     m = max(len(p.equalities), 1)
     A, b, c = np.zeros((m, len(column))), np.zeros(m), np.zeros(len(column))

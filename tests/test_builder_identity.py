@@ -69,7 +69,7 @@ def _moment_feasibility():
 
 
 PINNED = [
-    (_iteration_sdp, "7dd3919c54ad05714448553fa7a5086bbd11f140dce313bd187bbe89c74719ba"),
+    (_iteration_sdp, "801c72c0e71dbd0d00426fe945e5d918fb8028fdc38d2c53645203ab8845a5c2"),
     (_relaxation, "ea3319d70a008ae8831114cf09e2c9dde4102748e8e862332bbab0c4dff6efcb"),
     (_interval_degree_4, "fffcf1c031118f14a64e5f847bbea50c4030b44acd539b0213943b096cfc9dc2"),
     (_matrix_2x2, "f0fbd04a569074e48f2f7b7a074f94c2671328dcc0a074f5de24913102d53c84"),

@@ -194,6 +194,14 @@ def test_ce_lp_solves_only_the_rows_that_bind(quad_game, monkeypatch):
     assert A_ub.shape[0] <= 0.1 * (2 * 30 * 29 + 900)
 
 
+def test_ce_lp_adds_a_row_that_its_solution_breaks_by_little():
+    # the neighbour rows and caps allow p(-1) = p(+1) = 1/2, where the
+    # deviation -1 -> +1 gains only 5e-6: ce_lp must add that row, not stop
+    # short of it, to reach the one CE, the point mass on +1
+    fg = FiniteGame((np.array([-1.0, 0.0, 1.0]),), (np.array([1.0, 0.0, 1.0 + 1e-5]),))
+    assert ce_lp(fg).probs.tolist() == [0.0, 0.0, 1.0]
+
+
 def test_static_lp_at_d160_peaks_below_300_mb():
     # its own process, so the peak is this solve's; the full LP's 76,480
     # rows took about 1.2 GB

@@ -75,6 +75,13 @@ def _all_equal(mine, theirs):
     return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
 
 
+def _block_order(cone):
+    """(group, index in group) of each PSD block, in the order of their svec
+    segments in the cone vector, which is the order of the oracle's blocks."""
+    at = [(g.scatter[j, 0], gi, j) for gi, g in enumerate(cone.groups) for j in range(len(g.scatter))]
+    return [(gi, j) for _, gi, j in sorted(at)]
+
+
 @given(
     sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True),
     counts=st.lists(st.integers(1, 3), min_size=5, max_size=5),
@@ -97,7 +104,7 @@ def test_grouped_kernels_match_the_per_block_oracle(sizes, counts, nonneg, free,
     cone = ipm._Cone(cp)
 
     def blocks(stacks):
-        return [stacks[gi][j] for gi, j in cone.order]
+        return [stacks[gi][j] for gi, j in _block_order(cone)]
 
     x, z = _interior(rng, cp), _interior(rng, cp)
     u, v = rng.normal(size=cp.cone_dim), rng.normal(size=cp.cone_dim)
@@ -161,7 +168,7 @@ def _dense_schur(cp, sc, i):
     matrices of each block, with T = w on the orthant and R R' per block."""
     A = cp.A[:, cp.f :].toarray()
     S = (A[:, : cp.q] * sc.w[i] ** 2) @ A[:, : cp.q].T
-    for (gi, j), (dim, seg) in zip(ipm._Cone(cp).order, oracles._segments(cp)):
+    for (gi, j), (dim, seg) in zip(_block_order(ipm._Cone(cp)), oracles._segments(cp)):
         T = sc.R[gi][i, j] @ sc.RT[gi][i, j]
         mats = [oracles.unsvec(r, dim) @ T for r in A[:, seg]]
         S += [[np.trace(Mj @ Mk) for Mk in mats] for Mj in mats]

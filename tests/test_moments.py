@@ -75,6 +75,19 @@ def test_payoff_box_validation():
     assert PayoffBox(((0.2, 0.8), (-1.9, -1.2))).nests_inside(box, tol=1e-9)
 
 
+def test_payoff_box_rejects_another_player_count():
+    # zip would drop the extra players: a 1-player point inside the first
+    # interval, or a 1-player box, would pass
+    box = PayoffBox(((0.0, 1.0), (0.0, 1.0)))
+    for point in ((0.5,), (0.5, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="players"):
+            box.contains(point)
+    with pytest.raises(ValueError, match="players"):
+        PayoffBox(((0.2, 0.8),)).nests_inside(box)
+    with pytest.raises(ValueError, match="players"):
+        box.nests_inside(PayoffBox(((0.0, 1.0),)))
+
+
 @pytest.mark.parametrize("bounds", [((float("nan"), 1.0),), ((0.0, float("nan")),)])
 def test_payoff_box_rejects_nan(bounds):
     with pytest.raises(ValueError, match="bad box"):
@@ -350,6 +363,14 @@ def test_three_player_region_sketch():
 def test_region_requires_three_directions(quad_game):
     with pytest.raises(ValueError, match="directions"):
         payoff_region_sketch(quad_game, RelaxationOrder.auto(quad_game, 0), 2)
+
+
+@pytest.mark.parametrize("players", [2, 3])
+def test_region_rejects_a_non_integer_direction_count(players):
+    # 3.5 would give 4 angles for two players and a raw TypeError for three
+    game = random_polynomial_game(players, 2, 9)
+    with pytest.raises(ValueError, match="directions"):
+        payoff_region_sketch(game, RelaxationOrder.auto(game, 0), 3.5)
 
 
 def test_adaptive_output_is_inside_every_relaxation(emb_game):
